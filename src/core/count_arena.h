@@ -90,6 +90,9 @@ struct CountArena {
   std::vector<HashCount::Entry> slots;
   std::vector<uint64_t> offset;  // item i's table is slots[offset[i],
                                  // offset[i+1]); capacity = the difference
+  /// Item boundaries of the barrier tasks that rebuild the arena: task t
+  /// covers items [ranges[t], ranges[t+1]). Set by SplitRanges.
+  std::vector<uint32_t> ranges;
   bool ready = false;            // geometry matches the current corpus/K
 
   static uint32_t CapacityFor(uint32_t hint) {
@@ -109,9 +112,33 @@ struct CountArena {
     ready = true;
   }
 
+  /// Cuts the items into at most `num_tasks` contiguous ranges of about
+  /// equal cost, item i costing its table capacity plus `lengths[i]` (its
+  /// fill work): item lengths are Zipfian, so equal item counts would leave
+  /// one task with the head items. Call after AllocateFromHints.
+  void SplitRanges(const std::vector<uint32_t>& lengths, uint32_t num_tasks) {
+    uint64_t total = offset.back();
+    for (uint32_t len : lengths) total += len;
+    ranges.assign(1, 0);
+    uint64_t cost = 0;
+    const uint32_t n = static_cast<uint32_t>(lengths.size());
+    for (uint32_t i = 0; i + 1 < n; ++i) {
+      cost += offset[i + 1] - offset[i] + lengths[i];
+      if (cost * num_tasks >= total * ranges.size()) ranges.push_back(i + 1);
+    }
+    ranges.push_back(n);
+  }
+
   /// Resets every table to empty (one linear pass over the slab).
   void ClearSlots() {
     std::fill(slots.begin(), slots.end(),
+              HashCount::Entry{HashCount::kEmptyKey, 0});
+  }
+
+  /// Resets the tables of items [lo, hi) to empty.
+  void ClearItems(uint32_t lo, uint32_t hi) {
+    std::fill(slots.begin() + static_cast<std::ptrdiff_t>(offset[lo]),
+              slots.begin() + static_cast<std::ptrdiff_t>(offset[hi]),
               HashCount::Entry{HashCount::kEmptyKey, 0});
   }
 

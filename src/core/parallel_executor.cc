@@ -23,6 +23,7 @@ struct ExecutorMetrics {
   obs::Counter* blocks_stolen;
   obs::Histogram* worker_blocks;
   obs::Histogram* barrier_wait_us;
+  obs::Histogram* begin_sweep_us;
   obs::Histogram* end_stage_us;
 
   static const ExecutorMetrics& Get() {
@@ -44,9 +45,14 @@ struct ExecutorMetrics {
           "executor_barrier_wait_us",
           "Driver idle time at the end-of-run barrier after finishing its "
           "own share of tasks");
+      em.begin_sweep_us = reg.GetHistogram(
+          "executor_begin_sweep_us",
+          "BeginSweep barrier work: plan indices plus the first span's "
+          "count-table rebuild");
       em.end_stage_us = reg.GetHistogram(
           "executor_end_stage_us",
-          "EndStage barrier work: staged-write apply plus delta fold");
+          "EndStage barrier work: staged-write apply, delta fold and the "
+          "next span's count-table and alias rebuilds");
       return em;
     }();
     return m;
@@ -142,10 +148,24 @@ void ParallelExecutor::WorkerLoop(uint32_t worker) {
   }
 }
 
+TaskRunner ParallelExecutor::Runner() {
+  return [this](uint32_t num_tasks, const Task& fn) { Run(num_tasks, fn); };
+}
+
 void ParallelExecutor::RunSweep(GridSampler& sampler, const SweepPlan& plan,
                                 const StageHook& barrier_hook) {
-  // FinishSweep reserves the worker pool (legal at the BeginSweep barrier).
-  sampler.BeginSweep(plan);
+  // BeginSweep's barrier tasks already run on every worker.
+  sampler.ReserveWorkers(num_threads_);
+  {
+    obs::TraceSpan begin_span("begin-sweep", "executor");
+    const bool metrics = obs::MetricsEnabled();
+    const int64_t begin_start = metrics ? NowUs() : 0;
+    sampler.BeginSweep(plan, Runner());
+    if (metrics) {
+      ExecutorMetrics::Get().begin_sweep_us->Observe(
+          static_cast<double>(NowUs() - begin_start));
+    }
+  }
   FinishSweep(sampler, plan, barrier_hook);
 }
 
@@ -153,6 +173,7 @@ void ParallelExecutor::FinishSweep(GridSampler& sampler, const SweepPlan& plan,
                                    const StageHook& barrier_hook) {
   const uint32_t doc_blocks = plan.num_doc_blocks;
   const uint32_t word_blocks = plan.num_word_blocks;
+  const TaskRunner run = Runner();
   sampler.ReserveWorkers(num_threads_);
   // Per-worker block tallies for the current stage. Workers write only
   // their own slot (padded to a cache line); the driver folds them into the
@@ -189,7 +210,7 @@ void ParallelExecutor::FinishSweep(GridSampler& sampler, const SweepPlan& plan,
         });
         obs::TraceSpan fold_span("end-stage", "executor");
         const int64_t fold_start = metrics ? NowUs() : 0;
-        sampler.EndStage();
+        sampler.EndStage(run);
         if (metrics) {
           ExecutorMetrics::Get().end_stage_us->Observe(
               static_cast<double>(NowUs() - fold_start));

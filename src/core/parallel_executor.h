@@ -39,7 +39,7 @@ class ParallelExecutor {
   /// Task body: fn(worker, task) with worker in [0, num_threads()) and task
   /// in [0, num_tasks). The worker id is what callers key per-thread scratch
   /// by (e.g. GridSampler::RunBlock's worker argument).
-  using Task = std::function<void(uint32_t worker, uint32_t task)>;
+  using Task = BarrierTask;
 
   /// `num_threads` counts the calling thread: the pool spawns num_threads-1
   /// workers and the thread calling Run() executes tasks as worker 0, so a
@@ -71,8 +71,10 @@ class ParallelExecutor {
   /// One full grid sweep of `plan`: ReserveWorkers(num_threads()), then
   /// BeginSweep and, per stage, one Run() over the stage's blocks in
   /// wavefront order followed by the EndStage barrier on the calling thread
-  /// (where `barrier_hook`, when set, fires). Produces exactly the samples
-  /// of GridSampler::RunSweep (and, for a conforming sampler, of Iterate()).
+  /// (where `barrier_hook`, when set, fires). BeginSweep and EndStage get
+  /// this pool as their TaskRunner, so their barrier work runs on every
+  /// worker too. Produces exactly the samples of GridSampler::RunSweep (and,
+  /// for a conforming sampler, of Iterate()).
   void RunSweep(GridSampler& sampler, const SweepPlan& plan,
                 const StageHook& barrier_hook = nullptr);
 
@@ -98,6 +100,8 @@ class ParallelExecutor {
     std::exception_ptr error;          // guarded by ParallelExecutor::mutex_
   };
 
+  /// This pool as the TaskRunner lent to GridSampler barriers.
+  TaskRunner Runner();
   void WorkerLoop(uint32_t worker);
   /// Claims and executes tasks of `job` until the cursor is exhausted.
   void RunTasks(Job& job, uint32_t worker);

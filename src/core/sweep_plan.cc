@@ -63,6 +63,10 @@ const char* ToString(SweepStage stage) {
   return "invalid";
 }
 
+void RunInline(uint32_t num_tasks, const BarrierTask& fn) {
+  for (uint32_t t = 0; t < num_tasks; ++t) fn(0, t);
+}
+
 void GridSampler::RunSweep(const SweepPlan& plan) {
   BeginSweep(plan);
   try {

@@ -2,6 +2,7 @@
 #define WARPLDA_CORE_SWEEP_PLAN_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,20 @@ struct GridBlockDelta {
   std::vector<uint32_t> proposals;  ///< TopicId, mh_steps per token
 };
 
+/// One unit of barrier work: fn(worker, task), see TaskRunner.
+using BarrierTask = std::function<void(uint32_t worker, uint32_t task)>;
+
+/// Runs fn(worker, t) for every t in [0, num_tasks) and returns once they
+/// have completed. Worker ids lie in [0, reserved workers), and tasks that
+/// run at the same time have distinct ids. A task's exception reaches the
+/// caller (the first one, when several throw). ParallelExecutor::Run is the
+/// pooled runner; RunInline runs every task on the calling thread.
+using TaskRunner =
+    std::function<void(uint32_t num_tasks, const BarrierTask& fn)>;
+
+/// The inline TaskRunner: tasks in index order, as worker 0.
+void RunInline(uint32_t num_tasks, const BarrierTask& fn);
+
 /// Grid-execution interface of a sampler whose sweep can run block-by-block.
 ///
 /// Protocol: BeginSweep(plan), then for each of the four stages call
@@ -106,16 +121,24 @@ struct GridBlockDelta {
 /// Threading: within a stage, RunBlock calls for *distinct* blocks may be
 /// issued concurrently, each tagged with the calling worker's id so the
 /// implementation can key per-thread scratch; call ReserveWorkers(n) before
-/// BeginSweep to size that scratch. BeginSweep/EndStage/EndSweep are
-/// barrier-side calls made by the single driving thread (see
-/// core/parallel_executor.h, which schedules stages this way).
+/// BeginSweep to size that scratch. BeginSweep/EndStage/EndSweep are called
+/// by the single driving thread, which lends BeginSweep and EndStage a
+/// TaskRunner: the sampler splits its barrier work (count-table rebuilds,
+/// alias builds, staged-write apply, delta fold) into tasks whose writes do
+/// not overlap, and the runner may spread them over the workers that run
+/// blocks. ParallelExecutor lends its own pool (core/parallel_executor.h);
+/// the one-argument overloads, for hand-stepped drivers, run the same tasks
+/// inline. The runner changes where barrier work runs, never what it writes.
 class GridSampler {
  public:
   virtual ~GridSampler() = default;
 
-  /// Opens a sweep over `plan`. The sampler must be initialized and no other
-  /// sweep may be active.
-  virtual void BeginSweep(const SweepPlan& plan) = 0;
+  /// Opens a sweep over `plan`, running its barrier work on `run`. The
+  /// sampler must be initialized and no other sweep may be active; every
+  /// worker id `run` may pass must be reserved. If the barrier work throws,
+  /// the sweep is closed again before the exception propagates.
+  virtual void BeginSweep(const SweepPlan& plan, const TaskRunner& run) = 0;
+  void BeginSweep(const SweepPlan& plan) { BeginSweep(plan, RunInline); }
 
   /// Runs the current stage's work for grid block (doc_block, word_block) on
   /// behalf of `worker` (an id in [0, reserved workers); per-thread scratch
@@ -170,16 +193,20 @@ class GridSampler {
   virtual void SetLocalBlocks(const std::vector<char>& owned) { (void)owned; }
 
   /// Barrier: checks every block of the current stage ran, applies the
-  /// stage's staged updates, and advances to the next stage.
-  virtual void EndStage() = 0;
+  /// stage's staged updates, and advances to the next stage, running the
+  /// barrier work on `run`. If that work throws, the sweep stays open and
+  /// the caller must AbortSweep().
+  virtual void EndStage(const TaskRunner& run) = 0;
+  void EndStage() { EndStage(RunInline); }
 
   /// Closes the sweep; all four stages must have completed.
   virtual void EndSweep() = 0;
 
   /// Error recovery: closes an open sweep immediately, discarding any
   /// staged-but-unapplied work, leaving the sampler usable (its state is
-  /// whatever the last completed stage barrier applied — valid, but pending
-  /// proposals may be stale, so callers normally re-run a full sweep).
+  /// whatever the last completed stage barrier applied, plus whatever part
+  /// of a barrier that threw got applied — valid, but pending proposals may
+  /// be stale, so callers normally re-run a full sweep).
   /// No-op when no sweep is open. RunSweep drivers call this when a stage
   /// throws, so the exception does not wedge the sampler.
   virtual void AbortSweep() {}

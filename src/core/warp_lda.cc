@@ -249,7 +249,7 @@ void WarpLdaSampler::BuildAliasInto(ThreadScratch& scratch,
     scratch.alias_entries.emplace_back(k, static_cast<double>(c));
   });
   std::sort(scratch.alias_entries.begin(), scratch.alias_entries.end());
-  alias.BuildSparse(scratch.alias_entries);
+  alias.BuildSparse(scratch.alias_entries, scratch.alias_ws);
 }
 
 void WarpLdaSampler::DrawWordProposalsInto(TopicId* slot,
@@ -467,7 +467,7 @@ void WarpLdaSampler::ReserveWorkers(uint32_t num_workers) {
   }
 }
 
-void WarpLdaSampler::BeginSweep(const SweepPlan& plan) {
+void WarpLdaSampler::BeginSweep(const SweepPlan& plan, const TaskRunner& run) {
   if (corpus_ == nullptr) {
     throw std::logic_error("WarpLdaSampler: Init() must precede BeginSweep()");
   }
@@ -487,10 +487,11 @@ void WarpLdaSampler::BeginSweep(const SweepPlan& plan) {
   BuildGridIndices(plan);
   for (auto& s : scratch_) {
     std::fill(s.ck_delta.begin(), s.ck_delta.end(), 0);
-    s.staged_moves.clear();
   }
-  grid_.block_ran.assign(
-      static_cast<size_t>(plan.num_doc_blocks) * plan.num_word_blocks, 0);
+  const size_t num_blocks =
+      static_cast<size_t>(plan.num_doc_blocks) * plan.num_word_blocks;
+  grid_.block_moves.resize(num_blocks);
+  grid_.block_ran.assign(num_blocks, 0);
   // Mint both phase stream bases up front (the fused path's two ++epoch
   // draws). Checkpoints therefore carry identical bytes at a given barrier
   // regardless of which StageFusion setting produced them, and a restore
@@ -501,7 +502,12 @@ void WarpLdaSampler::BeginSweep(const SweepPlan& plan) {
   grid_.col_filled = false;
   grid_.stage = SweepStage::kWordAccept;
   grid_.open = true;
-  EnterSpan(SweepStage::kWordAccept);
+  try {
+    EnterSpan(SweepStage::kWordAccept, run);
+  } catch (...) {
+    AbortSweep();  // a failed barrier task leaves no half-open sweep
+    throw;
+  }
 }
 
 void WarpLdaSampler::BuildGridIndices(const SweepPlan& plan) {
@@ -602,7 +608,7 @@ int WarpLdaSampler::SpanLength(SweepStage s) const {
   }
 }
 
-void WarpLdaSampler::EnterSpan(SweepStage begin) {
+void WarpLdaSampler::EnterSpan(SweepStage begin, const TaskRunner& run) {
   const int len = SpanLength(begin);
   // Snapshot refresh: any span containing an accept stage needs ck_fixed =
   // the fold state at its phase boundary. Refreshing at word-propose entry
@@ -616,18 +622,18 @@ void WarpLdaSampler::EnterSpan(SweepStage begin) {
     case SweepStage::kWordAccept:
       // Unfused word-accept blocks read the shared column tables; the fused
       // [wa, wp] body builds its own per-column snapshot instead.
-      if (len == 1) BuildColArena();
+      if (len == 1) BuildColArena(run);
       break;
     case SweepStage::kWordPropose:
       // Post-acceptance column counts: patched in place at the word-accept
       // barrier, or rebuilt from z on the restore path (where z is already
       // post-acceptance).
-      if (!grid_.col_filled) BuildColArena();
-      BuildColAliases();
-      if (len == 2) BuildRowArena();  // fused doc-accept reads rows
+      if (!grid_.col_filled) BuildColArena(run);
+      BuildColAliases(run);
+      if (len == 2) BuildRowArena(run);  // fused doc-accept reads rows
       break;
     case SweepStage::kDocAccept:
-      BuildRowArena();
+      BuildRowArena(run);
       break;
     default:
       break;
@@ -636,64 +642,93 @@ void WarpLdaSampler::EnterSpan(SweepStage begin) {
 
 void WarpLdaSampler::EnsureColArenaGeometry() {
   if (col_counts_.ready) return;
+  std::vector<uint32_t> lengths(corpus_->num_words());
   std::vector<uint32_t> hints(corpus_->num_words());
   for (WordId w = 0; w < corpus_->num_words(); ++w) {
-    hints[w] = std::min<uint32_t>(
-        config_.num_topics,
-        2 * static_cast<uint32_t>(matrix_.col_data(w).size()));
+    lengths[w] = static_cast<uint32_t>(matrix_.col_data(w).size());
+    hints[w] = std::min<uint32_t>(config_.num_topics, 2 * lengths[w]);
   }
   col_counts_.AllocateFromHints(hints);
+  col_counts_.SplitRanges(lengths, kBarrierTasks);
 }
 
 void WarpLdaSampler::EnsureRowArenaGeometry() {
   if (row_counts_.ready) return;
+  std::vector<uint32_t> lengths(corpus_->num_docs());
   std::vector<uint32_t> hints(corpus_->num_docs());
   for (DocId d = 0; d < corpus_->num_docs(); ++d) {
-    hints[d] = std::min<uint32_t>(config_.num_topics,
-                                  2 * matrix_.row(d).size());
+    lengths[d] = matrix_.row(d).size();
+    hints[d] = std::min<uint32_t>(config_.num_topics, 2 * lengths[d]);
   }
   row_counts_.AllocateFromHints(hints);
+  row_counts_.SplitRanges(lengths, kBarrierTasks);
 }
 
-void WarpLdaSampler::BuildColArena() {
+void WarpLdaSampler::BuildColArena(const TaskRunner& run) {
   EnsureColArenaGeometry();
-  col_counts_.ClearSlots();
-  for (WordId w = 0; w < corpus_->num_words(); ++w) {
-    auto z = matrix_.col_data(w);
-    if (z.empty()) continue;
-    FlatCounts counts = col_counts_.view(w);
-    for (TopicId topic : z) counts.Inc(topic);
-  }
+  const std::vector<uint32_t>& ranges = col_counts_.ranges;
+  run(static_cast<uint32_t>(ranges.size() - 1), [&](uint32_t, uint32_t t) {
+    FillColArenaRange(ranges[t], ranges[t + 1]);
+  });
   grid_.col_filled = true;
 }
 
-void WarpLdaSampler::BuildRowArena() {
+void WarpLdaSampler::FillColArenaRange(uint32_t lo, uint32_t hi) {
+  col_counts_.ClearItems(lo, hi);
+  for (WordId w = lo; w < hi; ++w) {
+    FlatCounts counts = col_counts_.view(w);
+    for (TopicId topic : matrix_.col_data(w)) counts.Inc(topic);
+  }
+}
+
+void WarpLdaSampler::BuildRowArena(const TaskRunner& run) {
   EnsureRowArenaGeometry();
-  row_counts_.ClearSlots();
   // Row tables are only ever read by doc-accept block bodies, so a
   // SetLocalBlocks filter restricts the fill to the rows owned blocks
   // actually visit (unlike the column arena, which the word-accept barrier
   // patches for every block's moves and must stay complete).
   const std::vector<char> needed = LocalItemFilter(/*word_axis=*/false);
-  for (DocId d = 0; d < corpus_->num_docs(); ++d) {
-    auto row = matrix_.row(d);
-    if (row.size() == 0) continue;
+  const std::vector<uint32_t>& ranges = row_counts_.ranges;
+  run(static_cast<uint32_t>(ranges.size() - 1), [&](uint32_t, uint32_t t) {
+    FillRowArenaRange(ranges[t], ranges[t + 1], needed);
+  });
+}
+
+void WarpLdaSampler::FillRowArenaRange(uint32_t lo, uint32_t hi,
+                                       const std::vector<char>& needed) {
+  row_counts_.ClearItems(lo, hi);
+  for (DocId d = lo; d < hi; ++d) {
     if (!needed.empty() && !needed[d]) continue;
+    auto row = matrix_.row(d);
     FlatCounts counts = row_counts_.view(d);
     for (uint32_t i = 0; i < row.size(); ++i) counts.Inc(row[i]);
   }
 }
 
-void WarpLdaSampler::BuildColAliases() {
+void WarpLdaSampler::BuildColAliases(const TaskRunner& run) {
   col_alias_.resize(corpus_->num_words());
-  // One order-stable build per column per sweep — not per (block × column);
-  // built at the span barrier where every worker is quiescent, so borrowing
-  // worker 0's entry scratch is safe. Under a SetLocalBlocks filter only the
-  // columns an owned block will read are built: a distributed worker skips
-  // the (V − V/P) tables whose propose work happens in other processes.
+  // One order-stable build per column per sweep — not per (block × column),
+  // each task on its worker's entry scratch. Under a SetLocalBlocks filter
+  // only the columns an owned block will read are built: a distributed
+  // worker skips the (V − V/P) tables whose propose work happens in other
+  // processes.
   const std::vector<char> needed = LocalItemFilter(/*word_axis=*/true);
-  ThreadScratch& s = scratch_[0];
-  for (WordId w = 0; w < corpus_->num_words(); ++w) {
+  const std::vector<uint32_t>& ranges = col_counts_.ranges;
+  run(static_cast<uint32_t>(ranges.size() - 1),
+      [&](uint32_t worker, uint32_t t) {
+        if (worker >= scratch_.size()) {
+          throw std::invalid_argument(
+              "WarpLdaSampler: barrier task on worker " +
+              std::to_string(worker) + "; ReserveWorkers() first");
+        }
+        BuildColAliasRange(ranges[t], ranges[t + 1], needed, scratch_[worker]);
+      });
+}
+
+void WarpLdaSampler::BuildColAliasRange(uint32_t lo, uint32_t hi,
+                                        const std::vector<char>& needed,
+                                        ThreadScratch& s) {
+  for (WordId w = lo; w < hi; ++w) {
     if (matrix_.col_data(w).empty()) continue;
     if (!needed.empty() && !needed[w]) continue;
     const FlatCounts counts = col_counts_.view(w);
@@ -719,23 +754,23 @@ void WarpLdaSampler::RunBlock(uint32_t doc_block, uint32_t word_block,
         "WarpLdaSampler: worker id " + std::to_string(worker) +
         " out of range; ReserveWorkers() before the sweep");
   }
-  char& ran =
-      grid_.block_ran[static_cast<size_t>(doc_block) *
-                          grid_.plan.num_word_blocks +
-                      word_block];
+  const size_t block =
+      static_cast<size_t>(doc_block) * grid_.plan.num_word_blocks + word_block;
+  char& ran = grid_.block_ran[block];
   if (ran) {
     throw std::logic_error(std::string("WarpLdaSampler: block ran twice in ") +
                            ToString(grid_.stage) + " stage");
   }
   ran = 1;
   ThreadScratch& scratch = scratch_[worker];
+  std::vector<StagedMove>& moves = grid_.block_moves[block];
   const int len = SpanLength(grid_.stage);
   switch (grid_.stage) {
     case SweepStage::kWordAccept:
       if (len == 2) {
-        RunFusedWordPart(doc_block, word_block, scratch);
+        RunFusedWordPart(doc_block, word_block, scratch, moves);
       } else {
-        RunWordAcceptPart(doc_block, word_block, scratch);
+        RunWordAcceptPart(doc_block, word_block, scratch, moves);
       }
       break;
     case SweepStage::kWordPropose:
@@ -745,12 +780,12 @@ void WarpLdaSampler::RunBlock(uint32_t doc_block, uint32_t word_block,
       // both axes), so no barrier is needed between them.
       if (len == 2) {
         RunDocAcceptPart(doc_block, word_block, scratch,
-                         /*fused_propose=*/false);
+                         /*fused_propose=*/false, moves);
       }
       break;
     case SweepStage::kDocAccept:
       RunDocAcceptPart(doc_block, word_block, scratch,
-                       /*fused_propose=*/len == 2);
+                       /*fused_propose=*/len == 2, moves);
       break;
     case SweepStage::kDocPropose:
       RunDocProposePart(doc_block, word_block, scratch);
@@ -765,7 +800,9 @@ void WarpLdaSampler::AcceptSegment(ThreadScratch& s, const Counts& counts,
                                    const uint64_t* positions, uint32_t n,
                                    const std::vector<double>* prior_vec,
                                    double prior, uint64_t stream_base,
-                                   uint32_t move_item, TopicId* final_topics) {
+                                   uint32_t move_item,
+                                   std::vector<StagedMove>& moves,
+                                   TopicId* final_topics) {
   const uint32_t m = std::max(1u, config_.mh_steps);
   if (tracer_ != nullptr) {
     // The batched path elides the per-proposal slot probes the cache tracer
@@ -776,7 +813,7 @@ void WarpLdaSampler::AcceptSegment(ThreadScratch& s, const Counts& counts,
       const TopicId after =
           AcceptChain(s, counts, before, &proposals_[pos * m], m, prior_vec,
                       prior, stream_base, pos);
-      if (after != before) s.staged_moves.push_back({pos, move_item, before, after});
+      if (after != before) moves.push_back({pos, move_item, before, after});
       if (final_topics != nullptr) final_topics[i] = after;
     }
     return;
@@ -860,15 +897,15 @@ void WarpLdaSampler::AcceptSegment(ThreadScratch& s, const Counts& counts,
       const uint64_t pos = chunk_pos[t];
       const TopicId before = matrix_.entry_data(pos);
       const TopicId after = s.bat_cur[t];
-      if (after != before) s.staged_moves.push_back({pos, move_item, before, after});
+      if (after != before) moves.push_back({pos, move_item, before, after});
       if (final_topics != nullptr) final_topics[chunk + t] = after;
     }
   }
 }
 
 void WarpLdaSampler::RunWordAcceptPart(uint32_t doc_block,
-                                       uint32_t word_block,
-                                       ThreadScratch& s) {
+                                       uint32_t word_block, ThreadScratch& s,
+                                       std::vector<StagedMove>& moves) {
   const double beta = config_.beta;
   const BlockIndex& ix =
       grid_.word_ix[static_cast<size_t>(doc_block) *
@@ -878,13 +915,14 @@ void WarpLdaSampler::RunWordAcceptPart(uint32_t doc_block,
     // Shared pre-stage column table from the arena (immutable this stage).
     const FlatCounts counts = col_counts_.view(seg.item);
     AcceptSegment(s, counts, &ix.positions[seg.begin], seg.end - seg.begin,
-                  nullptr, beta, grid_.base_word, seg.item,
+                  nullptr, beta, grid_.base_word, seg.item, moves,
                   /*final_topics=*/nullptr);
   }
 }
 
 void WarpLdaSampler::RunFusedWordPart(uint32_t doc_block, uint32_t word_block,
-                                      ThreadScratch& s) {
+                                      ThreadScratch& s,
+                                      std::vector<StagedMove>& moves) {
   // [wa, wp] span (cols_ok): each segment is a whole column, so this block
   // alone computes the column's post-acceptance counts — patch the private
   // snapshot with the staged endpoints and build the alias table in place,
@@ -901,12 +939,12 @@ void WarpLdaSampler::RunFusedWordPart(uint32_t doc_block, uint32_t word_block,
     const uint64_t* positions = &ix.positions[seg.begin];
     auto z = matrix_.col_data(seg.item);
     BuildCounts(s.counts, z);
-    const size_t moves_before = s.staged_moves.size();
+    const size_t moves_before = moves.size();
     AcceptSegment(s, s.counts, positions, n, nullptr, beta, grid_.base_word,
-                  seg.item, /*final_topics=*/nullptr);
-    for (size_t i = moves_before; i < s.staged_moves.size(); ++i) {
-      s.counts.Dec(s.staged_moves[i].from);
-      s.counts.Inc(s.staged_moves[i].to);
+                  seg.item, moves, /*final_topics=*/nullptr);
+    for (size_t i = moves_before; i < moves.size(); ++i) {
+      s.counts.Dec(moves[i].from);
+      s.counts.Inc(moves[i].to);
     }
     BuildAliasInto(s, s.counts, s.alias);
     const double lw = static_cast<double>(z.size());
@@ -953,7 +991,8 @@ void WarpLdaSampler::RunWordProposePart(uint32_t doc_block,
 }
 
 void WarpLdaSampler::RunDocAcceptPart(uint32_t doc_block, uint32_t word_block,
-                                      ThreadScratch& s, bool fused_propose) {
+                                      ThreadScratch& s, bool fused_propose,
+                                      std::vector<StagedMove>& moves) {
   const std::vector<double>* alpha_vec =
       config_.alpha_vector.empty() ? nullptr : &config_.alpha_vector;
   const double alpha = config_.alpha;
@@ -968,7 +1007,7 @@ void WarpLdaSampler::RunDocAcceptPart(uint32_t doc_block, uint32_t word_block,
     const FlatCounts counts = row_counts_.view(seg.item);
     if (!fused_propose) {
       AcceptSegment(s, counts, positions, n, alpha_vec, alpha, grid_.base_doc,
-                    seg.item, /*final_topics=*/nullptr);
+                    seg.item, moves, /*final_topics=*/nullptr);
       continue;
     }
     // [da, dp] span (rows_ok): the segment is the whole row in row order, so
@@ -976,7 +1015,7 @@ void WarpLdaSampler::RunDocAcceptPart(uint32_t doc_block, uint32_t word_block,
     // position into them before the barrier publishes the staged moves.
     if (s.local_row.size() < n) s.local_row.resize(n);
     AcceptSegment(s, counts, positions, n, alpha_vec, alpha, grid_.base_doc,
-                  seg.item, s.local_row.data());
+                  seg.item, moves, s.local_row.data());
     const double position_prob =
         static_cast<double>(n) / (static_cast<double>(n) + alpha_bar_);
     if (s.rng_states.size() < n) s.rng_states.resize(n);
@@ -1020,13 +1059,35 @@ void WarpLdaSampler::RunDocProposePart(uint32_t doc_block,
   }
 }
 
-void WarpLdaSampler::ApplyStagedMoves(bool patch_col_counts) {
+void WarpLdaSampler::ApplyStagedMoves(bool patch_col_counts,
+                                      const TaskRunner& run) {
   // O(moved tokens), not O(all tokens): each stage's accepted moves are the
-  // only z writes. Values are schedule-independent — every position moves at
-  // most once per stage, and the arena patches commute — so any worker
+  // only z writes. One task per word block applies its blocks' moves — a
+  // column lies in one word block, so no two tasks patch one column table —
+  // and one task per topic range folds the per-worker ck-delta partitions,
+  // the once-per-barrier reduction that replaces a shared (contended) delta
+  // vector. Every position moves at most once per stage, so any task
   // interleaving folds to the same state.
-  for (auto& s : scratch_) {
-    for (const StagedMove& mv : s.staged_moves) {
+  const uint32_t num_wb = grid_.plan.num_word_blocks;
+  const uint32_t k_topics = config_.num_topics;
+  const uint32_t fold_tasks = (k_topics + kFoldTopics - 1) / kFoldTopics;
+  run(num_wb + fold_tasks, [&](uint32_t, uint32_t t) {
+    if (t < num_wb) {
+      ApplyMovesRange(t, patch_col_counts);
+    } else {
+      const uint32_t lo = (t - num_wb) * kFoldTopics;
+      FoldDeltaRange(lo, std::min(k_topics, lo + kFoldTopics));
+    }
+  });
+}
+
+void WarpLdaSampler::ApplyMovesRange(uint32_t word_block,
+                                     bool patch_col_counts) {
+  const uint32_t num_wb = grid_.plan.num_word_blocks;
+  for (uint32_t db = 0; db < grid_.plan.num_doc_blocks; ++db) {
+    std::vector<StagedMove>& moves =
+        grid_.block_moves[static_cast<size_t>(db) * num_wb + word_block];
+    for (const StagedMove& mv : moves) {
       matrix_.entry_data(mv.pos) = mv.to;
       if (patch_col_counts) {
         FlatCounts counts = col_counts_.view(mv.item);
@@ -1034,17 +1095,20 @@ void WarpLdaSampler::ApplyStagedMoves(bool patch_col_counts) {
         counts.Inc(mv.to);
       }
     }
-    s.staged_moves.clear();
-    // Fold the per-worker ck-delta partitions — the once-per-barrier
-    // reduction that replaces a shared (contended) delta vector.
-    for (uint32_t k = 0; k < config_.num_topics; ++k) {
-      ck_live_[k] += s.ck_delta[k];
-    }
-    std::fill(s.ck_delta.begin(), s.ck_delta.end(), 0);
+    moves.clear();
   }
 }
 
-void WarpLdaSampler::EndStage() {
+void WarpLdaSampler::FoldDeltaRange(uint32_t lo, uint32_t hi) {
+  for (ThreadScratch& s : scratch_) {
+    for (uint32_t k = lo; k < hi; ++k) {
+      ck_live_[k] += s.ck_delta[k];
+      s.ck_delta[k] = 0;
+    }
+  }
+}
+
+void WarpLdaSampler::EndStage(const TaskRunner& run) {
   if (!grid_.open) {
     throw std::logic_error("WarpLdaSampler: EndStage() without BeginSweep()");
   }
@@ -1070,23 +1134,30 @@ void WarpLdaSampler::EndStage() {
     // alias builds will read them (an unfused word-accept feeding
     // word-propose); everywhere else the moves only touch z.
     ApplyStagedMoves(
-        /*patch_col_counts=*/begin == SweepStage::kWordAccept && len == 1);
+        /*patch_col_counts=*/begin == SweepStage::kWordAccept && len == 1,
+        run);
   }
   grid_.stage = static_cast<SweepStage>(static_cast<int>(begin) + len);
   std::fill(grid_.block_ran.begin(), grid_.block_ran.end(), 0);
-  if (grid_.stage != SweepStage::kDone) EnterSpan(grid_.stage);
+  if (grid_.stage != SweepStage::kDone) EnterSpan(grid_.stage, run);
   FlushScratchMetrics();  // workers are quiescent at the barrier
 }
 
 void WarpLdaSampler::AbortSweep() {
   if (!grid_.open) return;
   // Discard the aborted stage's staged moves and unfolded deltas; the live
-  // state is whatever the last completed barrier applied, which keeps
-  // matrix_ and ck_live_ consistent with each other. Pending proposals may
-  // be stale — callers recover by running a fresh full sweep.
+  // state is whatever the last completed barrier applied. A barrier whose
+  // tasks threw may have applied only some moves, or folded deltas whose
+  // moves it did not apply, so c_k is recounted from z to keep the two
+  // consistent. Pending proposals may be stale — callers recover by running
+  // a fresh full sweep.
   for (auto& s : scratch_) {
     std::fill(s.ck_delta.begin(), s.ck_delta.end(), 0);
-    s.staged_moves.clear();
+  }
+  for (auto& moves : grid_.block_moves) moves.clear();
+  std::fill(ck_live_.begin(), ck_live_.end(), 0);
+  for (uint64_t e = 0; e < matrix_.num_entries(); ++e) {
+    ++ck_live_[matrix_.entry_data(e)];
   }
   grid_.stage = SweepStage::kDone;
   grid_.open = false;
@@ -1216,8 +1287,8 @@ bool WarpLdaSampler::RestoreSweepState(const SweepCheckpoint& state,
   grid_.base_doc = state.base_doc;
   for (auto& s : scratch_) {
     std::fill(s.ck_delta.begin(), s.ck_delta.end(), 0);
-    s.staged_moves.clear();
   }
+  for (auto& moves : grid_.block_moves) moves.clear();
   if (!mid_sweep) {
     // Between sweeps: proposals are the pending doc proposals the next word
     // phase consumes; nothing else to reopen.
@@ -1232,15 +1303,15 @@ bool WarpLdaSampler::RestoreSweepState(const SweepCheckpoint& state,
   // was just rebuilt to — and the arenas are rebuilt from the restored z,
   // which is exactly the z the capturing run's arenas reflected.
   BuildGridIndices(state.plan);
-  grid_.block_ran.assign(
-      static_cast<size_t>(state.plan.num_doc_blocks) *
-          state.plan.num_word_blocks,
-      0);
+  const size_t num_blocks = static_cast<size_t>(state.plan.num_doc_blocks) *
+                            state.plan.num_word_blocks;
+  grid_.block_moves.resize(num_blocks);
+  grid_.block_ran.assign(num_blocks, 0);
   grid_.col_filled = false;
   grid_.stage = state.next_stage;
   grid_.open = true;
   if (state.next_stage != SweepStage::kDocPropose) {
-    EnterSpan(state.next_stage);
+    EnterSpan(state.next_stage, RunInline);
   }
   return true;
 }
@@ -1309,16 +1380,19 @@ bool WarpLdaSampler::RunBlockCaptured(uint32_t doc_block, uint32_t word_block,
         "WarpLdaSampler: worker id out of range; ReserveWorkers() first");
   }
   const SweepStage begin = grid_.stage;
-  ThreadScratch& s = scratch_[worker];
-  const size_t moves_before = s.staged_moves.size();
   RunBlock(doc_block, word_block, worker);
+  // RunBlock ran this block once this span, so its list holds exactly the
+  // moves it just staged.
+  const std::vector<StagedMove>& moves =
+      grid_.block_moves[static_cast<size_t>(doc_block) *
+                            grid_.plan.num_word_blocks +
+                        word_block];
   out->stage = begin;
   out->doc_block = doc_block;
   out->word_block = word_block;
   out->moves.clear();
-  out->moves.reserve(s.staged_moves.size() - moves_before);
-  for (size_t i = moves_before; i < s.staged_moves.size(); ++i) {
-    const StagedMove& mv = s.staged_moves[i];
+  out->moves.reserve(moves.size());
+  for (const StagedMove& mv : moves) {
     out->moves.push_back({mv.pos, mv.item, mv.from, mv.to});
   }
   out->proposals.clear();
@@ -1356,10 +1430,10 @@ bool WarpLdaSampler::ApplyBlockDelta(const GridBlockDelta& delta,
       delta.word_block >= grid_.plan.num_word_blocks) {
     return fail("delta block index out of range");
   }
-  char& ran =
-      grid_.block_ran[static_cast<size_t>(delta.doc_block) *
-                          grid_.plan.num_word_blocks +
-                      delta.word_block];
+  const size_t block =
+      static_cast<size_t>(delta.doc_block) * grid_.plan.num_word_blocks +
+      delta.word_block;
+  char& ran = grid_.block_ran[block];
   // Duplicate-frame idempotence: a redelivered delta for a block this stage
   // already ran (locally or injected) is acknowledged without reapplying —
   // applying twice would double its moves and ck updates.
@@ -1373,8 +1447,6 @@ bool WarpLdaSampler::ApplyBlockDelta(const GridBlockDelta& delta,
   // word-accept stage (the barrier may patch the column arena through it),
   // the row for spans whose accept half runs on the doc axis.
   const bool word_items = delta.stage == SweepStage::kWordAccept;
-  const uint64_t item_bound =
-      word_items ? corpus_->num_words() : corpus_->num_docs();
   const bool stages_moves =
       delta.stage == SweepStage::kWordAccept ||
       delta.stage == SweepStage::kDocAccept ||
@@ -1388,19 +1460,36 @@ bool WarpLdaSampler::ApplyBlockDelta(const GridBlockDelta& delta,
     if (mv.from >= k_topics || mv.to >= k_topics) {
       return fail("delta move topic out of range");
     }
-    if (mv.item >= item_bound) return fail("delta move item out of range");
     // z is stable for the whole span, so `from` must match the current
     // assignment — anything else means the peer ran from different state.
     if (matrix_.entry_data(mv.pos) != mv.from) {
       return fail("delta move disagrees with the current assignment");
     }
   }
+  // AcceptSegment emits a block's moves in its index order, each tagged
+  // with its segment's item. The barrier applies each word block's moves
+  // in its own task, so a move outside its block could race with another
+  // task's writes: check the moves follow the block's index, in one pass.
+  if (!delta.moves.empty()) {
+    const BlockIndex& mix = (word_items ? grid_.word_ix : grid_.doc_ix)[block];
+    size_t next = 0;
+    for (const BlockSegment& seg : mix.segments) {
+      for (uint32_t p = seg.begin; p < seg.end && next < delta.moves.size();
+           ++p) {
+        if (delta.moves[next].pos != mix.positions[p]) continue;
+        if (delta.moves[next].item != seg.item) {
+          return fail("delta move item is not its token's segment");
+        }
+        ++next;
+      }
+    }
+    if (next != delta.moves.size()) {
+      return fail("delta moves do not follow the block's token order");
+    }
+  }
   bool word_axis = false;
   const bool has_proposals = SpanWritesProposals(delta.stage, &word_axis);
-  const BlockIndex& ix =
-      (word_axis ? grid_.word_ix : grid_.doc_ix)
-          [static_cast<size_t>(delta.doc_block) * grid_.plan.num_word_blocks +
-           delta.word_block];
+  const BlockIndex& ix = (word_axis ? grid_.word_ix : grid_.doc_ix)[block];
   const uint32_t m = std::max(1u, config_.mh_steps);
   const size_t expected_proposals =
       has_proposals ? ix.positions.size() * static_cast<size_t>(m) : 0;
@@ -1413,12 +1502,14 @@ bool WarpLdaSampler::ApplyBlockDelta(const GridBlockDelta& delta,
     if (p >= k_topics) return fail("delta proposal topic out of range");
   }
 
-  // Injected work lands in worker 0's scratch — the same commutative fold
-  // EndStage() applies to local work (scratch_[0] always exists: Init sizes
-  // the pool to at least one).
+  // Injected moves land in the block's own list and their counts in worker
+  // 0's ck-delta partition — the same apply and commutative fold EndStage()
+  // gives local work (scratch_[0] always exists: Init sizes the pool to at
+  // least one).
+  std::vector<StagedMove>& moves = grid_.block_moves[block];
   ThreadScratch& s = scratch_[0];
   for (const GridBlockDelta::Move& mv : delta.moves) {
-    s.staged_moves.push_back({mv.pos, mv.item, mv.from, mv.to});
+    moves.push_back({mv.pos, mv.item, mv.from, mv.to});
     --s.ck_delta[mv.from];
     ++s.ck_delta[mv.to];
   }

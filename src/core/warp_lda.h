@@ -80,9 +80,11 @@ struct WarpLdaOptions {
 /// identical assignments. Distinct blocks of a stage may run concurrently
 /// (e.g. under ParallelExecutor): each RunBlock call works out of the
 /// calling worker's ThreadScratch — including its partition of the c_k
-/// deltas and its deferred move list, folded/applied once at the EndStage
-/// barrier — and writes only its own tokens' slots, so block bodies share
-/// no mutable memory.
+/// deltas, folded once at the EndStage barrier — defers its z writes into
+/// the block's own move list, and writes only its own tokens' slots, so
+/// block bodies share no mutable memory. The barrier work itself (arena
+/// and alias rebuilds, move apply, delta fold) runs as tasks with disjoint
+/// write sets on the TaskRunner the driver lends.
 ///
 /// The grid hot loops are the optimized implementation: per-item count
 /// tables come from shared flat arenas built once per sweep (CountArena),
@@ -115,10 +117,12 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// fusion, sweep_stage() names the *first* stage of the current span and
   /// RunBlock executes every fused stage of the span for that block;
   /// EndStage() advances past the whole span.
-  void BeginSweep(const SweepPlan& plan) override;
+  using GridSampler::BeginSweep;
+  using GridSampler::EndStage;
+  void BeginSweep(const SweepPlan& plan, const TaskRunner& run) override;
   void RunBlock(uint32_t doc_block, uint32_t word_block,
                 uint32_t worker = 0) override;
-  void EndStage() override;
+  void EndStage(const TaskRunner& run) override;
   void EndSweep() override;
   void AbortSweep() override;
   SweepStage sweep_stage() const override { return grid_.stage; }
@@ -146,8 +150,8 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// is its staged moves plus the proposal slots its span wrote, gathered /
   /// scattered in the plan-derived segment position order — canonical
   /// because every process builds identical indices from the same plan and
-  /// corpus. Injected deltas land in worker 0's scratch (staged moves +
-  /// ck-delta) and the block's own proposal slots, so EndStage() applies
+  /// corpus. Injected deltas land in the block's own move list, worker 0's
+  /// ck-delta and the block's own proposal slots, so EndStage() applies
   /// them exactly as local work; a full set of deltas makes this sampler's
   /// state evolve bit-identically to the process that ran the blocks.
   bool RunBlockCaptured(uint32_t doc_block, uint32_t word_block,
@@ -197,6 +201,7 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   struct WARP_WORKER_LOCAL ThreadScratch {
     HashCount counts;
     AliasTable alias;
+    AliasTable::Workspace alias_ws;
     /// This worker's partition of the c_k updates; folded into ck_live_ at
     /// phase ends (fused path) and stage barriers (grid path).
     std::vector<int64_t> ck_delta;
@@ -204,9 +209,6 @@ class WarpLdaSampler : public Sampler, public GridSampler {
     /// (from, to) net topic moves of the current column's acceptances; the
     /// fused word phase replays them into `counts` instead of rescanning.
     std::vector<std::pair<TopicId, TopicId>> moves;
-    /// Deferred z writes of the current grid stage; applied (and count-arena
-    /// patched) at the EndStage barrier.
-    std::vector<StagedMove> staged_moves;
     /// Batch-derived per-token RNG stream states for a propose segment.
     std::vector<simd::RngState> rng_states;
     /// Fused doc-accept+propose: the row's post-acceptance topics, patched
@@ -277,6 +279,11 @@ class WarpLdaSampler : public Sampler, public GridSampler {
     /// a per-block-disjoint write the line-level contract model cannot
     /// distinguish from a race.
     std::vector<char> block_ran;
+    /// Per (doc, word) block: deferred z writes of the current span,
+    /// applied (and the column arena patched) at the EndStage barrier, one
+    /// task per word block. Kept per block, not per worker, so no two apply
+    /// tasks touch one column. Unannotated for block_ran's reason.
+    std::vector<std::vector<StagedMove>> block_moves;
   };
 
   /// RNG stream tags: each (epoch, tag, token) triple names one stream.
@@ -287,6 +294,12 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// parallelism in the gather pass and fill the vector lanes, small enough
   /// that the SoA scratch stays L1-resident.
   static constexpr uint32_t kAcceptChunk = 256;
+
+  /// Barrier tasks per item axis: enough that dynamic claiming evens out
+  /// the Zipfian item costs over pools of up to a few dozen workers.
+  static constexpr uint32_t kBarrierTasks = 64;
+  /// Topics per ck-delta fold task.
+  static constexpr uint32_t kFoldTopics = 4096;
 
   /// Per-phase base of the token RNG streams. Hashed once when a phase (or
   /// grid sweep) opens, not once per token.
@@ -334,8 +347,9 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// the chain-step ratios with the vectorized kernel, then resolves
   /// accepts sequentially per token (preserving each token's lazy RNG
   /// stream consumption exactly). Appends a StagedMove per moved token
-  /// (tagged `move_item`) and, when `final_topics` is non-null, writes every
-  /// token's final topic there (the fused doc path's local row patch).
+  /// (tagged `move_item`) to `moves`, the block's list, and, when
+  /// `final_topics` is non-null, writes every token's final topic there
+  /// (the fused doc path's local row patch).
   /// Bit-identical to running AcceptChain per token; falls back to exactly
   /// that when a memory tracer is attached, for trace fidelity.
   template <typename Counts>
@@ -343,7 +357,7 @@ class WarpLdaSampler : public Sampler, public GridSampler {
                      const uint64_t* positions, uint32_t n,
                      const std::vector<double>* prior_vec, double prior,
                      uint64_t stream_base, uint32_t move_item,
-                     TopicId* final_topics);
+                     std::vector<StagedMove>& moves, TopicId* final_topics);
 
   /// Drains every worker's obs accumulators into the global metrics
   /// registry (when metrics are enabled; the accumulators are zeroed either
@@ -399,8 +413,9 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// Implements the filtered cache builds.
   std::vector<char> LocalItemFilter(bool word_axis) const;
   /// Barrier-side preparation for the span entered at `begin`: snapshot
-  /// refreshes and count-arena/alias (re)builds its stages read.
-  void EnterSpan(SweepStage begin);
+  /// refreshes and count-arena/alias (re)builds its stages read, as tasks
+  /// on `run`.
+  void EnterSpan(SweepStage begin, const TaskRunner& run);
 
   /// Shared count-table arenas (see count_arena.h). Geometry is sized once
   /// per corpus; contents are rebuilt per sweep (columns at BeginSweep,
@@ -408,31 +423,45 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// in place with the word-accept moves at the barrier.
   void EnsureColArenaGeometry();
   void EnsureRowArenaGeometry();
-  void BuildColArena();
-  void BuildRowArena();
+  void BuildColArena(const TaskRunner& run);
+  void BuildRowArena(const TaskRunner& run);
   /// Builds every column's word-proposal alias table from the (patched)
   /// column arena — once per column per sweep, replacing the old
   /// once-per-(block × column) rebuilds.
-  void BuildColAliases();
+  void BuildColAliases(const TaskRunner& run);
+
+  /// Barrier task bodies. Each writes only its own items' tables, its own
+  /// word block's z positions and column tables, or its own topics of
+  /// ck_live_ and the ck-delta partitions, so tasks may run concurrently.
+  void FillColArenaRange(uint32_t lo, uint32_t hi);
+  void FillRowArenaRange(uint32_t lo, uint32_t hi,
+                         const std::vector<char>& needed);
+  void BuildColAliasRange(uint32_t lo, uint32_t hi,
+                          const std::vector<char>& needed, ThreadScratch& s);
+  /// Applies the staged moves of every block in word block `word_block`.
+  void ApplyMovesRange(uint32_t word_block, bool patch_col_counts);
+  void FoldDeltaRange(uint32_t lo, uint32_t hi);
 
   /// Grid block bodies, one per (span pattern, axis). Concurrency-safe
   /// across distinct blocks: they read shared *immutable* span state, write
-  /// only their own tokens' proposal slots, and defer z/count writes into
-  /// scratch_[worker]'s move list and ck-delta partition.
+  /// only their own tokens' proposal slots, and defer z writes into the
+  /// block's move list and count updates into scratch_[worker]'s ck-delta
+  /// partition.
   void RunWordAcceptPart(uint32_t doc_block, uint32_t word_block,
-                         ThreadScratch& s);
+                         ThreadScratch& s, std::vector<StagedMove>& moves);
   void RunFusedWordPart(uint32_t doc_block, uint32_t word_block,
-                        ThreadScratch& s);
+                        ThreadScratch& s, std::vector<StagedMove>& moves);
   void RunWordProposePart(uint32_t doc_block, uint32_t word_block,
                           ThreadScratch& s);
   void RunDocAcceptPart(uint32_t doc_block, uint32_t word_block,
-                        ThreadScratch& s, bool fused_propose);
+                        ThreadScratch& s, bool fused_propose,
+                        std::vector<StagedMove>& moves);
   void RunDocProposePart(uint32_t doc_block, uint32_t word_block,
                          ThreadScratch& s);
-  /// Applies every worker's staged moves to z (and, when the next span's
+  /// Applies every block's staged moves to z (and, when the next span's
   /// alias builds will read it, patches the column count arena), then folds
-  /// the per-worker ck-delta partitions into ck_live_.
-  void ApplyStagedMoves(bool patch_col_counts);
+  /// the per-worker ck-delta partitions into ck_live_, as tasks on `run`.
+  void ApplyStagedMoves(bool patch_col_counts, const TaskRunner& run);
 
   WarpLdaOptions options_;
   const Corpus* corpus_ = nullptr;
@@ -445,7 +474,7 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   std::shared_ptr<const TopicModel> last_export_;
 
   /// z in CSC order. Shared-read during grid stages; mutations are staged in
-  /// ThreadScratch::staged_moves and applied under the EndStage barrier.
+  /// GridState::block_moves and applied under the EndStage barrier.
   WARP_BARRIER_ONLY SparseMatrix<TopicId> matrix_;
   /// M proposals per token, CSC order. Deliberately unannotated: propose
   /// stages legitimately write their own tokens' slots concurrently (the

@@ -6,6 +6,11 @@
 namespace warplda {
 
 void AliasTable::Build(const double* weights, uint32_t n) {
+  Workspace ws;
+  Build(weights, n, ws);
+}
+
+void AliasTable::Build(const double* weights, uint32_t n, Workspace& ws) {
   outcomes_.clear();
   prob_.assign(n, 1.0);
   alias_.assign(n, 0);
@@ -26,12 +31,15 @@ void AliasTable::Build(const double* weights, uint32_t n) {
   // Vose's algorithm: split bins into "small" (scaled weight < 1) and "large"
   // groups, then repeatedly pair one of each so every bin holds exactly two
   // outcomes whose probabilities sum to 1/n.
-  std::vector<double> scaled(n);
+  std::vector<double>& scaled = ws.scaled;
+  scaled.resize(n);
   const double scale = static_cast<double>(n) / total;
   for (uint32_t i = 0; i < n; ++i) scaled[i] = weights[i] * scale;
 
-  std::vector<uint32_t> small;
-  std::vector<uint32_t> large;
+  std::vector<uint32_t>& small = ws.small;
+  std::vector<uint32_t>& large = ws.large;
+  small.clear();
+  large.clear();
   small.reserve(n);
   large.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -61,17 +69,21 @@ void AliasTable::Build(const double* weights, uint32_t n) {
 
 void AliasTable::BuildSparse(
     const std::vector<std::pair<uint32_t, double>>& entries) {
-  std::vector<double> weights(entries.size());
-  std::vector<uint32_t> outcomes(entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    outcomes[i] = entries[i].first;
-    weights[i] = entries[i].second;
-  }
-  Build(weights.data(), static_cast<uint32_t>(weights.size()));
+  Workspace ws;
+  BuildSparse(entries, ws);
+}
+
+void AliasTable::BuildSparse(
+    const std::vector<std::pair<uint32_t, double>>& entries, Workspace& ws) {
+  const uint32_t n = static_cast<uint32_t>(entries.size());
+  ws.weights.resize(n);
+  for (uint32_t i = 0; i < n; ++i) ws.weights[i] = entries[i].second;
+  Build(ws.weights.data(), n, ws);
   // alias_ currently holds bin ids; remap both alias targets and identity
   // outcomes through the outcome table.
-  outcomes_ = std::move(outcomes);
-  for (auto& a : alias_) a = outcomes_.empty() ? a : outcomes_[a];
+  outcomes_.resize(n);
+  for (uint32_t i = 0; i < n; ++i) outcomes_[i] = entries[i].first;
+  for (auto& a : alias_) a = outcomes_[a];
 }
 
 }  // namespace warplda

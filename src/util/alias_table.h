@@ -21,6 +21,16 @@ class AliasTable {
  public:
   AliasTable() = default;
 
+  /// Construction scratch. A caller that rebuilds tables in a loop keeps
+  /// one per thread and passes it in; with the table's own buffers reused
+  /// too, a rebuild then allocates nothing once capacities have grown.
+  struct Workspace {
+    std::vector<double> weights;
+    std::vector<double> scaled;
+    std::vector<uint32_t> small;
+    std::vector<uint32_t> large;
+  };
+
   /// Builds the table from (possibly unnormalized) non-negative weights.
   /// A zero-sum or empty weight vector yields a table that samples uniformly
   /// over all bins (degenerate but well defined).
@@ -32,6 +42,8 @@ class AliasTable {
   /// Builds from a sparse distribution given as (outcome, weight) pairs.
   /// Sample() then returns outcomes, not bin indices.
   void BuildSparse(const std::vector<std::pair<uint32_t, double>>& entries);
+  void BuildSparse(const std::vector<std::pair<uint32_t, double>>& entries,
+                   Workspace& ws);
 
   /// Draws one sample in O(1): pick a bin uniformly, then one of its at most
   /// two outcomes by a biased coin.
@@ -58,6 +70,8 @@ class AliasTable {
   }
 
  private:
+  void Build(const double* weights, uint32_t n, Workspace& ws);
+
   uint32_t Outcome(uint32_t bin) const {
     return outcomes_.empty() ? bin : outcomes_[bin];
   }

@@ -20,3 +20,7 @@ void WarpLdaSampler::RunFusedWordPart(uint32_t doc_block, uint32_t worker) {
 void WarpLdaSampler::AcceptSegment(uint32_t n, uint32_t worker) {
   for (uint32_t t = 0; t < n; ++t) moves_applied_.fetch_add(1);
 }
+
+void WarpLdaSampler::FoldDeltaRange(uint32_t lo, uint32_t hi) {
+  std::lock_guard<std::mutex> guard(ck_mutex_);
+}

@@ -102,7 +102,7 @@ TEST_F(PositiveFixtures, UnorderedIterFiresOnRangeForAndIterators) {
 
 TEST_F(PositiveFixtures, HotpathSyncFiresInsideHotBodiesOnly) {
   auto hits = FindingsFor(run_->output, "hotpath-sync");
-  ASSERT_EQ(hits.size(), 5u) << run_->output;
+  ASSERT_EQ(hits.size(), 6u) << run_->output;
   EXPECT_EQ(hits[0], "src/core/simd_kernels.cc:7");  // fetch_add in a free
                                                      // kernel function
   EXPECT_EQ(hits[1], "src/core/warp_lda.cc:8");    // fetch_add in RunBlock
@@ -111,6 +111,8 @@ TEST_F(PositiveFixtures, HotpathSyncFiresInsideHotBodiesOnly) {
                                                    // RunFusedWordPart
   EXPECT_EQ(hits[4], "src/core/warp_lda.cc:21");   // fetch_add in
                                                    // AcceptSegment
+  EXPECT_EQ(hits[5], "src/core/warp_lda.cc:25");   // lock_guard in the
+                                                   // FoldDeltaRange task
 }
 
 TEST_F(PositiveFixtures, ScalarRefFiresOnIntrinsicsInScalarKernels) {
@@ -244,7 +246,7 @@ TEST(JsonOutput, PositiveSummaryIsMachineReadable) {
   EXPECT_NE(run.output.find("\"violations\": ["), std::string::npos);
   EXPECT_NE(run.output.find("\"rule\": \"warplint-determinism\""),
             std::string::npos);
-  EXPECT_NE(run.output.find("\"warplint-hotpath-sync\": 5"),
+  EXPECT_NE(run.output.find("\"warplint-hotpath-sync\": 6"),
             std::string::npos);
   EXPECT_NE(run.output.find("\"warplint-scalar-ref\": 2"),
             std::string::npos);
@@ -255,7 +257,7 @@ TEST(JsonOutput, PositiveSummaryIsMachineReadable) {
             std::string::npos);
   EXPECT_NE(run.output.find("\"warplint-stale-nolint\": 1"),
             std::string::npos);
-  EXPECT_NE(run.output.find("\"total\": 37"), std::string::npos)
+  EXPECT_NE(run.output.find("\"total\": 38"), std::string::npos)
       << run.output;
 }
 
@@ -326,7 +328,7 @@ TEST(BaselineMode, KnownFindingsPassOnlyNewOnesFail) {
   LintRun rerun = RunLintCmd("--root '" + Positive() + "' --baseline '" +
                              baseline + "'");
   EXPECT_EQ(rerun.exit_code, 0) << rerun.output;
-  EXPECT_NE(rerun.output.find("0 new violation(s), 37 baselined"),
+  EXPECT_NE(rerun.output.find("0 new violation(s), 38 baselined"),
             std::string::npos)
       << rerun.output;
 
@@ -334,7 +336,7 @@ TEST(BaselineMode, KnownFindingsPassOnlyNewOnesFail) {
   LintRun json = RunLintCmd("--root '" + Positive() + "' --json --baseline '" +
                             baseline + "'");
   EXPECT_EQ(json.exit_code, 0) << json.output;
-  EXPECT_NE(json.output.find("\"baselined\": 37"), std::string::npos)
+  EXPECT_NE(json.output.find("\"baselined\": 38"), std::string::npos)
       << json.output;
   EXPECT_NE(json.output.find("\"total\": 0"), std::string::npos)
       << json.output;

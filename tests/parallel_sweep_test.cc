@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <stdexcept>
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/checkpoint.h"
 #include "core/trainer.h"
 #include "core/warp_lda.h"
 #include "corpus/synthetic.h"
@@ -288,6 +290,263 @@ TEST(ParallelSweepTest, WorkerReservationIsEnforced) {
   executor.RunSweep(initialized, plan);  // 8 workers on a 2x2 grid
   EXPECT_EQ(initialized.topic_counts(),
             Histogram(initialized.Assignments(), TestConfig().num_topics));
+}
+
+// Barrier-runner tests: K >= 1000, so the count-table, alias and delta-fold
+// work at each barrier splits into many tasks.
+Corpus BarrierCorpus() {
+  SyntheticConfig config;
+  config.num_docs = 300;
+  config.vocab_size = 900;
+  config.num_topics = 20;
+  config.mean_doc_length = 40;
+  config.alpha = 0.1;
+  config.seed = 17;
+  return GenerateLdaCorpus(config).corpus;
+}
+
+LdaConfig BarrierConfig() {
+  LdaConfig config = LdaConfig::PaperDefaults(1000);
+  config.seed = 99;
+  config.mh_steps = 2;
+  return config;
+}
+
+TaskRunner Pooled(ParallelExecutor& executor) {
+  return [&executor](uint32_t num_tasks, const BarrierTask& fn) {
+    executor.Run(num_tasks, fn);
+  };
+}
+
+// One sweep with its blocks on `executor` and its barrier work on `run`;
+// `at_barrier` fires after BeginSweep and after every EndStage.
+void SteppedSweep(ParallelExecutor& executor, WarpLdaSampler& sampler,
+                  const SweepPlan& plan, const TaskRunner& run,
+                  const std::function<void()>& at_barrier = nullptr) {
+  const uint32_t word_blocks = plan.num_word_blocks;
+  sampler.ReserveWorkers(executor.num_threads());
+  sampler.BeginSweep(plan, run);
+  if (at_barrier) at_barrier();
+  while (sampler.sweep_stage() != SweepStage::kDone) {
+    executor.Run(plan.num_doc_blocks * word_blocks,
+                 [&](uint32_t worker, uint32_t t) {
+                   sampler.RunBlock(t / word_blocks, t % word_blocks, worker);
+                 });
+    sampler.EndStage(run);
+    if (at_barrier) at_barrier();
+  }
+  sampler.EndSweep();
+}
+
+// Barrier work spread over the pool (ParallelExecutor::RunSweep) and run
+// inline must both reproduce Iterate(): assignments and c_k.
+TEST(BarrierRunnerTest, PooledAndInlineBarriersMatchIterate) {
+  Corpus corpus = BarrierCorpus();
+  LdaConfig config = BarrierConfig();
+  WarpLdaSampler reference;
+  reference.Init(corpus, config);
+  reference.Iterate();
+  reference.Iterate();
+  const SweepPlan plans[] = {
+      MakeSweepPlan(corpus, 8, 8, PartitionStrategy::kGreedy),
+      SweepPlan::Trivial()};
+  for (const SweepPlan& plan : plans) {
+    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+      ParallelExecutor executor(threads);
+      WarpLdaSampler pooled;
+      pooled.Init(corpus, config);
+      WarpLdaSampler inlined;
+      inlined.Init(corpus, config);
+      for (int sweep = 0; sweep < 2; ++sweep) {
+        executor.RunSweep(pooled, plan);
+        SteppedSweep(executor, inlined, plan, RunInline);
+      }
+      const std::string where = std::to_string(plan.num_doc_blocks) + "x" +
+                                std::to_string(plan.num_word_blocks) + " at " +
+                                std::to_string(threads) + " threads";
+      EXPECT_EQ(pooled.Assignments(), reference.Assignments()) << where;
+      EXPECT_EQ(inlined.Assignments(), reference.Assignments()) << where;
+      EXPECT_EQ(pooled.topic_counts(), reference.topic_counts()) << where;
+      EXPECT_EQ(inlined.topic_counts(), reference.topic_counts()) << where;
+    }
+  }
+}
+
+// Under a SetLocalBlocks filter only the owned blocks' items are rebuilt
+// and the rest arrive as deltas; pooled and inline barriers must still
+// agree with an unfiltered sampler.
+TEST(BarrierRunnerTest, PooledBarrierMatchesInlineUnderLocalBlockFilter) {
+  Corpus corpus = BarrierCorpus();
+  LdaConfig config = BarrierConfig();
+  const SweepPlan plan =
+      MakeSweepPlan(corpus, 8, 8, PartitionStrategy::kGreedy);
+  const uint32_t num_blocks = plan.num_doc_blocks * plan.num_word_blocks;
+  std::vector<char> owned(num_blocks, 0);
+  for (uint32_t b = 0; b < num_blocks; ++b) owned[b] = b % 3 == 1;
+
+  WarpLdaSampler source;
+  source.Init(corpus, config);
+  WarpLdaSampler pooled;
+  pooled.Init(corpus, config);
+  pooled.SetLocalBlocks(owned);
+  WarpLdaSampler inlined;
+  inlined.Init(corpus, config);
+  inlined.SetLocalBlocks(owned);
+  ParallelExecutor executor(4);
+  const TaskRunner pool = Pooled(executor);
+  pooled.ReserveWorkers(executor.num_threads());
+
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    source.BeginSweep(plan);
+    pooled.BeginSweep(plan, pool);
+    inlined.BeginSweep(plan);
+    while (source.sweep_stage() != SweepStage::kDone) {
+      ASSERT_EQ(pooled.sweep_stage(), source.sweep_stage());
+      std::vector<GridBlockDelta> deltas(num_blocks);
+      for (uint32_t b = 0; b < num_blocks; ++b) {
+        ASSERT_TRUE(source.RunBlockCaptured(b / plan.num_word_blocks,
+                                            b % plan.num_word_blocks, 0,
+                                            &deltas[b]));
+      }
+      executor.Run(num_blocks, [&](uint32_t worker, uint32_t b) {
+        if (owned[b]) {
+          pooled.RunBlock(b / plan.num_word_blocks, b % plan.num_word_blocks,
+                          worker);
+        }
+      });
+      std::string error;
+      for (uint32_t b = 0; b < num_blocks; ++b) {
+        if (owned[b]) {
+          inlined.RunBlock(b / plan.num_word_blocks, b % plan.num_word_blocks);
+        } else {
+          ASSERT_TRUE(pooled.ApplyBlockDelta(deltas[b], &error)) << error;
+          ASSERT_TRUE(inlined.ApplyBlockDelta(deltas[b], &error)) << error;
+        }
+      }
+      source.EndStage();
+      pooled.EndStage(pool);
+      inlined.EndStage();
+    }
+    source.EndSweep();
+    pooled.EndSweep();
+    inlined.EndSweep();
+    ASSERT_EQ(pooled.Assignments(), source.Assignments()) << "sweep " << sweep;
+    ASSERT_EQ(inlined.Assignments(), source.Assignments()) << "sweep " << sweep;
+    ASSERT_EQ(pooled.topic_counts(), source.topic_counts());
+    ASSERT_EQ(inlined.topic_counts(), source.topic_counts());
+  }
+}
+
+// The checkpoint a barrier captures must not depend on where the barrier
+// work ran.
+TEST(BarrierRunnerTest, CheckpointBytesMatchAtEveryBarrier) {
+  Corpus corpus = BarrierCorpus();
+  LdaConfig config = BarrierConfig();
+  const SweepPlan plan =
+      MakeSweepPlan(corpus, 8, 8, PartitionStrategy::kGreedy);
+  ParallelExecutor executor(4);
+  WarpLdaSampler pooled;
+  pooled.Init(corpus, config);
+  WarpLdaSampler inlined;
+  inlined.Init(corpus, config);
+  auto capture = [](const WarpLdaSampler& sampler,
+                    std::vector<std::vector<uint8_t>>* out) {
+    SweepCheckpoint checkpoint;
+    ASSERT_TRUE(sampler.CaptureSweepState(&checkpoint));
+    out->emplace_back();
+    EncodeSweepCheckpointPayload(checkpoint, &out->back());
+  };
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    std::vector<std::vector<uint8_t>> pooled_bytes, inline_bytes;
+    SteppedSweep(executor, pooled, plan, Pooled(executor),
+                 [&] { capture(pooled, &pooled_bytes); });
+    SteppedSweep(executor, inlined, plan, RunInline,
+                 [&] { capture(inlined, &inline_bytes); });
+    ASSERT_EQ(pooled_bytes.size(), 4u);  // BeginSweep + 3 barriers on 8x8
+    EXPECT_EQ(pooled_bytes, inline_bytes) << "sweep " << sweep;
+  }
+}
+
+// The barrier applies each word block's moves in its own task, so an
+// injected move must come from its own block, tagged with its segment's
+// item; anything else is rejected before it touches the sampler.
+TEST(BarrierRunnerTest, DeltaMovesOutsideTheirBlockAreRejected) {
+  Corpus corpus = BarrierCorpus();
+  LdaConfig config = BarrierConfig();
+  const SweepPlan plan =
+      MakeSweepPlan(corpus, 8, 8, PartitionStrategy::kGreedy);
+  WarpLdaSampler source;
+  source.Init(corpus, config);
+  WarpLdaSampler target;
+  target.Init(corpus, config);
+  source.BeginSweep(plan);
+  target.BeginSweep(plan);
+  GridBlockDelta own, other;
+  ASSERT_TRUE(source.RunBlockCaptured(0, 0, 0, &own));
+  ASSERT_TRUE(source.RunBlockCaptured(0, 1, 0, &other));
+  ASSERT_FALSE(own.moves.empty());
+  ASSERT_FALSE(other.moves.empty());
+
+  std::string error;
+  GridBlockDelta foreign = own;
+  foreign.moves = other.moves;  // valid z values, wrong block
+  EXPECT_FALSE(target.ApplyBlockDelta(foreign, &error));
+  EXPECT_NE(error.find("token order"), std::string::npos) << error;
+  GridBlockDelta retagged = own;
+  retagged.moves[0].item ^= 1;
+  EXPECT_FALSE(target.ApplyBlockDelta(retagged, &error));
+  EXPECT_NE(error.find("segment"), std::string::npos) << error;
+  EXPECT_TRUE(target.ApplyBlockDelta(own, &error)) << error;
+}
+
+// After an aborted sweep, the next grid sweep still equals Iterate() from
+// the same state, and c_k matches the assignments.
+void ExpectNextSweepMatchesIterate(ParallelExecutor& executor,
+                                   WarpLdaSampler& sampler,
+                                   const SweepPlan& plan, uint32_t topics) {
+  ASSERT_EQ(sampler.sweep_stage(), SweepStage::kDone);
+  EXPECT_EQ(sampler.topic_counts(), Histogram(sampler.Assignments(), topics));
+  WarpLdaSampler twin = sampler;
+  twin.Iterate();
+  executor.RunSweep(sampler, plan);
+  EXPECT_EQ(sampler.Assignments(), twin.Assignments());
+  EXPECT_EQ(sampler.topic_counts(), twin.topic_counts());
+}
+
+TEST(BarrierRunnerTest, BarrierTaskExceptionReachesCallerAndSweepRecovers) {
+  Corpus corpus = BarrierCorpus();
+  LdaConfig config = BarrierConfig();
+  const SweepPlan plan =
+      MakeSweepPlan(corpus, 8, 8, PartitionStrategy::kGreedy);
+  const uint32_t num_blocks = plan.num_doc_blocks * plan.num_word_blocks;
+  ParallelExecutor executor(4);
+  WarpLdaSampler sampler;
+  sampler.Init(corpus, config);
+  executor.RunSweep(sampler, plan);
+  sampler.ReserveWorkers(executor.num_threads());
+  // Task 1 throws; the pool still runs the others, so a barrier is left
+  // half applied.
+  const TaskRunner failing = [&](uint32_t num_tasks, const BarrierTask& fn) {
+    executor.Run(num_tasks, [&](uint32_t worker, uint32_t t) {
+      if (t == 1) throw std::runtime_error("barrier task failed");
+      fn(worker, t);
+    });
+  };
+
+  // BeginSweep's count-table rebuild fails: the sweep closes itself.
+  EXPECT_THROW(sampler.BeginSweep(plan, failing), std::runtime_error);
+  ExpectNextSweepMatchesIterate(executor, sampler, plan, config.num_topics);
+
+  // The word-accept EndStage fails part-way through its moves: the driver
+  // aborts the open sweep.
+  sampler.BeginSweep(plan, Pooled(executor));
+  executor.Run(num_blocks, [&](uint32_t worker, uint32_t t) {
+    sampler.RunBlock(t / plan.num_word_blocks, t % plan.num_word_blocks,
+                     worker);
+  });
+  EXPECT_THROW(sampler.EndStage(failing), std::runtime_error);
+  sampler.AbortSweep();
+  ExpectNextSweepMatchesIterate(executor, sampler, plan, config.num_topics);
 }
 
 // Counts `"name": "<name>", "cat": "<cat>", "ph": "<ph>"` occurrences in a

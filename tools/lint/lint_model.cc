@@ -378,6 +378,10 @@ bool IsHotFunction(const std::string& name) {
       name == "AcceptChain")
     return true;
   if (StartsWith(name, "Draw") || StartsWith(name, "Sample")) return true;
+  // Barrier tasks (*Range) run on every worker at once, on disjoint item
+  // ranges; a lock or atomic there serializes the barrier they split.
+  if (name.size() >= 5 && name.compare(name.size() - 5, 5, "Range") == 0)
+    return true;
   return false;
 }
 

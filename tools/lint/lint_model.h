@@ -104,7 +104,8 @@ std::vector<BodyRange> ExtractMethodBodies(const SourceFile& f);
 std::vector<BodyRange> ExtractFreeFunctionBodies(const SourceFile& f);
 
 // Broad hot-path predicate used by warplint-hotpath-sync (anything that can
-// run inside a sweep's token loops, including the fused serial phases).
+// run inside a sweep's token loops, including the fused serial phases, and
+// the *Range barrier tasks the workers run between stages).
 bool IsHotFunction(const std::string& name);
 
 // Tight concurrent-grid-body predicate used by the contract and rng-stream
