@@ -51,9 +51,9 @@ int main(int argc, char** argv) {
   };
 
   // WarpLDA: real sweeps, executed block-by-block over the cluster grid.
-  // The compute cost is measured from the fused Iterate() path (same
-  // methodology as LightLDA below) — block-wise execution on one machine
-  // pays simulation-only overhead a real worker would not.
+  // The compute cost is measured from Iterate(), the single-block sweep
+  // (same methodology as LightLDA below) — block-wise execution on one
+  // machine pays simulation-only overhead a real worker would not.
   {
     const uint32_t mh_steps = 4;
     warplda::LdaConfig config =

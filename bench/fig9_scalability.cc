@@ -1,12 +1,10 @@
-// Fig 9: scalability. Four panels:
-//  (a) multi-thread speedup of WarpLDA's fused phases (parallel row/column
-//      visits; on a single-core CI box the curve is flat — the harness still
-//      runs);
-//  (b) multi-thread speedup of the parallel grid-sweep executor (wavefront
+// Fig 9: scalability. Three panels:
+//  (a) multi-thread speedup of the parallel grid-sweep executor (wavefront
 //      block scheduling over an 8×8 SweepPlan, per-worker scratch and ck
-//      deltas), checked bit-identical against the serial Iterate() run;
-//  (c) multi-machine speedup from the simulated cluster (PubMed shape);
-//  (d) convergence + throughput on the largest feasible ClueWeb-shaped
+//      deltas), checked bit-identical against the single-thread Iterate()
+//      run; on a single-core box the curve is flat — the harness still runs;
+//  (b) multi-machine speedup from the simulated cluster (PubMed shape);
+//  (c) convergence + throughput on the largest feasible ClueWeb-shaped
 //      corpus, trained through the grid executor (TrainOptions::
 //      grid_execution).
 // Measured rows are also written to BENCH_fig9.json (machine readable) so
@@ -37,50 +35,14 @@ int main(int argc, char** argv) {
 
   warplda::bench::PrintHeader(
       "Fig 9: scalability (threads, machines, large-scale run)",
-      "Fig 9a-d — thread speedup (fused + grid executor), distributed "
-      "speedup, ClueWeb convergence and throughput");
+      "Fig 9 — thread speedup (grid executor), distributed speedup, "
+      "ClueWeb convergence and throughput");
 
   char dataset[64];
   std::snprintf(dataset, sizeof(dataset), "synthetic-nytimes scale=%g", scale);
   warplda::bench::BenchJson json("fig9", dataset);
 
-  // (a) threads, fused path (parallel VisitByColumn/VisitByRow).
-  {
-    warplda::Corpus corpus =
-        warplda::bench::MakeShapedCorpus("nytimes", scale);
-    std::printf("\n(a) fused-phase thread scaling on %s, K=%lld "
-                "(host has %u cores)\n",
-                warplda::DescribeCorpus(corpus).c_str(),
-                static_cast<long long>(k),
-                std::thread::hardware_concurrency());
-    warplda::LdaConfig config =
-        warplda::LdaConfig::PaperDefaults(static_cast<uint32_t>(k));
-    config.mh_steps = 2;
-    double base = 0.0;
-    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-      warplda::WarpLdaOptions options;
-      options.num_threads = threads;
-      warplda::WarpLdaSampler sampler(options);
-      sampler.Init(corpus, config);
-      sampler.Iterate();  // warm-up
-      warplda::Stopwatch watch;
-      for (int64_t i = 0; i < iterations; ++i) sampler.Iterate();
-      double seconds = watch.Seconds();
-      double throughput = corpus.num_tokens() * iterations / seconds / 1e6;
-      if (threads == 1) base = seconds;
-      std::printf("  threads %2u  %8.2f Mtok/s  speedup %.2fx\n", threads,
-                  throughput, base / seconds);
-      std::fflush(stdout);
-      json.AddRow()
-          .Str("panel", "fused-iterate")
-          .Int("threads", threads)
-          .Num("tokens_per_sec", throughput * 1e6)
-          .Num("wall_ms", seconds * 1e3)
-          .Num("speedup", base / seconds);
-    }
-  }
-
-  // (b) threads, grid-sweep executor (wavefront over an 8×8 plan).
+  // (a) threads, grid-sweep executor (wavefront over an 8×8 plan).
   {
     warplda::Corpus corpus =
         warplda::bench::MakeShapedCorpus("nytimes", scale);
@@ -89,11 +51,15 @@ int main(int argc, char** argv) {
     config.mh_steps = 2;
     warplda::SweepPlan plan = warplda::MakeSweepPlan(
         corpus, 8, 8, warplda::PartitionStrategy::kGreedy);
-    std::printf("\n(b) grid-executor thread scaling, 8x8 plan, same corpus\n");
+    std::printf("\n(a) grid-executor thread scaling on %s, K=%lld, 8x8 plan "
+                "(host has %u cores)\n",
+                warplda::DescribeCorpus(corpus).c_str(),
+                static_cast<long long>(k),
+                std::thread::hardware_concurrency());
 
-    // Serial reference trajectory: the determinism oracle for every thread
-    // count below (grid execution must reproduce Iterate() exactly, with or
-    // without stage fusion).
+    // Single-thread reference trajectory: the determinism oracle for every
+    // thread count below (grid execution must reproduce Iterate() exactly,
+    // with or without stage fusion).
     warplda::WarpLdaSampler reference;
     reference.Init(corpus, config);
     for (int64_t i = 0; i < iterations + 1; ++i) reference.Iterate();
@@ -142,11 +108,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // (c) simulated machines.
+  // (b) simulated machines.
   {
     warplda::Corpus corpus =
         warplda::bench::MakeShapedCorpus("pubmed", scale / 27);
-    std::printf("\n(c) simulated distributed speedup on %s, K=%lld\n",
+    std::printf("\n(b) simulated distributed speedup on %s, K=%lld\n",
                 warplda::DescribeCorpus(corpus).c_str(),
                 static_cast<long long>(k));
     for (uint32_t workers : {1u, 2u, 4u, 8u, 16u}) {
@@ -163,13 +129,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // (d) largest feasible run, trained through the grid executor.
+  // (c) largest feasible run, trained through the grid executor.
   {
     warplda::Corpus corpus =
         warplda::bench::MakeShapedCorpus("clueweb", scale / 500);
     const uint32_t threads =
         std::min(8u, std::max(1u, std::thread::hardware_concurrency()));
-    std::printf("\n(d) ClueWeb-shaped run: %s, K=%lld, M=1, grid-executed on "
+    std::printf("\n(c) ClueWeb-shaped run: %s, K=%lld, M=1, grid-executed on "
                 "%u threads\n",
                 warplda::DescribeCorpus(corpus).c_str(),
                 static_cast<long long>(k), threads);

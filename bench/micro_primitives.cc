@@ -146,9 +146,8 @@ BENCHMARK(BM_DocProposalPositioning);
 
 // --- Grid hot-path primitives (stage fusion / SIMD kernels) -------------
 
-// Ablation: deriving one per-token RNG stream at a time (5 serial SplitMix64
-// rounds each) vs the batched kernel that runs the same rounds over a whole
-// accept chunk. Both produce bit-identical stream states.
+// Per-token RNG stream derivation (5 serial SplitMix64 rounds each), as the
+// sampler's propose loops and lazy accept chains construct their streams.
 void BM_StreamDerivePerToken(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const uint64_t base = SplitMix64(0x5eed);
@@ -163,25 +162,6 @@ void BM_StreamDerivePerToken(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_StreamDerivePerToken)->Arg(256);
-
-void BM_StreamDeriveBatched(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const bool force_scalar = state.range(1) != 0;
-  const uint64_t base = SplitMix64(0x5eed);
-  std::vector<uint64_t> tokens(n);
-  for (size_t i = 0; i < n; ++i) tokens[i] = i * 37 + 11;
-  std::vector<simd::RngState> out(n);
-  for (auto _ : state) {
-    simd::DeriveStreamStates(base, 0x51, tokens.data(), n, out.data(),
-                             force_scalar);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_StreamDeriveBatched)
-    ->ArgNames({"n", "force_scalar"})
-    ->Args({256, 1})
-    ->Args({256, 0});
 
 // Ablation: the MH accept-ratio kernel (Eq. 7's (a_t*b_cur)/(a_cur*b_t) plus
 // the >= 1 accept mask) scalar vs the dispatched SIMD path. Operand arrays
@@ -199,9 +179,13 @@ void BM_AcceptRatios(benchmark::State& state) {
     b_cur[i] = rng.NextDouble() * 900 + 1.0;
   }
   for (auto _ : state) {
-    simd::ComputeAcceptRatios(n, a_t.data(), b_t.data(), a_cur.data(),
-                              b_cur.data(), ratio.data(), ge1.data(),
-                              force_scalar);
+    if (force_scalar) {
+      simd::ComputeAcceptRatiosScalar(n, a_t.data(), b_t.data(), a_cur.data(),
+                                      b_cur.data(), ratio.data(), ge1.data());
+    } else {
+      simd::ComputeAcceptRatios(n, a_t.data(), b_t.data(), a_cur.data(),
+                                b_cur.data(), ratio.data(), ge1.data());
+    }
     benchmark::DoNotOptimize(ratio.data());
     benchmark::DoNotOptimize(ge1.data());
   }

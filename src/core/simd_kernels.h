@@ -1,17 +1,11 @@
 #ifndef WARPLDA_CORE_SIMD_KERNELS_H_
 #define WARPLDA_CORE_SIMD_KERNELS_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
-#include "util/rng.h"
-
 namespace warplda {
 namespace simd {
-
-/// A derived xoshiro256** state (what Rng::State()/SetState() exchange).
-using RngState = std::array<uint64_t, 4>;
 
 /// True when this binary can run the AVX2 kernels on this CPU. The library
 /// is built without -march flags, so the vector paths are compiled with
@@ -23,18 +17,6 @@ bool HasAvx2();
 /// kernels are compiled in and the CPU supports them, "scalar" otherwise.
 const char* ActiveKernelFeatures();
 
-/// Batched RNG stream derivation: for each token id, derives the full
-/// 256-bit stream state that
-///   Rng(SplitMix64(stream_base ^ (uint64_t(tag) << 56) ^ token))
-/// would hold after seeding — 5 SplitMix64 rounds per token (1 seed mix +
-/// the 4-step xoshiro expansion), laid out so all rounds vectorize. Both
-/// paths are bit-identical to per-token Rng construction by construction.
-void DeriveStreamStatesScalar(uint64_t stream_base, uint32_t tag,
-                              const uint64_t* tokens, size_t n, RngState* out);
-void DeriveStreamStates(uint64_t stream_base, uint32_t tag,
-                        const uint64_t* tokens, size_t n, RngState* out,
-                        bool force_scalar = false);
-
 /// Vectorized MH accept-ratio compute over a gathered batch (Eq. 7):
 ///   ratio[i] = (a_t[i] * b_cur[i]) / (a_cur[i] * b_t[i])
 ///   ge1[i]   = ratio[i] >= 1.0   (the masked accept-select)
@@ -42,20 +24,14 @@ void DeriveStreamStates(uint64_t stream_base, uint32_t tag,
 /// doubles. The expression tree (mul, mul, div — no contractible mul+add, so
 /// -ffp-contract cannot fuse anything) matches the scalar AcceptChain
 /// exactly; vector and scalar paths produce bit-identical IEEE results.
+/// ComputeAcceptRatios dispatches to the AVX2 path when HasAvx2();
+/// ComputeAcceptRatiosScalar is the portable reference it must equal.
 void ComputeAcceptRatiosScalar(size_t n, const double* a_t, const double* b_t,
                                const double* a_cur, const double* b_cur,
                                double* ratio, uint8_t* ge1);
 void ComputeAcceptRatios(size_t n, const double* a_t, const double* b_t,
                          const double* a_cur, const double* b_cur,
-                         double* ratio, uint8_t* ge1,
-                         bool force_scalar = false);
-
-/// Rng carrying a pre-derived stream state.
-inline Rng RngFromState(const RngState& state) {
-  Rng rng;
-  rng.SetState(state);
-  return rng;
-}
+                         double* ratio, uint8_t* ge1);
 
 }  // namespace simd
 }  // namespace warplda

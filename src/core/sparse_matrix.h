@@ -3,14 +3,13 @@
 
 #include <cstdint>
 #include <span>
-#include <thread>
 #include <vector>
 
 namespace warplda {
 
 /// The computational framework of paper §5.1 (Fig. 2): a sparse matrix whose
-/// fixed structure holds mutable per-entry data, supporting row-wise and
-/// column-wise visits with user-defined update functions.
+/// fixed structure holds mutable per-entry data, read and written column by
+/// column or row by row.
 ///
 /// Layout follows §5.2: entry data is stored once, contiguously in CSC order
 /// (column-major), with each column's entries sorted by row id. Rows are
@@ -23,11 +22,11 @@ namespace warplda {
 ///   m.Reset(D, V);
 ///   for (...) m.AddEntry(d, w, data);   // insertion must be row-major
 ///   m.Finalize();
-///   m.VisitByColumn([&](int tid, uint32_t c, std::span<Topic> col) {...});
-///   m.VisitByRow([&](int tid, uint32_t r, RowView row) {...});
+///   std::span<Topic> col = m.col_data(c);  // column c, contiguous
+///   RowView row = m.row(r);                 // row r, through P_CSR
 ///
-/// Visits can run multi-threaded; distinct rows/columns never share entries,
-/// so user functions only need thread-local scratch (paper §5.3.1).
+/// Distinct rows/columns never share entries, so threads that own disjoint
+/// rows (or columns) need only thread-local scratch (paper §5.3.1).
 template <typename Data>
 class SparseMatrix {
  public:
@@ -39,9 +38,6 @@ class SparseMatrix {
 
     uint32_t size() const { return size_; }
     Data& operator[](uint32_t i) const { return data_[entries_[i]]; }
-    /// CSC position of the i-th entry (stable across visits; callers use it
-    /// to index side arrays parallel to the entry data).
-    uint64_t entry_index(uint32_t i) const { return entries_[i]; }
 
    private:
     Data* data_;
@@ -86,10 +82,23 @@ class SparseMatrix {
   /// i-th entry of col_data(c) lives at CSC position col_offset(c)+i).
   uint64_t col_offset(uint32_t c) const { return col_offsets_[c]; }
 
+  /// Number of entries in column c.
+  uint32_t col_size(uint32_t c) const {
+    return static_cast<uint32_t>(col_offsets_[c + 1] - col_offsets_[c]);
+  }
+
   RowView row(uint32_t r) {
     return RowView(data_.data(), row_entries_.data() + row_offsets_[r],
                    static_cast<uint32_t>(row_offsets_[r + 1] -
                                          row_offsets_[r]));
+  }
+
+  /// CSC positions of row r's entries, in ascending column order: the index
+  /// array a RowView reads through, stable for the matrix's lifetime, so
+  /// callers use it to index side arrays parallel to the entry data.
+  std::span<const uint64_t> row_positions(uint32_t r) const {
+    return {row_entries_.data() + row_offsets_[r],
+            static_cast<size_t>(row_offsets_[r + 1] - row_offsets_[r])};
   }
 
   /// Entry data by CSC position.
@@ -102,59 +111,7 @@ class SparseMatrix {
     return insertion_to_csc_[insertion_index];
   }
 
-  /// Visits every column: op(thread_id, col, span<Data>). With num_threads>1
-  /// columns are split into contiguous ranges whose *entry counts* (not
-  /// column counts) are balanced — word frequencies are Zipfian, so naive
-  /// equal-width ranges would leave most threads idle behind the one owning
-  /// the head words (the load-balance concern of §5.3.2, applied to threads).
-  template <typename Op>
-  void VisitByColumn(Op&& op, uint32_t num_threads = 1) {
-    ParallelFor(cols_, col_offsets_, num_threads, [&](int tid, uint32_t c) {
-      op(tid, c, col_data(c));
-    });
-  }
-
-  /// Visits every row: op(thread_id, row, RowView). Ranges are balanced by
-  /// entry count, like VisitByColumn.
-  template <typename Op>
-  void VisitByRow(Op&& op, uint32_t num_threads = 1) {
-    ParallelFor(rows_, row_offsets_, num_threads, [&](int tid, uint32_t r) {
-      op(tid, r, row(r));
-    });
-  }
-
  private:
-  // Runs fn over [0, n), splitting into contiguous ranges with roughly equal
-  // entry counts using the offsets prefix-sum (offsets[i] = entries before
-  // item i).
-  template <typename Fn>
-  static void ParallelFor(uint32_t n, const std::vector<uint64_t>& offsets,
-                          uint32_t num_threads, Fn&& fn) {
-    if (num_threads <= 1 || n < 2 * num_threads) {
-      for (uint32_t i = 0; i < n; ++i) fn(0, i);
-      return;
-    }
-    const uint64_t total = offsets[n];
-    std::vector<uint32_t> bounds(num_threads + 1, n);
-    bounds[0] = 0;
-    uint32_t cursor = 0;
-    for (uint32_t tid = 1; tid < num_threads; ++tid) {
-      uint64_t target = total * tid / num_threads;
-      while (cursor < n && offsets[cursor] < target) ++cursor;
-      bounds[tid] = cursor;
-    }
-    std::vector<std::thread> threads;
-    threads.reserve(num_threads);
-    for (uint32_t tid = 0; tid < num_threads; ++tid) {
-      uint32_t begin = bounds[tid];
-      uint32_t end = bounds[tid + 1];
-      threads.emplace_back([&fn, tid, begin, end] {
-        for (uint32_t i = begin; i < end; ++i) fn(static_cast<int>(tid), i);
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-
   uint32_t rows_ = 0;
   uint32_t cols_ = 0;
   bool finalized_ = false;

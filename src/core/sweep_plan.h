@@ -68,9 +68,10 @@ struct SweepCheckpoint;  // core/checkpoint.h
 /// span — the unit a distributed execution tier ships between processes.
 ///
 /// Within a stage, blocks share no mutable state: accepted topic moves are
-/// staged (z is untouched until the barrier) and proposal draws write only
-/// the block's own tokens' slots. A block's entire effect is therefore
-/// capturable as (staged moves, proposal writes) and replayable in another
+/// staged until the barrier (or, where a block owns whole items, written to
+/// tokens no other block reads) and proposal draws write only the block's
+/// own tokens' slots. A block's entire effect is therefore capturable as
+/// (moves, proposal writes) and replayable in another
 /// process that holds the same pre-stage state — after which EndStage()
 /// applies it exactly as if the block had run locally. `proposals` is in the
 /// block's canonical token order (the plan-derived segment position order,

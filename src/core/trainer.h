@@ -26,8 +26,9 @@ struct TrainOptions {
   bool verbose = false;  ///< print one line per evaluation to stdout
   /// Grid execution: when set, every sweep runs block-wise over `sweep_plan`
   /// through a ParallelExecutor with `sweep_threads` workers (wavefront
-  /// block schedule) instead of the fused Iterate(). Requires the sampler to
-  /// implement GridSampler (Train throws std::invalid_argument otherwise).
+  /// block schedule) instead of Iterate()'s inline 1×1 sweep. Requires the
+  /// sampler to implement GridSampler (Train throws std::invalid_argument
+  /// otherwise).
   /// Changes wall-clock only: grid sweeps sample identically to Iterate().
   bool grid_execution = false;
   SweepPlan sweep_plan;        ///< plan swept when grid_execution is set

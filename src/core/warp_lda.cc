@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 #include "core/checkpoint.h"
+#include "core/simd_kernels.h"
 #include "obs/metrics.h"
 
 namespace warplda {
@@ -40,10 +42,9 @@ struct SamplerMetrics {
 
 }  // namespace
 
-// Determinism invariant: the fused phases (Iterate) and the grid stages
-// (BeginSweep..EndSweep) must sample identically. Both therefore share the
-// helpers below, and every (phase, token) pair draws from its own RNG stream:
-// acceptance and proposal draws depend only on the per-phase snapshots plus
+// Determinism invariant: every plan, block order and worker count must sample
+// identically, so every (pass, token) pair draws from its own RNG stream:
+// acceptance and proposal draws depend only on the per-pass snapshots plus
 // the token's stream, never on which thread or grid block processed the token
 // first. Anything that would couple tokens — updating c_w/c_d during a scan,
 // a shared RNG cursor — is structured out.
@@ -66,8 +67,8 @@ void WarpLdaSampler::Init(const Corpus& corpus, const LdaConfig& config) {
   matrix_.Finalize();
   proposals_.assign(matrix_.num_entries() * m, 0);
 
-  scratch_.assign(std::max(1u, options_.num_threads), ThreadScratch());
-  for (auto& s : scratch_) s.ck_delta.assign(k, 0);
+  scratch_.assign(1, ThreadScratch());
+  scratch_[0].ck_delta.assign(k, 0);
   phase_epoch_ = 0;
   grid_ = GridState();
   col_counts_ = CountArena();
@@ -84,14 +85,9 @@ void WarpLdaSampler::Init(const Corpus& corpus, const LdaConfig& config) {
   }
   ck_fixed_ = ck_live_;
 
-  // Alg. 2 enters the word phase expecting pending doc proposals, so draw
+  // Alg. 2 enters the word pass expecting pending doc proposals, so draw
   // the first batch now from the initial assignments (stream epoch 0).
-  const uint64_t stream_base = StreamBase(phase_epoch_);
-  matrix_.VisitByRow(
-      [&](int, uint32_t, SparseMatrix<TopicId>::RowView row) {
-        DrawDocProposals(stream_base, row);
-      },
-      options_.num_threads);
+  DrawAllDocProposals();
 }
 
 void WarpLdaSampler::SetPriors(double alpha, double beta) {
@@ -123,14 +119,9 @@ void WarpLdaSampler::SetAssignments(const std::vector<TopicId>& assignments) {
     ++ck_live_[assignments[t]];
   }
   ck_fixed_ = ck_live_;
-  // Refresh the pending proposals so the next word phase consumes proposals
+  // Refresh the pending proposals so the next word pass consumes proposals
   // drawn from the restored state (mirrors the tail of Init()).
-  const uint64_t stream_base = StreamBase(phase_epoch_);
-  matrix_.VisitByRow(
-      [&](int, uint32_t, SparseMatrix<TopicId>::RowView row) {
-        DrawDocProposals(stream_base, row);
-      },
-      options_.num_threads);
+  DrawAllDocProposals();
 }
 
 std::vector<TopicId> WarpLdaSampler::Assignments() const {
@@ -139,22 +130,6 @@ std::vector<TopicId> WarpLdaSampler::Assignments() const {
     out[t] = matrix_.entry_data(matrix_.csc_position(t));
   }
   return out;
-}
-
-void WarpLdaSampler::BeginPhase() {
-  ck_fixed_ = ck_live_;
-  for (auto& s : scratch_) {
-    std::fill(s.ck_delta.begin(), s.ck_delta.end(), 0);
-  }
-}
-
-void WarpLdaSampler::EndPhase() {
-  for (auto& s : scratch_) {
-    for (uint32_t k = 0; k < config_.num_topics; ++k) {
-      ck_live_[k] += s.ck_delta[k];
-    }
-  }
-  FlushScratchMetrics();
 }
 
 void WarpLdaSampler::BuildCounts(HashCount& counts,
@@ -239,10 +214,10 @@ void WarpLdaSampler::BuildAliasInto(ThreadScratch& scratch,
   // Alg. 2 builds the alias table over the post-acceptance C_wk: q_word ∝
   // C_wk + β as a mixture of this count-weighted table and the uniform β
   // branch. Entries are sorted by topic so the bin layout is a pure function
-  // of the count values: the fused path (which patches the acceptance-time
-  // snapshot with the move list) and the grid path (which patches the shared
-  // column arena with the staged moves at the barrier) insert keys in
-  // different orders yet load identical tables.
+  // of the count values: a whole-column span (which patches its private
+  // acceptance-time snapshot with the segment's moves) and a split-column
+  // plan (which patches the shared column arena with the staged moves at the
+  // barrier) insert keys in different orders yet load identical tables.
   ++scratch.obs_alias_builds;
   scratch.alias_entries.clear();
   counts.ForEachNonZero([&](uint32_t k, int32_t c) {
@@ -252,184 +227,71 @@ void WarpLdaSampler::BuildAliasInto(ThreadScratch& scratch,
   alias.BuildSparse(scratch.alias_entries, scratch.alias_ws);
 }
 
-void WarpLdaSampler::DrawWordProposalsInto(TopicId* slot,
-                                           const AliasTable& alias, Rng& rng,
-                                           double count_prob) {
+void WarpLdaSampler::DrawWordProposals(const TokenPositions& positions,
+                                       const AliasTable& alias,
+                                       double count_prob) {
   const uint32_t m = std::max(1u, config_.mh_steps);
   const uint32_t k_topics = config_.num_topics;
-  for (uint32_t j = 0; j < m; ++j) {
-    slot[j] = rng.NextBernoulli(count_prob) ? alias.Sample(rng)
-                                            : rng.NextInt(k_topics);
-  }
-}
-
-void WarpLdaSampler::DrawWordProposalsForToken(ThreadScratch& scratch,
-                                               uint64_t stream_base,
-                                               uint64_t token,
-                                               double count_prob) {
-  const uint32_t m = std::max(1u, config_.mh_steps);
-  Rng rng = StreamRng(stream_base, kTagPropose, token);
-  DrawWordProposalsInto(&proposals_[token * m], scratch.alias, rng,
-                        count_prob);
-}
-
-template <typename Values>
-void WarpLdaSampler::DrawDocProposalsInto(TopicId* slot, const Values& values,
-                                          uint32_t len, Rng& rng,
-                                          double position_prob) {
-  const uint32_t m = std::max(1u, config_.mh_steps);
-  const uint32_t k_topics = config_.num_topics;
-  const bool asymmetric = !config_.alpha_vector.empty();
-  for (uint32_t j = 0; j < m; ++j) {
-    if (rng.NextBernoulli(position_prob)) {
-      slot[j] = values[rng.NextInt(len)];
-    } else {
-      slot[j] = asymmetric ? prior_alias_.Sample(rng) : rng.NextInt(k_topics);
+  for (uint32_t i = 0; i < positions.size; ++i) {
+    Rng rng = StreamRng(grid_.base_word, kTagPropose, positions[i]);
+    TopicId* slot = &proposals_[positions[i] * m];
+    for (uint32_t j = 0; j < m; ++j) {
+      slot[j] = rng.NextBernoulli(count_prob) ? alias.Sample(rng)
+                                              : rng.NextInt(k_topics);
     }
   }
 }
 
-void WarpLdaSampler::DrawDocProposalsForToken(
-    uint64_t stream_base, uint64_t token, SparseMatrix<TopicId>::RowView row,
-    double position_prob) {
-  const uint32_t m = std::max(1u, config_.mh_steps);
-  Rng rng = StreamRng(stream_base, kTagPropose, token);
-  DrawDocProposalsInto(&proposals_[token * m], row, row.size(), rng,
-                       position_prob);
-}
-
 void WarpLdaSampler::DrawDocProposals(uint64_t stream_base,
+                                      const TokenPositions& positions,
                                       SparseMatrix<TopicId>::RowView row) {
+  const uint32_t m = std::max(1u, config_.mh_steps);
+  const uint32_t k_topics = config_.num_topics;
+  const bool asymmetric = !config_.alpha_vector.empty();
   const uint32_t len = row.size();
-  if (len == 0) return;
   // q_doc ∝ C_dk + α_k as the mixture of §4.3: with probability L_d/(L_d+ᾱ)
   // random positioning into z_d, otherwise a draw from the prior (uniform
   // for symmetric α, alias table over α_k otherwise).
   const double position_prob =
       static_cast<double>(len) / (static_cast<double>(len) + alpha_bar_);
-  for (uint32_t i = 0; i < len; ++i) {
-    DrawDocProposalsForToken(stream_base, row.entry_index(i), row,
-                             position_prob);
+  for (uint32_t i = 0; i < positions.size; ++i) {
+    Rng rng = StreamRng(stream_base, kTagPropose, positions[i]);
+    TopicId* slot = &proposals_[positions[i] * m];
+    for (uint32_t j = 0; j < m; ++j) {
+      if (rng.NextBernoulli(position_prob)) {
+        slot[j] = row[rng.NextInt(len)];
+      } else {
+        slot[j] = asymmetric ? prior_alias_.Sample(rng) : rng.NextInt(k_topics);
+      }
+    }
   }
 }
 
-void WarpLdaSampler::WordPhase() {
-  if (grid_.open) {
-    throw std::logic_error(
-        "WarpLdaSampler: WordPhase() during an active grid sweep");
+void WarpLdaSampler::DrawAllDocProposals() {
+  const uint64_t stream_base = StreamBase(phase_epoch_);
+  for (DocId d = 0; d < corpus_->num_docs(); ++d) {
+    const std::span<const uint64_t> entries = matrix_.row_positions(d);
+    DrawDocProposals(stream_base,
+                     {entries.data(), 0, static_cast<uint32_t>(entries.size())},
+                     matrix_.row(d));
   }
-  const uint32_t k_topics = config_.num_topics;
-  const uint32_t m = std::max(1u, config_.mh_steps);
-  const double beta = config_.beta;
-  const uint64_t stream_base = StreamBase(++phase_epoch_);
-  BeginPhase();
-
-  matrix_.VisitByColumn(
-      [&](int tid, uint32_t w, std::span<TopicId> z) {
-        if (z.empty()) return;
-        ThreadScratch& s = scratch_[tid];
-        const uint32_t lw = static_cast<uint32_t>(z.size());
-        const uint64_t base = matrix_.col_offset(w);
-
-        // c_w on the fly (delayed snapshot for this word's acceptances).
-        BuildCounts(s.counts, z);
-        Trace(reinterpret_cast<const void*>(s.counts.slots().data()),
-              s.counts.capacity() *
-                  static_cast<uint32_t>(sizeof(HashCount::Entry)),
-              /*random=*/true, /*write=*/true);
-
-        // Accept the pending doc proposals against the snapshot; c_w is not
-        // updated mid-scan, so all of this word's acceptances see the same
-        // delayed counts (Alg. 2) and tokens stay order-independent. The net
-        // moves are recorded so the post-acceptance c_w comes from replaying
-        // them below — O(accepted) — instead of rescanning the column.
-        s.moves.clear();
-        for (uint32_t i = 0; i < lw; ++i) {
-          const TopicId before = z[i];
-          z[i] = AcceptChain(s, s.counts, z[i], &proposals_[(base + i) * m], m,
-                             nullptr, beta, stream_base, base + i);
-          if (z[i] != before) s.moves.emplace_back(before, z[i]);
-        }
-
-        // Fresh word proposals from the updated c_w: patch the snapshot with
-        // the moves (an intermediate chain hop nets out — only the endpoints
-        // matter), then build the order-stable alias table.
-        for (const auto& [from, to] : s.moves) {
-          s.counts.Dec(from);
-          s.counts.Inc(to);
-        }
-        BuildAliasInto(s, s.counts, s.alias);
-        const double count_prob =
-            static_cast<double>(lw) /
-            (static_cast<double>(lw) + beta * k_topics);
-        for (uint32_t i = 0; i < lw; ++i) {
-          DrawWordProposalsForToken(s, stream_base, base + i, count_prob);
-        }
-        TraceScopeEnd();
-      },
-      options_.num_threads);
-
-  EndPhase();
 }
 
-void WarpLdaSampler::DocPhase() {
-  if (grid_.open) {
-    throw std::logic_error(
-        "WarpLdaSampler: DocPhase() during an active grid sweep");
-  }
-  const uint32_t m = std::max(1u, config_.mh_steps);
-  const std::vector<double>* alpha_vec =
-      config_.alpha_vector.empty() ? nullptr : &config_.alpha_vector;
-  const double alpha = config_.alpha;
-  const uint64_t stream_base = StreamBase(++phase_epoch_);
-  BeginPhase();
-
-  matrix_.VisitByRow(
-      [&](int tid, uint32_t, SparseMatrix<TopicId>::RowView row) {
-        const uint32_t len = row.size();
-        if (len == 0) return;
-        ThreadScratch& s = scratch_[tid];
-
-        // c_d on the fly (delayed snapshot for this document).
-        BuildCounts(s.counts, row);
-        Trace(reinterpret_cast<const void*>(s.counts.slots().data()),
-              s.counts.capacity() *
-                  static_cast<uint32_t>(sizeof(HashCount::Entry)),
-              /*random=*/true, /*write=*/true);
-
-        // Accept the pending word proposals (Eq. 7, π^word).
-        for (uint32_t i = 0; i < len; ++i) {
-          row[i] = AcceptChain(s, s.counts, row[i],
-                               &proposals_[row.entry_index(i) * m], m,
-                               alpha_vec, alpha, stream_base,
-                               row.entry_index(i));
-        }
-
-        // Fresh doc proposals from the updated z_d.
-        DrawDocProposals(stream_base, row);
-        TraceScopeEnd();
-      },
-      options_.num_threads);
-
-  EndPhase();
-}
-
-void WarpLdaSampler::Iterate() {
-  WordPhase();
-  DocPhase();
-}
+void WarpLdaSampler::Iterate() { RunSweep(SweepPlan::Trivial()); }
 
 // --------------------------------------------------------------------------
 // Grid execution. Stages defer their writes (accepted topics go to the
-// calling worker's staged-move list, count updates to its ck-delta
+// block's staged-move list, count updates to the worker's ck-delta
 // partition) and apply them at the EndStage barrier, so every block of a
 // stage observes the same pre-stage state no matter the schedule. Combined
-// with the per-token RNG streams this makes any grid — including the 1×1
-// plan and the fused Iterate() — sample identically, on any number of
-// workers: a block body reads only shared *immutable* span state (z, the
-// count arenas, the column alias tables) and writes only its own tokens'
-// proposal slots plus scratch_[worker], so concurrent blocks share no
-// mutable memory (ParallelExecutor relies on exactly this).
+// with the per-token RNG streams this makes any grid — the 1×1 plan that
+// Iterate() runs included — sample identically, on any number of workers:
+// a block body reads only shared *immutable* span state (z, the count
+// arenas, the column alias tables) and writes only its own tokens' proposal
+// slots plus scratch_[worker], so concurrent blocks share no mutable memory
+// (ParallelExecutor relies on exactly this). The one exception is a
+// whole-item span (below): its block owns every token of its items, no
+// other block reads them in that span, so it commits their z in place.
 //
 // Stage fusion (StageFusion::kAuto) merges adjacent stages into one RunBlock
 // pass per block where the write-set proof holds:
@@ -442,8 +304,10 @@ void WarpLdaSampler::Iterate() {
 //    doc block): propose's alias table needs the whole column's
 //    post-acceptance counts, which only that block computed.
 //  * [doc-accept, doc-propose] requires rows_ok (every row inside one word
-//    block): propose positions into the whole row's post-acceptance topics,
-//    patched locally (ThreadScratch::local_row) before the barrier.
+//    block): propose positions into the whole row's post-acceptance topics.
+// These two are the whole-item spans: the block counts its items on the fly
+// (no shared arena), commits their acceptances to z in place and draws the
+// proposals from the committed values — §4.4's pass over one column or row.
 // Fusion never changes the samples — only which barriers exist.
 
 void WarpLdaSampler::ReserveWorkers(uint32_t num_workers) {
@@ -492,10 +356,10 @@ void WarpLdaSampler::BeginSweep(const SweepPlan& plan, const TaskRunner& run) {
       static_cast<size_t>(plan.num_doc_blocks) * plan.num_word_blocks;
   grid_.block_moves.resize(num_blocks);
   grid_.block_ran.assign(num_blocks, 0);
-  // Mint both phase stream bases up front (the fused path's two ++epoch
-  // draws). Checkpoints therefore carry identical bytes at a given barrier
-  // regardless of which StageFusion setting produced them, and a restore
-  // under either setting resumes the same trajectory.
+  // Mint both pass stream bases up front. Checkpoints therefore carry
+  // identical bytes at a given barrier regardless of which StageFusion
+  // setting produced them, and a restore under either setting resumes the
+  // same trajectory.
   phase_epoch_ += 2;
   grid_.base_word = StreamBase(phase_epoch_ - 1);
   grid_.base_doc = StreamBase(phase_epoch_);
@@ -518,80 +382,115 @@ void WarpLdaSampler::BuildGridIndices(const SweepPlan& plan) {
   const size_t num_blocks = static_cast<size_t>(num_db) * num_wb;
   grid_.word_ix.assign(num_blocks, {});
   grid_.doc_ix.assign(num_blocks, {});
-  grid_.cols_ok = true;
-  grid_.rows_ok = true;
-
-  // Per-entry doc-block map (scratch for the column grouping below).
-  std::vector<uint32_t> entry_doc_block(matrix_.num_entries(), 0);
-  for (DocId d = 0; d < corpus_->num_docs(); ++d) {
-    const uint32_t b = plan.doc_block.empty() ? 0 : plan.doc_block[d];
-    auto row = matrix_.row(d);
-    for (uint32_t i = 0; i < row.size(); ++i) {
-      entry_doc_block[row.entry_index(i)] = b;
-    }
-  }
 
   // Word axis: group each column's CSC positions by doc block, giving every
-  // block its exact token list up front — the per-(block × column) rescan of
-  // the whole column with a per-entry filter (P redundant passes on a P×P
-  // plan) is gone.
+  // block its exact token list up front. Columns are never rescanned per
+  // block, and with one doc block every column is whole, so the per-entry
+  // doc-block map is skipped.
+  std::vector<uint32_t> entry_doc_block;
+  if (num_db > 1) {
+    entry_doc_block.resize(matrix_.num_entries());
+    for (DocId d = 0; d < corpus_->num_docs(); ++d) {
+      for (uint64_t pos : matrix_.row_positions(d)) {
+        entry_doc_block[pos] = plan.doc_block[d];
+      }
+    }
+  }
   std::vector<std::vector<uint64_t>> buckets(num_db);
+  grid_.cols_ok = true;
   for (WordId w = 0; w < corpus_->num_words(); ++w) {
     const uint32_t wb = plan.word_block.empty() ? 0 : plan.word_block[w];
     const uint64_t base = matrix_.col_offset(w);
-    const uint64_t len = matrix_.col_data(w).size();
+    const uint32_t len = matrix_.col_size(w);
     if (len == 0) continue;
     for (auto& bucket : buckets) bucket.clear();
-    for (uint64_t p = 0; p < len; ++p) {
-      buckets[entry_doc_block[base + p]].push_back(base + p);
+    if (num_db > 1) {
+      for (uint64_t p = base; p < base + len; ++p) {
+        buckets[entry_doc_block[p]].push_back(p);
+      }
     }
-    uint32_t blocks_hit = 0;
-    for (uint32_t db = 0; db < num_db; ++db) {
-      if (buckets[db].empty()) continue;
-      ++blocks_hit;
-      BlockIndex& ix = grid_.word_ix[static_cast<size_t>(db) * num_wb + wb];
-      const uint32_t begin = static_cast<uint32_t>(ix.positions.size());
-      ix.positions.insert(ix.positions.end(), buckets[db].begin(),
-                          buckets[db].end());
-      ix.segments.push_back(
-          {w, begin, static_cast<uint32_t>(ix.positions.size())});
+    if (!AddItemSegments(w, len, buckets, grid_.word_ix, num_wb, wb,
+                         /*over_doc_blocks=*/true)) {
+      grid_.cols_ok = false;
     }
-    if (blocks_hit > 1) grid_.cols_ok = false;
   }
 
   // Doc axis: same grouping, rows by word block, preserving row order so a
-  // rows_ok segment's positions line up with the row's own indices.
+  // split row's positions are a subsequence of the row's own index array.
   buckets.assign(num_wb, {});
-  std::vector<uint32_t> entry_word_block(matrix_.num_entries(), 0);
-  for (WordId w = 0; w < corpus_->num_words(); ++w) {
-    const uint32_t wb = plan.word_block.empty() ? 0 : plan.word_block[w];
-    const uint64_t base = matrix_.col_offset(w);
-    const uint64_t len = matrix_.col_data(w).size();
-    for (uint64_t p = 0; p < len; ++p) entry_word_block[base + p] = wb;
+  std::vector<uint32_t> entry_word_block;
+  if (num_wb > 1) {
+    entry_word_block.resize(matrix_.num_entries());
+    for (WordId w = 0; w < corpus_->num_words(); ++w) {
+      const uint64_t base = matrix_.col_offset(w);
+      std::fill_n(entry_word_block.begin() + base, matrix_.col_size(w),
+                  plan.word_block[w]);
+    }
   }
+  grid_.rows_ok = true;
   for (DocId d = 0; d < corpus_->num_docs(); ++d) {
     const uint32_t db = plan.doc_block.empty() ? 0 : plan.doc_block[d];
-    auto row = matrix_.row(d);
-    if (row.size() == 0) continue;
+    const std::span<const uint64_t> row = matrix_.row_positions(d);
+    if (row.empty()) continue;
     for (auto& bucket : buckets) bucket.clear();
-    for (uint32_t i = 0; i < row.size(); ++i) {
-      buckets[entry_word_block[row.entry_index(i)]].push_back(
-          row.entry_index(i));
+    if (num_wb > 1) {
+      for (uint64_t pos : row) buckets[entry_word_block[pos]].push_back(pos);
     }
-    uint32_t blocks_hit = 0;
-    for (uint32_t wb = 0; wb < num_wb; ++wb) {
-      if (buckets[wb].empty()) continue;
-      ++blocks_hit;
-      BlockIndex& ix = grid_.doc_ix[static_cast<size_t>(db) * num_wb + wb];
-      const uint32_t begin = static_cast<uint32_t>(ix.positions.size());
-      ix.positions.insert(ix.positions.end(), buckets[wb].begin(),
-                          buckets[wb].end());
-      ix.segments.push_back(
-          {d, begin, static_cast<uint32_t>(ix.positions.size())});
+    if (!AddItemSegments(d, static_cast<uint32_t>(row.size()), buckets,
+                         grid_.doc_ix, num_wb, db,
+                         /*over_doc_blocks=*/false)) {
+      grid_.rows_ok = false;
     }
-    if (blocks_hit > 1) grid_.rows_ok = false;
   }
   grid_.indices_built = true;
+}
+
+bool WarpLdaSampler::AddItemSegments(
+    uint32_t item, uint32_t len,
+    const std::vector<std::vector<uint64_t>>& buckets,
+    std::vector<BlockIndex>& indices, uint32_t num_wb, uint32_t own_block,
+    bool over_doc_blocks) {
+  auto block_of = [&](uint32_t other) {
+    return over_doc_blocks ? static_cast<size_t>(other) * num_wb + own_block
+                           : static_cast<size_t>(own_block) * num_wb + other;
+  };
+  uint32_t hit = 0;
+  uint32_t blocks_hit = 0;
+  for (uint32_t b = 0; b < buckets.size(); ++b) {
+    if (buckets[b].empty()) continue;
+    hit = b;
+    ++blocks_hit;
+  }
+  if (blocks_hit <= 1) {
+    // Whole item (no bucket filled means the other axis has one block).
+    BlockIndex& ix = indices[block_of(hit)];
+    ix.segments.push_back({item, 0, 0});
+    ix.tokens += len;
+    return true;
+  }
+  for (uint32_t b = 0; b < buckets.size(); ++b) {
+    if (buckets[b].empty()) continue;
+    BlockIndex& ix = indices[block_of(b)];
+    const uint32_t begin = static_cast<uint32_t>(ix.positions.size());
+    ix.positions.insert(ix.positions.end(), buckets[b].begin(),
+                        buckets[b].end());
+    ix.segments.push_back(
+        {item, begin, static_cast<uint32_t>(ix.positions.size())});
+    ix.tokens += buckets[b].size();
+  }
+  return false;
+}
+
+WarpLdaSampler::TokenPositions WarpLdaSampler::Positions(
+    const BlockIndex& ix, const BlockSegment& seg, bool word_axis) const {
+  if (seg.begin != seg.end) {
+    return {&ix.positions[seg.begin], 0, seg.end - seg.begin};
+  }
+  if (word_axis) {
+    return {nullptr, matrix_.col_offset(seg.item), matrix_.col_size(seg.item)};
+  }
+  const std::span<const uint64_t> row = matrix_.row_positions(seg.item);
+  return {row.data(), 0, static_cast<uint32_t>(row.size())};
 }
 
 int WarpLdaSampler::SpanLength(SweepStage s) const {
@@ -633,7 +532,8 @@ void WarpLdaSampler::EnterSpan(SweepStage begin, const TaskRunner& run) {
       if (len == 2) BuildRowArena(run);  // fused doc-accept reads rows
       break;
     case SweepStage::kDocAccept:
-      BuildRowArena(run);
+      // The fused [da, dp] body counts its whole rows on the fly.
+      if (len == 1) BuildRowArena(run);
       break;
     default:
       break;
@@ -738,6 +638,12 @@ void WarpLdaSampler::BuildColAliasRange(uint32_t lo, uint32_t hi,
 
 void WarpLdaSampler::RunBlock(uint32_t doc_block, uint32_t word_block,
                               uint32_t worker) {
+  RunBlockInto(doc_block, word_block, worker, /*committed=*/nullptr);
+}
+
+void WarpLdaSampler::RunBlockInto(uint32_t doc_block, uint32_t word_block,
+                                  uint32_t worker,
+                                  std::vector<StagedMove>* committed) {
   if (!grid_.open) {
     throw std::logic_error("WarpLdaSampler: RunBlock() without BeginSweep()");
   }
@@ -768,27 +674,27 @@ void WarpLdaSampler::RunBlock(uint32_t doc_block, uint32_t word_block,
   switch (grid_.stage) {
     case SweepStage::kWordAccept:
       if (len == 2) {
-        RunFusedWordPart(doc_block, word_block, scratch, moves);
+        RunFusedWordPart(doc_block, word_block, scratch, committed);
       } else {
         RunWordAcceptPart(doc_block, word_block, scratch, moves);
       }
       break;
     case SweepStage::kWordPropose:
-      RunWordProposePart(doc_block, word_block, scratch);
+      RunWordProposePart(doc_block, word_block);
       // [wp, da]: this block's doc-accept reads exactly the proposals its
       // word-propose half just wrote (the block's token set is the same on
       // both axes), so no barrier is needed between them.
-      if (len == 2) {
-        RunDocAcceptPart(doc_block, word_block, scratch,
-                         /*fused_propose=*/false, moves);
-      }
+      if (len == 2) RunDocAcceptPart(doc_block, word_block, scratch, moves);
       break;
     case SweepStage::kDocAccept:
-      RunDocAcceptPart(doc_block, word_block, scratch,
-                       /*fused_propose=*/len == 2, moves);
+      if (len == 2) {
+        RunFusedDocPart(doc_block, word_block, scratch, committed);
+      } else {
+        RunDocAcceptPart(doc_block, word_block, scratch, moves);
+      }
       break;
     case SweepStage::kDocPropose:
-      RunDocProposePart(doc_block, word_block, scratch);
+      RunDocProposePart(doc_block, word_block);
       break;
     case SweepStage::kDone:
       break;  // unreachable, checked above
@@ -797,16 +703,19 @@ void WarpLdaSampler::RunBlock(uint32_t doc_block, uint32_t word_block,
 
 template <typename Counts>
 void WarpLdaSampler::AcceptSegment(ThreadScratch& s, const Counts& counts,
-                                   const uint64_t* positions, uint32_t n,
+                                   const TokenPositions& positions,
                                    const std::vector<double>* prior_vec,
                                    double prior, uint64_t stream_base,
                                    uint32_t move_item,
-                                   std::vector<StagedMove>& moves,
-                                   TopicId* final_topics) {
+                                   std::vector<StagedMove>& moves) {
   const uint32_t m = std::max(1u, config_.mh_steps);
-  if (tracer_ != nullptr) {
-    // The batched path elides the per-proposal slot probes the cache tracer
-    // replays, so trace runs take the scalar reference chain token by token.
+  const uint32_t n = positions.size;
+  if (tracer_ != nullptr || std::is_same_v<Counts, HashCount>) {
+    // The scalar chain, token by token. Trace runs need it: the batched path
+    // elides the per-proposal slot probes the cache tracer replays. So do
+    // the whole-item spans' private hash tables: there the gather pass's
+    // 1+M probes per token (self-proposals included) cost more than the
+    // vector ratio saves, while over a flat arena they are plain loads.
     for (uint32_t i = 0; i < n; ++i) {
       const uint64_t pos = positions[i];
       const TopicId before = matrix_.entry_data(pos);
@@ -814,11 +723,9 @@ void WarpLdaSampler::AcceptSegment(ThreadScratch& s, const Counts& counts,
           AcceptChain(s, counts, before, &proposals_[pos * m], m, prior_vec,
                       prior, stream_base, pos);
       if (after != before) moves.push_back({pos, move_item, before, after});
-      if (final_topics != nullptr) final_topics[i] = after;
     }
     return;
   }
-  const bool force_scalar = options_.force_scalar_kernels;
   if (s.bat_ca.size() < kAcceptChunk) {
     s.bat_ca.resize(kAcceptChunk);
     s.bat_cb.resize(kAcceptChunk);
@@ -837,12 +744,11 @@ void WarpLdaSampler::AcceptSegment(ThreadScratch& s, const Counts& counts,
   int64_t* ck_delta = s.ck_delta.data();
   for (uint32_t chunk = 0; chunk < n; chunk += kAcceptChunk) {
     const uint32_t nb = std::min(kAcceptChunk, n - chunk);
-    const uint64_t* chunk_pos = positions + chunk;
     // Gather pass: every operand of every chain step, SoA per step. The
     // count table is a delayed snapshot — immutable for the whole stage —
     // so step j's operands can be fetched before steps 0..j-1 resolve.
     for (uint32_t t = 0; t < nb; ++t) {
-      const uint64_t pos = chunk_pos[t];
+      const uint64_t pos = positions[chunk + t];
       const TopicId cur = matrix_.entry_data(pos);
       s.bat_cur[t] = cur;
       s.bat_ca[t] = counts.Get(cur) + (prior_vec ? (*prior_vec)[cur] : prior);
@@ -870,7 +776,7 @@ void WarpLdaSampler::AcceptSegment(ThreadScratch& s, const Counts& counts,
           &s.bat_topic[static_cast<size_t>(j) * kAcceptChunk];
       simd::ComputeAcceptRatios(nb, a_t, b_t, s.bat_ca.data(),
                                 s.bat_cb.data(), s.bat_ratio.data(),
-                                s.bat_ge1.data(), force_scalar);
+                                s.bat_ge1.data());
       for (uint32_t t = 0; t < nb; ++t) {
         const TopicId p = topic[t];
         if (p == s.bat_cur[t]) continue;
@@ -878,7 +784,8 @@ void WarpLdaSampler::AcceptSegment(ThreadScratch& s, const Counts& counts,
         bool take = s.bat_ge1[t] != 0;
         if (!take) {
           if (!s.bat_seeded[t]) {
-            s.bat_rng[t] = StreamRng(stream_base, kTagAccept, chunk_pos[t]);
+            s.bat_rng[t] =
+                StreamRng(stream_base, kTagAccept, positions[chunk + t]);
             s.bat_seeded[t] = 1;
           }
           take = s.bat_rng[t].NextBernoulli(s.bat_ratio[t]);
@@ -894,11 +801,10 @@ void WarpLdaSampler::AcceptSegment(ThreadScratch& s, const Counts& counts,
       }
     }
     for (uint32_t t = 0; t < nb; ++t) {
-      const uint64_t pos = chunk_pos[t];
+      const uint64_t pos = positions[chunk + t];
       const TopicId before = matrix_.entry_data(pos);
       const TopicId after = s.bat_cur[t];
       if (after != before) moves.push_back({pos, move_item, before, after});
-      if (final_topics != nullptr) final_topics[chunk + t] = after;
     }
   }
 }
@@ -914,148 +820,129 @@ void WarpLdaSampler::RunWordAcceptPart(uint32_t doc_block,
   for (const BlockSegment& seg : ix.segments) {
     // Shared pre-stage column table from the arena (immutable this stage).
     const FlatCounts counts = col_counts_.view(seg.item);
-    AcceptSegment(s, counts, &ix.positions[seg.begin], seg.end - seg.begin,
-                  nullptr, beta, grid_.base_word, seg.item, moves,
-                  /*final_topics=*/nullptr);
+    AcceptSegment(s, counts, Positions(ix, seg, /*word_axis=*/true), nullptr,
+                  beta, grid_.base_word, seg.item, moves);
   }
 }
 
 void WarpLdaSampler::RunFusedWordPart(uint32_t doc_block, uint32_t word_block,
                                       ThreadScratch& s,
-                                      std::vector<StagedMove>& moves) {
-  // [wa, wp] span (cols_ok): each segment is a whole column, so this block
-  // alone computes the column's post-acceptance counts — patch the private
-  // snapshot with the staged endpoints and build the alias table in place,
-  // skipping both the shared arena and a barrier.
+                                      std::vector<StagedMove>* committed) {
+  // [wa, wp] span (cols_ok): each segment is a whole column that no other
+  // block reads this span. Count it on the fly, accept, commit the moves to
+  // z in place while patching the private snapshot with them, then build
+  // the column's alias table and draw — one scope per column, as §4.4 has
+  // it, with no shared arena, staged moves or barrier in between.
   const uint32_t k_topics = config_.num_topics;
   const double beta = config_.beta;
-  const uint32_t m = std::max(1u, config_.mh_steps);
   const BlockIndex& ix =
       grid_.word_ix[static_cast<size_t>(doc_block) *
                         grid_.plan.num_word_blocks +
                     word_block];
   for (const BlockSegment& seg : ix.segments) {
-    const uint32_t n = seg.end - seg.begin;
-    const uint64_t* positions = &ix.positions[seg.begin];
-    auto z = matrix_.col_data(seg.item);
+    const TokenPositions positions = Positions(ix, seg, /*word_axis=*/true);
+    const std::span<TopicId> z = matrix_.col_data(seg.item);
     BuildCounts(s.counts, z);
-    const size_t moves_before = moves.size();
-    AcceptSegment(s, s.counts, positions, n, nullptr, beta, grid_.base_word,
-                  seg.item, moves, /*final_topics=*/nullptr);
-    for (size_t i = moves_before; i < moves.size(); ++i) {
-      s.counts.Dec(moves[i].from);
-      s.counts.Inc(moves[i].to);
+    Trace(reinterpret_cast<const void*>(s.counts.slots().data()),
+          s.counts.capacity() * static_cast<uint32_t>(sizeof(HashCount::Entry)),
+          /*random=*/true, /*write=*/true);
+    s.segment_moves.clear();
+    AcceptSegment(s, s.counts, positions, nullptr, beta, grid_.base_word,
+                  seg.item, s.segment_moves);
+    for (const StagedMove& mv : s.segment_moves) {
+      z[mv.pos - positions.first] = mv.to;
+      s.counts.Dec(mv.from);
+      s.counts.Inc(mv.to);
+    }
+    if (committed != nullptr) {
+      committed->insert(committed->end(), s.segment_moves.begin(),
+                        s.segment_moves.end());
     }
     BuildAliasInto(s, s.counts, s.alias);
     const double lw = static_cast<double>(z.size());
-    const double count_prob = lw / (lw + beta * k_topics);
-    if (s.rng_states.size() < n) s.rng_states.resize(n);
-    simd::DeriveStreamStates(grid_.base_word, kTagPropose, positions, n,
-                             s.rng_states.data(),
-                             options_.force_scalar_kernels);
-    for (uint32_t i = 0; i < n; ++i) {
-      Rng rng = simd::RngFromState(s.rng_states[i]);
-      DrawWordProposalsInto(&proposals_[positions[i] * m], s.alias, rng,
-                            count_prob);
-    }
+    DrawWordProposals(positions, s.alias, lw / (lw + beta * k_topics));
+    TraceScopeEnd();
   }
 }
 
 void WarpLdaSampler::RunWordProposePart(uint32_t doc_block,
-                                        uint32_t word_block,
-                                        ThreadScratch& s) {
+                                        uint32_t word_block) {
   const uint32_t k_topics = config_.num_topics;
   const double beta = config_.beta;
-  const uint32_t m = std::max(1u, config_.mh_steps);
   const BlockIndex& ix =
       grid_.word_ix[static_cast<size_t>(doc_block) *
                         grid_.plan.num_word_blocks +
                     word_block];
   for (const BlockSegment& seg : ix.segments) {
-    const uint32_t n = seg.end - seg.begin;
-    const uint64_t* positions = &ix.positions[seg.begin];
     // Post-acceptance alias table, built once per column at the span entry.
-    const AliasTable& alias = col_alias_[seg.item];
-    const double lw = static_cast<double>(matrix_.col_data(seg.item).size());
-    const double count_prob = lw / (lw + beta * k_topics);
-    if (s.rng_states.size() < n) s.rng_states.resize(n);
-    simd::DeriveStreamStates(grid_.base_word, kTagPropose, positions, n,
-                             s.rng_states.data(),
-                             options_.force_scalar_kernels);
-    for (uint32_t i = 0; i < n; ++i) {
-      Rng rng = simd::RngFromState(s.rng_states[i]);
-      DrawWordProposalsInto(&proposals_[positions[i] * m], alias, rng,
-                            count_prob);
-    }
+    const double lw = static_cast<double>(matrix_.col_size(seg.item));
+    DrawWordProposals(Positions(ix, seg, /*word_axis=*/true),
+                      col_alias_[seg.item], lw / (lw + beta * k_topics));
   }
 }
 
 void WarpLdaSampler::RunDocAcceptPart(uint32_t doc_block, uint32_t word_block,
-                                      ThreadScratch& s, bool fused_propose,
+                                      ThreadScratch& s,
                                       std::vector<StagedMove>& moves) {
   const std::vector<double>* alpha_vec =
       config_.alpha_vector.empty() ? nullptr : &config_.alpha_vector;
-  const double alpha = config_.alpha;
-  const uint32_t m = std::max(1u, config_.mh_steps);
   const BlockIndex& ix =
       grid_.doc_ix[static_cast<size_t>(doc_block) *
                        grid_.plan.num_word_blocks +
                    word_block];
   for (const BlockSegment& seg : ix.segments) {
-    const uint32_t n = seg.end - seg.begin;
-    const uint64_t* positions = &ix.positions[seg.begin];
     const FlatCounts counts = row_counts_.view(seg.item);
-    if (!fused_propose) {
-      AcceptSegment(s, counts, positions, n, alpha_vec, alpha, grid_.base_doc,
-                    seg.item, moves, /*final_topics=*/nullptr);
-      continue;
+    AcceptSegment(s, counts, Positions(ix, seg, /*word_axis=*/false),
+                  alpha_vec, config_.alpha, grid_.base_doc, seg.item, moves);
+  }
+}
+
+void WarpLdaSampler::RunFusedDocPart(uint32_t doc_block, uint32_t word_block,
+                                     ThreadScratch& s,
+                                     std::vector<StagedMove>* committed) {
+  // [da, dp] span (rows_ok): each segment is a whole row that no other block
+  // reads this span, so it gets the whole-column treatment of
+  // RunFusedWordPart — count on the fly, accept, commit in place, then
+  // position the row's proposals into its committed topics.
+  const std::vector<double>* alpha_vec =
+      config_.alpha_vector.empty() ? nullptr : &config_.alpha_vector;
+  const BlockIndex& ix =
+      grid_.doc_ix[static_cast<size_t>(doc_block) *
+                       grid_.plan.num_word_blocks +
+                   word_block];
+  for (const BlockSegment& seg : ix.segments) {
+    const TokenPositions positions = Positions(ix, seg, /*word_axis=*/false);
+    const SparseMatrix<TopicId>::RowView row = matrix_.row(seg.item);
+    BuildCounts(s.counts, row);
+    Trace(reinterpret_cast<const void*>(s.counts.slots().data()),
+          s.counts.capacity() * static_cast<uint32_t>(sizeof(HashCount::Entry)),
+          /*random=*/true, /*write=*/true);
+    s.segment_moves.clear();
+    AcceptSegment(s, s.counts, positions, alpha_vec, config_.alpha,
+                  grid_.base_doc, seg.item, s.segment_moves);
+    for (const StagedMove& mv : s.segment_moves) {
+      matrix_.entry_data(mv.pos) = mv.to;
     }
-    // [da, dp] span (rows_ok): the segment is the whole row in row order, so
-    // the post-acceptance topics land in local_row and the propose half can
-    // position into them before the barrier publishes the staged moves.
-    if (s.local_row.size() < n) s.local_row.resize(n);
-    AcceptSegment(s, counts, positions, n, alpha_vec, alpha, grid_.base_doc,
-                  seg.item, moves, s.local_row.data());
-    const double position_prob =
-        static_cast<double>(n) / (static_cast<double>(n) + alpha_bar_);
-    if (s.rng_states.size() < n) s.rng_states.resize(n);
-    simd::DeriveStreamStates(grid_.base_doc, kTagPropose, positions, n,
-                             s.rng_states.data(),
-                             options_.force_scalar_kernels);
-    for (uint32_t i = 0; i < n; ++i) {
-      Rng rng = simd::RngFromState(s.rng_states[i]);
-      DrawDocProposalsInto(&proposals_[positions[i] * m], s.local_row.data(),
-                           n, rng, position_prob);
+    if (committed != nullptr) {
+      committed->insert(committed->end(), s.segment_moves.begin(),
+                        s.segment_moves.end());
     }
+    DrawDocProposals(grid_.base_doc, positions, row);
+    TraceScopeEnd();
   }
 }
 
 void WarpLdaSampler::RunDocProposePart(uint32_t doc_block,
-                                       uint32_t word_block,
-                                       ThreadScratch& s) {
-  const uint32_t m = std::max(1u, config_.mh_steps);
+                                       uint32_t word_block) {
   const BlockIndex& ix =
       grid_.doc_ix[static_cast<size_t>(doc_block) *
                        grid_.plan.num_word_blocks +
                    word_block];
   for (const BlockSegment& seg : ix.segments) {
-    const uint32_t n = seg.end - seg.begin;
-    const uint64_t* positions = &ix.positions[seg.begin];
-    auto row = matrix_.row(seg.item);
-    const uint32_t len = row.size();
     // Positioning reads the whole row's post-barrier topics; this block
     // draws only for its own tokens.
-    const double position_prob =
-        static_cast<double>(len) / (static_cast<double>(len) + alpha_bar_);
-    if (s.rng_states.size() < n) s.rng_states.resize(n);
-    simd::DeriveStreamStates(grid_.base_doc, kTagPropose, positions, n,
-                             s.rng_states.data(),
-                             options_.force_scalar_kernels);
-    for (uint32_t i = 0; i < n; ++i) {
-      Rng rng = simd::RngFromState(s.rng_states[i]);
-      DrawDocProposalsInto(&proposals_[positions[i] * m], row, len, rng,
-                           position_prob);
-    }
+    DrawDocProposals(grid_.base_doc, Positions(ix, seg, /*word_axis=*/false),
+                     matrix_.row(seg.item));
   }
 }
 
@@ -1146,7 +1033,8 @@ void WarpLdaSampler::EndStage(const TaskRunner& run) {
 void WarpLdaSampler::AbortSweep() {
   if (!grid_.open) return;
   // Discard the aborted stage's staged moves and unfolded deltas; the live
-  // state is whatever the last completed barrier applied. A barrier whose
+  // state is whatever the last completed barrier applied, plus the segments
+  // an aborted whole-item span already committed in place. A barrier whose
   // tasks threw may have applied only some moves, or folded deltas whose
   // moves it did not apply, so c_k is recounted from z to keep the two
   // consistent. Pending proposals may be stale — callers recover by running
@@ -1318,9 +1206,10 @@ bool WarpLdaSampler::RestoreSweepState(const SweepCheckpoint& state,
 
 // --------------------------------------------------------------------------
 // Distributed execution: block deltas. Within a stage, a block's entire
-// externally visible effect is (staged moves, own tokens' proposal slots) —
-// z is untouched until the barrier and every other write lands in
-// per-worker scratch. Capturing those two pieces and replaying them in a
+// externally visible effect is (moves, own tokens' proposal slots) — its z
+// writes are staged until the barrier or, in a whole-item span, committed to
+// items no other block reads, and every other write lands in per-worker
+// scratch. Capturing those two pieces and replaying them in a
 // peer process that holds the same pre-stage state makes the peer's
 // EndStage() fold bit-identical to having run the block locally: staged
 // moves land in scratch (with their ck-delta net effect, intermediates of
@@ -1380,33 +1269,29 @@ bool WarpLdaSampler::RunBlockCaptured(uint32_t doc_block, uint32_t word_block,
         "WarpLdaSampler: worker id out of range; ReserveWorkers() first");
   }
   const SweepStage begin = grid_.stage;
-  RunBlock(doc_block, word_block, worker);
-  // RunBlock ran this block once this span, so its list holds exactly the
-  // moves it just staged.
-  const std::vector<StagedMove>& moves =
-      grid_.block_moves[static_cast<size_t>(doc_block) *
-                            grid_.plan.num_word_blocks +
-                        word_block];
+  const size_t block =
+      static_cast<size_t>(doc_block) * grid_.plan.num_word_blocks + word_block;
+  // A whole-item span reports the moves it commits in place; any other span
+  // stages them in the block's list, which (the block ran once this span)
+  // holds exactly its moves. Only one of the two is non-empty.
+  out->moves.clear();
+  RunBlockInto(doc_block, word_block, worker, &out->moves);
+  const std::vector<StagedMove>& staged = grid_.block_moves[block];
+  out->moves.insert(out->moves.end(), staged.begin(), staged.end());
   out->stage = begin;
   out->doc_block = doc_block;
   out->word_block = word_block;
-  out->moves.clear();
-  out->moves.reserve(moves.size());
-  for (const StagedMove& mv : moves) {
-    out->moves.push_back({mv.pos, mv.item, mv.from, mv.to});
-  }
   out->proposals.clear();
   bool word_axis = false;
   if (SpanWritesProposals(begin, &word_axis)) {
-    const BlockIndex& ix =
-        (word_axis ? grid_.word_ix : grid_.doc_ix)
-            [static_cast<size_t>(doc_block) * grid_.plan.num_word_blocks +
-             word_block];
+    const BlockIndex& ix = (word_axis ? grid_.word_ix : grid_.doc_ix)[block];
     const uint32_t m = std::max(1u, config_.mh_steps);
-    out->proposals.reserve(ix.positions.size() * m);
-    for (uint64_t pos : ix.positions) {
-      for (uint32_t j = 0; j < m; ++j) {
-        out->proposals.push_back(proposals_[pos * m + j]);
+    out->proposals.reserve(ix.tokens * m);
+    for (const BlockSegment& seg : ix.segments) {
+      const TokenPositions positions = Positions(ix, seg, word_axis);
+      for (uint32_t i = 0; i < positions.size; ++i) {
+        const TopicId* slot = &proposals_[positions[i] * m];
+        out->proposals.insert(out->proposals.end(), slot, slot + m);
       }
     }
   }
@@ -1474,9 +1359,10 @@ bool WarpLdaSampler::ApplyBlockDelta(const GridBlockDelta& delta,
     const BlockIndex& mix = (word_items ? grid_.word_ix : grid_.doc_ix)[block];
     size_t next = 0;
     for (const BlockSegment& seg : mix.segments) {
-      for (uint32_t p = seg.begin; p < seg.end && next < delta.moves.size();
+      const TokenPositions positions = Positions(mix, seg, word_items);
+      for (uint32_t p = 0; p < positions.size && next < delta.moves.size();
            ++p) {
-        if (delta.moves[next].pos != mix.positions[p]) continue;
+        if (delta.moves[next].pos != positions[p]) continue;
         if (delta.moves[next].item != seg.item) {
           return fail("delta move item is not its token's segment");
         }
@@ -1492,7 +1378,7 @@ bool WarpLdaSampler::ApplyBlockDelta(const GridBlockDelta& delta,
   const BlockIndex& ix = (word_axis ? grid_.word_ix : grid_.doc_ix)[block];
   const uint32_t m = std::max(1u, config_.mh_steps);
   const size_t expected_proposals =
-      has_proposals ? ix.positions.size() * static_cast<size_t>(m) : 0;
+      has_proposals ? ix.tokens * static_cast<size_t>(m) : 0;
   if (delta.proposals.size() != expected_proposals) {
     return fail("delta proposal count " +
                 std::to_string(delta.proposals.size()) + " (expected " +
@@ -1507,17 +1393,18 @@ bool WarpLdaSampler::ApplyBlockDelta(const GridBlockDelta& delta,
   // gives local work (scratch_[0] always exists: Init sizes the pool to at
   // least one).
   std::vector<StagedMove>& moves = grid_.block_moves[block];
+  moves.insert(moves.end(), delta.moves.begin(), delta.moves.end());
   ThreadScratch& s = scratch_[0];
   for (const GridBlockDelta::Move& mv : delta.moves) {
-    moves.push_back({mv.pos, mv.item, mv.from, mv.to});
     --s.ck_delta[mv.from];
     ++s.ck_delta[mv.to];
   }
   if (has_proposals) {
-    size_t i = 0;
-    for (uint64_t pos : ix.positions) {
-      for (uint32_t j = 0; j < m; ++j) {
-        proposals_[pos * m + j] = delta.proposals[i++];
+    const TopicId* next = delta.proposals.data();
+    for (const BlockSegment& seg : ix.segments) {
+      const TokenPositions positions = Positions(ix, seg, word_axis);
+      for (uint32_t i = 0; i < positions.size; ++i, next += m) {
+        std::copy(next, next + m, &proposals_[positions[i] * m]);
       }
     }
   }

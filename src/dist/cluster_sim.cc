@@ -138,8 +138,8 @@ IterationTiming ClusterSim::RunSweep(GridSampler& sampler,
   // block-wise execution on one machine pays simulation-only overhead
   // (per-block column/row rescans, staged-write copies) that a real worker
   // would not, so its wall time is not a fair compute cost. Callers wanting
-  // measured costs should time the fused Iterate() path and put the result
-  // in ClusterConfig::per_token_ns (fig6 does exactly that).
+  // measured costs should time Iterate() (the single-block sweep) and put
+  // the result in ClusterConfig::per_token_ns (fig6 does exactly that).
   return Model(config_.per_token_ns);
 }
 

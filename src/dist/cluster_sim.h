@@ -94,9 +94,9 @@ class ClusterSim {
   /// rotation schedule would), then returns the iteration priced by the
   /// analytic model at the *configured* per-token cost — single-machine
   /// block execution pays simulation-only overhead, so its own wall time is
-  /// not a fair compute cost (measure the fused Iterate() path for that, as
-  /// fig6 does). The samples produced are identical to a serial Iterate() —
-  /// grid execution is exact, see core/sweep_plan.h.
+  /// not a fair compute cost (time Iterate(), the trivial-plan sweep, for
+  /// that, as fig6 does). The samples produced are identical to Iterate()'s
+  /// — grid execution is exact, see core/sweep_plan.h.
   ///
   /// When `executor` is non-null the stage's blocks run concurrently on its
   /// thread pool (the executor's wavefront order is this same rotation

@@ -885,11 +885,10 @@ DistResult RunDistributedSweeps(GridSampler& sampler, const Corpus& corpus,
 
   coord.result.block_owner = coord.owner;
   coord.result.final_epoch = coord.epoch;
-  if (coord.result.error.empty()) {
-    coord.result.ok = true;
-    // The trailing mask would leak into later single-process use.
-    sampler.SetLocalBlocks({});
-  }
+  if (coord.result.error.empty()) coord.result.ok = true;
+  // The trailing mask would leak into later single-process use, where
+  // Iterate()'s trivial plan rejects a mask sized for this grid.
+  sampler.SetLocalBlocks({});
   return coord.result;
 }
 

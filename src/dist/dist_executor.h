@@ -35,8 +35,8 @@ namespace warplda {
 /// Determinism: grid execution is exact (core/sweep_plan.h) — per-token RNG
 /// streams and delayed counts make a sweep's samples independent of where
 /// blocks run. A completed distributed sweep is therefore bit-identical to
-/// single-process Iterate(), which the test matrix asserts under every fault
-/// below.
+/// Iterate() — the same sweep on the trivial plan in one process — which
+/// the test matrix asserts under every fault below.
 ///
 /// Fault tolerance:
 ///  * every socket edge runs the FrameChannel robustness envelope —

@@ -20,9 +20,8 @@ enum class PartitionStrategy {
   /// Uniform random assignment (seeded): the baseline every parameter-server
   /// system gets by hashing ids.
   kStatic,
-  /// Contiguous ranges split at equal prefix-sum targets — the same scheme
-  /// SparseMatrix::ParallelFor uses to balance threads. Keeps items in order
-  /// (cheap range metadata) but granularity is limited to whole items.
+  /// Contiguous ranges split at equal prefix-sum targets. Keeps items in
+  /// order (cheap range metadata) but granularity is limited to whole items.
   kDynamic,
   /// Greedy LPT: heaviest item first onto the least-loaded partition.
   /// Near-optimal until a single item outweighs total/P, which no

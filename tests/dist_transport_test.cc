@@ -523,6 +523,28 @@ TEST(DistExecutorTest, BlockWeightsCoverEveryToken) {
   EXPECT_EQ(total, corpus.num_tokens());
 }
 
+// A run that loses every worker fails, and the coordinator's sampler must
+// stay usable for single-process training: abort the open sweep, then
+// Iterate() on the trivial plan (no ownership mask left behind).
+TEST(DistExecutorTest, FailedRunLeavesSamplerUsableForIterate) {
+  Corpus corpus = DistTestCorpus();
+  WarpLdaSampler sampler;
+  sampler.Init(corpus, DistTestConfig());
+  SweepPlan plan = MakeSweepPlan(corpus, 2, 2, PartitionStrategy::kGreedy);
+  DistConfig config;
+  config.num_workers = 1;
+  config.iterations = 2;
+  config.kill.worker = 0;
+  config.kill.barrier = 1;
+  const DistResult result = RunDistributedSweeps(sampler, corpus, plan, config);
+  ASSERT_FALSE(result.ok);
+  sampler.AbortSweep();
+  EXPECT_NO_THROW(sampler.Iterate());
+  std::vector<int64_t> counts(DistTestConfig().num_topics, 0);
+  for (TopicId topic : sampler.Assignments()) ++counts[topic];
+  EXPECT_EQ(sampler.topic_counts(), counts);
+}
+
 TEST(DistExecutorTest, RejectsInvalidConfigurations) {
   Corpus corpus = DistTestCorpus();
   WarpLdaSampler sampler;

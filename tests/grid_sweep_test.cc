@@ -93,23 +93,6 @@ TEST(GridSweepTest, BlockOrderAndRectangularGridsDoNotChangeSamples) {
   EXPECT_EQ(canonical.Assignments(), reversed.Assignments());
 }
 
-// Per-token RNG streams also decouple results from the thread count.
-TEST(GridSweepTest, ThreadCountDoesNotChangeSamples) {
-  Corpus corpus = TestCorpus();
-  LdaConfig config = TestConfig();
-  WarpLdaOptions threaded;
-  threaded.num_threads = 4;
-  WarpLdaSampler one(WarpLdaOptions{});
-  WarpLdaSampler four(threaded);
-  one.Init(corpus, config);
-  four.Init(corpus, config);
-  for (int sweep = 0; sweep < 3; ++sweep) {
-    one.Iterate();
-    four.Iterate();
-  }
-  EXPECT_EQ(one.Assignments(), four.Assignments());
-}
-
 TEST(GridSweepTest, ClusterSimRunSweepProducesSerialSamples) {
   Corpus corpus = TestCorpus();
   LdaConfig config = TestConfig();
@@ -153,7 +136,7 @@ TEST(GridSweepTest, SweepProtocolViolationsThrow) {
   sampler.BeginSweep(plan);
   EXPECT_EQ(sampler.sweep_stage(), SweepStage::kWordAccept);
   EXPECT_THROW(sampler.BeginSweep(plan), std::logic_error);  // nested sweep
-  EXPECT_THROW(sampler.Iterate(), std::logic_error);         // fused mid-sweep
+  EXPECT_THROW(sampler.Iterate(), std::logic_error);         // nested sweep
   EXPECT_THROW(sampler.EndStage(), std::logic_error);  // blocks missing
   sampler.RunBlock(0, 0);
   EXPECT_THROW(sampler.RunBlock(0, 0), std::logic_error);  // block ran twice
@@ -179,13 +162,13 @@ TEST(GridSweepTest, SweepProtocolViolationsThrow) {
   EXPECT_NO_THROW(sampler.Iterate());
 }
 
-// The full bit-identity matrix for the stage-fusion work: fused spans,
-// the four-stage schedule, SIMD and scalar kernels, and 1/2/8 executor
-// threads must all reproduce the serial Iterate() trajectory exactly — on
-// plans that trigger every fusion shape (1x4 fuses [wa,wp] per column,
-// 4x1 fuses [da,dp] per row, Trivial fuses both, 8x8 fuses only [wp,da])
-// and with an asymmetric α so the doc-proposal prior alias is exercised.
-TEST(GridSweepTest, FusionKernelThreadMatrixMatchesIterate) {
+// The bit-identity matrix for stage fusion: fused spans, the four-stage
+// schedule and 1/2/8 executor threads must all reproduce the Iterate()
+// trajectory exactly — on plans that trigger every fusion shape (1x4 fuses
+// [wa,wp] per column, 4x1 fuses [wp,da], Trivial fuses [wa,wp] and [da,dp],
+// 8x8 fuses only [wp,da]) and with an asymmetric α so the doc-proposal
+// prior alias is exercised.
+TEST(GridSweepTest, FusionThreadMatrixMatchesIterate) {
   Corpus corpus = TestCorpus();
   LdaConfig config = TestConfig();
   config.alpha_vector.assign(config.num_topics, 0.08);
@@ -209,22 +192,19 @@ TEST(GridSweepTest, FusionKernelThreadMatrixMatchesIterate) {
   };
   for (const NamedPlan& np : plans) {
     for (StageFusion fusion : {StageFusion::kNone, StageFusion::kAuto}) {
-      for (bool force_scalar : {false, true}) {
-        for (uint32_t threads : {1u, 2u, 8u}) {
-          WarpLdaOptions options;
-          options.fusion = fusion;
-          options.force_scalar_kernels = force_scalar;
-          WarpLdaSampler grid(options);
-          grid.Init(corpus, config);
-          ParallelExecutor executor(threads);
-          for (int sweep = 0; sweep < 2; ++sweep) {
-            executor.RunSweep(grid, np.plan);
-          }
-          EXPECT_EQ(grid.Assignments(), expected)
-              << "plan " << np.name << " fusion "
-              << (fusion == StageFusion::kAuto ? "auto" : "none")
-              << " scalar " << force_scalar << " threads " << threads;
+      for (uint32_t threads : {1u, 2u, 8u}) {
+        WarpLdaOptions options;
+        options.fusion = fusion;
+        WarpLdaSampler grid(options);
+        grid.Init(corpus, config);
+        ParallelExecutor executor(threads);
+        for (int sweep = 0; sweep < 2; ++sweep) {
+          executor.RunSweep(grid, np.plan);
         }
+        EXPECT_EQ(grid.Assignments(), expected)
+            << "plan " << np.name << " fusion "
+            << (fusion == StageFusion::kAuto ? "auto" : "none") << " threads "
+            << threads;
       }
     }
   }

@@ -195,6 +195,23 @@ TEST(IntegrationTest, TracedWarpLdaFootprintSmallerThanLightLda) {
   warp.set_tracer(&warp_stats);
   warp.Iterate();
 
+  // Trace fidelity: the sweep visits each non-empty word and document as
+  // one scope that builds its count table (one traced write) and probes it
+  // once per non-self proposal. Access and scope counts are exact.
+  EXPECT_EQ(warp_stats.random_accesses(), 23746u);
+  EXPECT_EQ(warp_stats.scopes(), 1988u);
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  // Bytes per scope count distinct 64-byte lines, so they also depend on
+  // where the allocator puts the count table (its address modulo 64), and
+  // sanitizer allocators put it elsewhere. Under the default allocator the
+  // largest table spans 17 lines, and the mean stays within 0.1% of the
+  // 8487 lines first measured: a scope traced twice or a table traced at
+  // the wrong size moves it far more.
+  EXPECT_NEAR(warp_stats.mean_random_bytes_per_scope(), 64.0 * 8487 / 1988,
+              0.001 * 64.0 * 8487 / 1988);
+  EXPECT_EQ(warp_stats.max_random_bytes_per_scope(), 1088u);
+#endif
+
   AccessStats light_stats;
   LightLdaSampler light;
   light.Init(corpus, lda);

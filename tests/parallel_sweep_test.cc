@@ -259,9 +259,7 @@ TEST(ParallelSweepTest, WorkerReservationIsEnforced) {
   WarpLdaSampler sampler;
   EXPECT_THROW(sampler.ReserveWorkers(2), std::logic_error);  // before Init
 
-  WarpLdaOptions two_threads;
-  two_threads.num_threads = 2;
-  WarpLdaSampler initialized(two_threads);
+  WarpLdaSampler initialized;
   initialized.Init(corpus, TestConfig());
   SweepPlan plan = MakeSweepPlan(corpus, 2, 2);
   initialized.BeginSweep(plan);
@@ -374,66 +372,90 @@ TEST(BarrierRunnerTest, PooledAndInlineBarriersMatchIterate) {
 
 // Under a SetLocalBlocks filter only the owned blocks' items are rebuilt
 // and the rest arrive as deltas; pooled and inline barriers must still
-// agree with an unfiltered sampler.
+// agree with an unfiltered sampler. The plans cover every span shape:
+// trivial and 1x4 run whole-item spans, whose local blocks commit z in
+// place and report those moves in RunBlockCaptured's delta; 4x1 and 8x8
+// stage every move. Each plan runs with the owned set and its complement,
+// so the one block of the trivial plan is both injected and run locally.
 TEST(BarrierRunnerTest, PooledBarrierMatchesInlineUnderLocalBlockFilter) {
   Corpus corpus = BarrierCorpus();
   LdaConfig config = BarrierConfig();
-  const SweepPlan plan =
-      MakeSweepPlan(corpus, 8, 8, PartitionStrategy::kGreedy);
-  const uint32_t num_blocks = plan.num_doc_blocks * plan.num_word_blocks;
-  std::vector<char> owned(num_blocks, 0);
-  for (uint32_t b = 0; b < num_blocks; ++b) owned[b] = b % 3 == 1;
-
-  WarpLdaSampler source;
-  source.Init(corpus, config);
-  WarpLdaSampler pooled;
-  pooled.Init(corpus, config);
-  pooled.SetLocalBlocks(owned);
-  WarpLdaSampler inlined;
-  inlined.Init(corpus, config);
-  inlined.SetLocalBlocks(owned);
+  struct NamedPlan {
+    const char* name;
+    SweepPlan plan;
+  };
+  const NamedPlan plans[] = {
+      {"trivial", SweepPlan::Trivial()},
+      {"1x4", MakeSweepPlan(corpus, 1, 4, PartitionStrategy::kGreedy)},
+      {"4x1", MakeSweepPlan(corpus, 4, 1, PartitionStrategy::kGreedy)},
+      {"8x8", MakeSweepPlan(corpus, 8, 8, PartitionStrategy::kGreedy)},
+  };
   ParallelExecutor executor(4);
   const TaskRunner pool = Pooled(executor);
-  pooled.ReserveWorkers(executor.num_threads());
+  for (const NamedPlan& np : plans) {
+    for (bool invert : {false, true}) {
+      SCOPED_TRACE(std::string("plan ") + np.name +
+                   (invert ? " complement" : ""));
+      const SweepPlan& plan = np.plan;
+      const uint32_t num_blocks = plan.num_doc_blocks * plan.num_word_blocks;
+      std::vector<char> owned(num_blocks, 0);
+      for (uint32_t b = 0; b < num_blocks; ++b) {
+        owned[b] = (b % 3 == 1) != invert;
+      }
 
-  for (int sweep = 0; sweep < 2; ++sweep) {
-    source.BeginSweep(plan);
-    pooled.BeginSweep(plan, pool);
-    inlined.BeginSweep(plan);
-    while (source.sweep_stage() != SweepStage::kDone) {
-      ASSERT_EQ(pooled.sweep_stage(), source.sweep_stage());
-      std::vector<GridBlockDelta> deltas(num_blocks);
-      for (uint32_t b = 0; b < num_blocks; ++b) {
-        ASSERT_TRUE(source.RunBlockCaptured(b / plan.num_word_blocks,
-                                            b % plan.num_word_blocks, 0,
-                                            &deltas[b]));
-      }
-      executor.Run(num_blocks, [&](uint32_t worker, uint32_t b) {
-        if (owned[b]) {
-          pooled.RunBlock(b / plan.num_word_blocks, b % plan.num_word_blocks,
-                          worker);
+      WarpLdaSampler source;
+      source.Init(corpus, config);
+      WarpLdaSampler pooled;
+      pooled.Init(corpus, config);
+      pooled.SetLocalBlocks(owned);
+      WarpLdaSampler inlined;
+      inlined.Init(corpus, config);
+      inlined.SetLocalBlocks(owned);
+      pooled.ReserveWorkers(executor.num_threads());
+
+      for (int sweep = 0; sweep < 2; ++sweep) {
+        source.BeginSweep(plan);
+        pooled.BeginSweep(plan, pool);
+        inlined.BeginSweep(plan);
+        while (source.sweep_stage() != SweepStage::kDone) {
+          ASSERT_EQ(pooled.sweep_stage(), source.sweep_stage());
+          std::vector<GridBlockDelta> deltas(num_blocks);
+          for (uint32_t b = 0; b < num_blocks; ++b) {
+            ASSERT_TRUE(source.RunBlockCaptured(b / plan.num_word_blocks,
+                                                b % plan.num_word_blocks, 0,
+                                                &deltas[b]));
+          }
+          executor.Run(num_blocks, [&](uint32_t worker, uint32_t b) {
+            if (owned[b]) {
+              pooled.RunBlock(b / plan.num_word_blocks,
+                              b % plan.num_word_blocks, worker);
+            }
+          });
+          std::string error;
+          for (uint32_t b = 0; b < num_blocks; ++b) {
+            if (owned[b]) {
+              inlined.RunBlock(b / plan.num_word_blocks,
+                               b % plan.num_word_blocks);
+            } else {
+              ASSERT_TRUE(pooled.ApplyBlockDelta(deltas[b], &error)) << error;
+              ASSERT_TRUE(inlined.ApplyBlockDelta(deltas[b], &error)) << error;
+            }
+          }
+          source.EndStage();
+          pooled.EndStage(pool);
+          inlined.EndStage();
         }
-      });
-      std::string error;
-      for (uint32_t b = 0; b < num_blocks; ++b) {
-        if (owned[b]) {
-          inlined.RunBlock(b / plan.num_word_blocks, b % plan.num_word_blocks);
-        } else {
-          ASSERT_TRUE(pooled.ApplyBlockDelta(deltas[b], &error)) << error;
-          ASSERT_TRUE(inlined.ApplyBlockDelta(deltas[b], &error)) << error;
-        }
+        source.EndSweep();
+        pooled.EndSweep();
+        inlined.EndSweep();
+        ASSERT_EQ(pooled.Assignments(), source.Assignments())
+            << "sweep " << sweep;
+        ASSERT_EQ(inlined.Assignments(), source.Assignments())
+            << "sweep " << sweep;
+        ASSERT_EQ(pooled.topic_counts(), source.topic_counts());
+        ASSERT_EQ(inlined.topic_counts(), source.topic_counts());
       }
-      source.EndStage();
-      pooled.EndStage(pool);
-      inlined.EndStage();
     }
-    source.EndSweep();
-    pooled.EndSweep();
-    inlined.EndSweep();
-    ASSERT_EQ(pooled.Assignments(), source.Assignments()) << "sweep " << sweep;
-    ASSERT_EQ(inlined.Assignments(), source.Assignments()) << "sweep " << sweep;
-    ASSERT_EQ(pooled.topic_counts(), source.topic_counts());
-    ASSERT_EQ(inlined.topic_counts(), source.topic_counts());
   }
 }
 

@@ -1,11 +1,7 @@
-// Randomized property tests of the SparseMatrix visit framework: for
-// arbitrary shapes and thread counts, row and column views must expose the
-// same entries, visits must cover every entry exactly once, and the
-// entry-balanced parallel scheduler must neither skip nor duplicate work.
+// Randomized property tests of the SparseMatrix layout: for arbitrary
+// shapes, row and column views must expose the same entries, and walking
+// every column (or every row) must cover every entry exactly once.
 #include <algorithm>
-#include <atomic>
-#include <mutex>
-#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,7 +18,6 @@ struct MatrixShape {
   uint32_t cols;
   uint32_t entries;
   double col_skew;  // columns drawn from Zipf(col_skew): skewed loads
-  uint32_t threads;
   uint64_t seed;
 };
 
@@ -54,47 +49,53 @@ SparseMatrix<int64_t> RandomMatrix(const MatrixShape& shape,
 class SparseMatrixPropertyTest
     : public ::testing::TestWithParam<MatrixShape> {};
 
-TEST_P(SparseMatrixPropertyTest, ColumnVisitCoversEachEntryOnce) {
+TEST_P(SparseMatrixPropertyTest, ColumnsCoverEachEntryOnce) {
   std::vector<std::pair<uint32_t, uint32_t>> positions;
   auto m = RandomMatrix(GetParam(), &positions);
-  std::vector<std::atomic<int>> seen(GetParam().entries);
-  m.VisitByColumn(
-      [&](int, uint32_t, std::span<int64_t> data) {
-        for (int64_t v : data) seen[static_cast<size_t>(v)]++;
-      },
-      GetParam().threads);
-  for (const auto& count : seen) EXPECT_EQ(count.load(), 1);
+  std::vector<int> seen(GetParam().entries);
+  uint64_t offset = 0;
+  for (uint32_t c = 0; c < m.num_cols(); ++c) {
+    ASSERT_EQ(m.col_offset(c), offset);
+    ASSERT_EQ(m.col_size(c), m.col_data(c).size());
+    offset += m.col_size(c);
+    for (int64_t v : m.col_data(c)) seen[static_cast<size_t>(v)]++;
+  }
+  for (int count : seen) EXPECT_EQ(count, 1);
 }
 
-TEST_P(SparseMatrixPropertyTest, RowVisitCoversEachEntryOnce) {
+TEST_P(SparseMatrixPropertyTest, RowsCoverEachEntryOnce) {
   std::vector<std::pair<uint32_t, uint32_t>> positions;
   auto m = RandomMatrix(GetParam(), &positions);
-  std::vector<std::atomic<int>> seen(GetParam().entries);
-  m.VisitByRow(
-      [&](int, uint32_t, SparseMatrix<int64_t>::RowView row) {
-        for (uint32_t i = 0; i < row.size(); ++i) {
-          seen[static_cast<size_t>(row[i])]++;
-        }
-      },
-      GetParam().threads);
-  for (const auto& count : seen) EXPECT_EQ(count.load(), 1);
+  std::vector<int> seen(GetParam().entries);
+  for (uint32_t r = 0; r < m.num_rows(); ++r) {
+    auto row = m.row(r);
+    const std::span<const uint64_t> index = m.row_positions(r);
+    ASSERT_EQ(index.size(), row.size());
+    for (uint32_t i = 0; i < row.size(); ++i) {
+      EXPECT_EQ(m.entry_data(index[i]), row[i]);
+      seen[static_cast<size_t>(row[i])]++;
+    }
+  }
+  for (int count : seen) EXPECT_EQ(count, 1);
 }
 
 TEST_P(SparseMatrixPropertyTest, RowViewMatchesInsertedPositions) {
   std::vector<std::pair<uint32_t, uint32_t>> positions;
   auto m = RandomMatrix(GetParam(), &positions);
-  m.VisitByRow([&](int, uint32_t r, SparseMatrix<int64_t>::RowView row) {
+  for (uint32_t r = 0; r < m.num_rows(); ++r) {
+    auto row = m.row(r);
     for (uint32_t i = 0; i < row.size(); ++i) {
       int64_t insertion = row[i];
       EXPECT_EQ(positions[static_cast<size_t>(insertion)].first, r);
     }
-  });
+  }
 }
 
 TEST_P(SparseMatrixPropertyTest, ColumnsSortedByRow) {
   std::vector<std::pair<uint32_t, uint32_t>> positions;
   auto m = RandomMatrix(GetParam(), &positions);
-  m.VisitByColumn([&](int, uint32_t c, std::span<int64_t> data) {
+  for (uint32_t c = 0; c < m.num_cols(); ++c) {
+    std::span<int64_t> data = m.col_data(c);
     uint32_t prev_row = 0;
     for (size_t i = 0; i < data.size(); ++i) {
       const auto& pos = positions[static_cast<size_t>(data[i])];
@@ -104,7 +105,7 @@ TEST_P(SparseMatrixPropertyTest, ColumnsSortedByRow) {
       }
       prev_row = pos.first;
     }
-  });
+  }
 }
 
 TEST_P(SparseMatrixPropertyTest, CscPositionRoundTrips) {
@@ -118,39 +119,33 @@ TEST_P(SparseMatrixPropertyTest, CscPositionRoundTrips) {
 TEST_P(SparseMatrixPropertyTest, MutationsVisibleAcrossOrientations) {
   std::vector<std::pair<uint32_t, uint32_t>> positions;
   auto m = RandomMatrix(GetParam(), &positions);
-  m.VisitByColumn(
-      [&](int, uint32_t, std::span<int64_t> data) {
-        for (auto& v : data) v = -v - 1;
-      },
-      GetParam().threads);
+  for (uint32_t c = 0; c < m.num_cols(); ++c) {
+    for (auto& v : m.col_data(c)) v = -v - 1;
+  }
   int64_t expected = 0;
   for (uint32_t i = 0; i < GetParam().entries; ++i) {
     expected += -static_cast<int64_t>(i) - 1;
   }
-  std::atomic<int64_t> total{0};
-  m.VisitByRow(
-      [&](int, uint32_t, SparseMatrix<int64_t>::RowView row) {
-        int64_t local = 0;
-        for (uint32_t i = 0; i < row.size(); ++i) local += row[i];
-        total += local;
-      },
-      GetParam().threads);
-  EXPECT_EQ(total.load(), expected);
+  int64_t total = 0;
+  for (uint32_t r = 0; r < m.num_rows(); ++r) {
+    auto row = m.row(r);
+    for (uint32_t i = 0; i < row.size(); ++i) total += row[i];
+  }
+  EXPECT_EQ(total, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, SparseMatrixPropertyTest,
-    ::testing::Values(MatrixShape{1, 1, 1, 0.0, 1, 1},
-                      MatrixShape{10, 10, 50, 0.5, 1, 2},
-                      MatrixShape{100, 30, 1000, 1.5, 4, 3},
-                      MatrixShape{50, 500, 2000, 2.0, 3, 4},
-                      MatrixShape{300, 300, 5000, 1.0, 8, 5},
-                      MatrixShape{7, 1000, 400, 2.5, 2, 6}),
+    ::testing::Values(MatrixShape{1, 1, 1, 0.0, 1},
+                      MatrixShape{10, 10, 50, 0.5, 2},
+                      MatrixShape{100, 30, 1000, 1.5, 3},
+                      MatrixShape{50, 500, 2000, 2.0, 4},
+                      MatrixShape{300, 300, 5000, 1.0, 5},
+                      MatrixShape{7, 1000, 400, 2.5, 6}),
     [](const auto& pinfo) {
       const auto& s = pinfo.param;
       return "r" + std::to_string(s.rows) + "c" + std::to_string(s.cols) +
-             "e" + std::to_string(s.entries) + "t" +
-             std::to_string(s.threads);
+             "e" + std::to_string(s.entries);
     });
 
 }  // namespace

@@ -1,7 +1,7 @@
 #include "core/sparse_matrix.h"
 
-#include <atomic>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -75,11 +75,10 @@ TEST(SparseMatrixTest, CscPositionMapsInsertionOrder) {
   EXPECT_EQ(m.entry_data(m.csc_position(5)), 15);
 }
 
-TEST(SparseMatrixTest, EntryIndexAlignsRowAndColumnViews) {
+TEST(SparseMatrixTest, RowPositionsAlignRowAndColumnViews) {
   auto m = MakeMatrix();
-  auto row2 = m.row(2);
-  // row2's first entry is (2,1): its CSC position must be within column 1.
-  uint64_t pos = row2.entry_index(0);
+  // Row 2's first entry is (2,1): its CSC position must be within column 1.
+  uint64_t pos = m.row_positions(2)[0];
   EXPECT_GE(pos, m.col_offset(1));
   EXPECT_LT(pos, m.col_offset(2));
 }
@@ -95,69 +94,41 @@ TEST(SparseMatrixTest, MultipleEntriesPerCell) {
   EXPECT_EQ(col[0] + col[1], 3);
 }
 
-TEST(SparseMatrixTest, VisitByColumnCoversEveryEntryOnce) {
+TEST(SparseMatrixTest, ColumnsCoverEveryEntryOnce) {
   auto m = MakeMatrix();
   int sum = 0;
-  m.VisitByColumn([&](int, uint32_t, std::span<int> data) {
+  for (uint32_t c = 0; c < m.num_cols(); ++c) {
+    std::span<int> data = m.col_data(c);
     sum = std::accumulate(data.begin(), data.end(), sum);
-  });
+  }
   EXPECT_EQ(sum, 10 + 11 + 12 + 13 + 14 + 15);
 }
 
-TEST(SparseMatrixTest, VisitByRowCoversEveryEntryOnce) {
+TEST(SparseMatrixTest, RowsCoverEveryEntryOnce) {
   auto m = MakeMatrix();
   int sum = 0;
-  m.VisitByRow([&](int, uint32_t, SparseMatrix<int>::RowView row) {
+  for (uint32_t r = 0; r < m.num_rows(); ++r) {
+    auto row = m.row(r);
     for (uint32_t i = 0; i < row.size(); ++i) sum += row[i];
-  });
+  }
   EXPECT_EQ(sum, 75);
 }
 
-TEST(SparseMatrixTest, AlternatingVisitsSeeEachOthersWrites) {
+TEST(SparseMatrixTest, ColumnAndRowWritesSeeEachOther) {
   auto m = MakeMatrix();
-  m.VisitByColumn([&](int, uint32_t, std::span<int> data) {
-    for (auto& v : data) v += 1;
-  });
-  m.VisitByRow([&](int, uint32_t, SparseMatrix<int>::RowView row) {
-    for (uint32_t i = 0; i < row.size(); ++i) row[i] *= 2;
-  });
-  int sum = 0;
-  m.VisitByColumn([&](int, uint32_t, std::span<int> data) {
-    sum = std::accumulate(data.begin(), data.end(), sum);
-  });
-  EXPECT_EQ(sum, (75 + 6) * 2);
-}
-
-TEST(SparseMatrixTest, ParallelVisitMatchesSerial) {
-  SparseMatrix<int> m;
-  const uint32_t rows = 64;
-  const uint32_t cols = 32;
-  m.Reset(rows, cols);
-  int expected = 0;
-  for (uint32_t r = 0; r < rows; ++r) {
-    for (uint32_t c = r % 3; c < cols; c += 3) {
-      m.AddEntry(r, c, static_cast<int>(r + c));
-      expected += static_cast<int>(r + c);
-    }
+  for (uint32_t c = 0; c < m.num_cols(); ++c) {
+    for (auto& v : m.col_data(c)) v += 1;
   }
-  m.Finalize();
-  std::atomic<int> sum{0};
-  m.VisitByColumn(
-      [&](int, uint32_t, std::span<int> data) {
-        int local = std::accumulate(data.begin(), data.end(), 0);
-        sum += local;
-      },
-      4);
-  EXPECT_EQ(sum.load(), expected);
-  sum = 0;
-  m.VisitByRow(
-      [&](int, uint32_t, SparseMatrix<int>::RowView row) {
-        int local = 0;
-        for (uint32_t i = 0; i < row.size(); ++i) local += row[i];
-        sum += local;
-      },
-      4);
-  EXPECT_EQ(sum.load(), expected);
+  for (uint32_t r = 0; r < m.num_rows(); ++r) {
+    auto row = m.row(r);
+    for (uint32_t i = 0; i < row.size(); ++i) row[i] *= 2;
+  }
+  int sum = 0;
+  for (uint32_t c = 0; c < m.num_cols(); ++c) {
+    std::span<int> data = m.col_data(c);
+    sum = std::accumulate(data.begin(), data.end(), sum);
+  }
+  EXPECT_EQ(sum, (75 + 6) * 2);
 }
 
 TEST(SparseMatrixTest, EmptyRowsAndColumns) {

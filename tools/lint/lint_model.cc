@@ -374,9 +374,7 @@ bool IsHotFunction(const std::string& name) {
   if (name.find("Segment") != std::string::npos) return true;
   if (StartsWith(name, "Derive") || StartsWith(name, "ComputeAccept"))
     return true;
-  if (name == "Iterate" || name == "WordPhase" || name == "DocPhase" ||
-      name == "AcceptChain")
-    return true;
+  if (name == "Iterate" || name == "AcceptChain") return true;
   if (StartsWith(name, "Draw") || StartsWith(name, "Sample")) return true;
   // Barrier tasks (*Range) run on every worker at once, on disjoint item
   // ranges; a lock or atomic there serializes the barrier they split.
@@ -386,7 +384,8 @@ bool IsHotFunction(const std::string& name) {
 }
 
 bool IsContractHotBody(const std::string& name) {
-  if (name == "RunBlock" || name == "RunBlockCaptured" || name == "RunTasks")
+  if (name == "RunBlock" || name == "RunBlockInto" ||
+      name == "RunBlockCaptured" || name == "RunTasks")
     return true;
   if (StartsWith(name, "Run") && name.size() >= 4 &&
       name.compare(name.size() - 4, 4, "Part") == 0)

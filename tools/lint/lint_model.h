@@ -104,16 +104,16 @@ std::vector<BodyRange> ExtractMethodBodies(const SourceFile& f);
 std::vector<BodyRange> ExtractFreeFunctionBodies(const SourceFile& f);
 
 // Broad hot-path predicate used by warplint-hotpath-sync (anything that can
-// run inside a sweep's token loops, including the fused serial phases, and
-// the *Range barrier tasks the workers run between stages).
+// run inside a sweep's token loops, and the *Range barrier tasks the workers
+// run between stages).
 bool IsHotFunction(const std::string& name);
 
 // Tight concurrent-grid-body predicate used by the contract and rng-stream
 // passes: only bodies that run on worker threads *between* stage barriers,
 // where writes to shared state are races by construction. Deliberately
-// excludes WordPhase/DocPhase/Iterate (serial fused path, direct count
-// updates are legal there) and barrier-side helpers like ApplyStagedMoves /
-// ApplyBlockDelta, and is substring-safe (PartitionStatic is not "hot").
+// excludes Iterate (it drives a whole sweep from one thread) and
+// barrier-side helpers like ApplyStagedMoves / ApplyBlockDelta, and is
+// substring-safe (PartitionStatic is not "hot").
 bool IsContractHotBody(const std::string& name);
 
 // ------------------------------------------------------------ class model ---

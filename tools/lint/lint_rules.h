@@ -81,7 +81,7 @@ void CheckObsOrphans(const std::vector<SourceFile>& files,
                      std::vector<Finding>* out);
 
 // Seeded Rng construction inside concurrent grid bodies that does not flow
-// from a per-token stream derivation (StreamRng / RngFromState).
+// from a per-token stream derivation (StreamRng).
 void CheckRngStream(const SourceFile& f, std::vector<Finding>* out);
 
 // NOLINT(warplint-*) suppressions whose target line no longer triggers the

@@ -7,7 +7,7 @@
 //                         registry (null-deref / invisible metric).
 //   warplint-rng-stream   seeded Rng construction inside a concurrent grid
 //                         body that does not flow from the per-token stream
-//                         derivation (StreamRng / RngFromState) — such an
+//                         derivation (StreamRng) — such an
 //                         Rng repeats the same sequence for every block and
 //                         silently correlates proposals across workers.
 //   warplint-stale-nolint suppressions whose target line no longer
@@ -260,7 +260,7 @@ void CheckRngStream(const SourceFile& f, std::vector<Finding>* out) {
             {f.rel, ln, "rng-stream",
              "re-seeding an Rng inside concurrent body '" + b.name +
                  "' — derive it from the per-token stream "
-                 "(WarpLdaSampler::StreamRng / simd::RngFromState) so "
+                 "(WarpLdaSampler::StreamRng) so "
                  "draws stay block-order independent",
              false});
         continue;
@@ -310,8 +310,8 @@ void CheckRngStream(const SourceFile& f, std::vector<Finding>* out) {
               {f.rel, ln, "rng-stream",
                "seeded Rng constructed inside concurrent body '" + b.name +
                    "' without a per-token stream derivation — use "
-                   "WarpLdaSampler::StreamRng(stream_base, tag, token) or "
-                   "simd::RngFromState so every token draws from its own "
+                   "WarpLdaSampler::StreamRng(stream_base, tag, token) so "
+                   "every token draws from its own "
                    "stream regardless of block schedule",
                false});
         }
