@@ -5,8 +5,8 @@
 //      run; on a single-core box the curve is flat — the harness still runs;
 //  (b) multi-machine speedup from the simulated cluster (PubMed shape);
 //  (c) convergence + throughput on the largest feasible ClueWeb-shaped
-//      corpus, trained through the grid executor (TrainOptions::
-//      grid_execution).
+//      corpus, trained through the grid executor (Train() with an 8×8
+//      TrainOptions::sweep_plan).
 // Measured rows are also written to BENCH_fig9.json (machine readable) so
 // the perf trajectory is tracked across commits.
 #include <algorithm>
@@ -58,53 +58,39 @@ int main(int argc, char** argv) {
                 std::thread::hardware_concurrency());
 
     // Single-thread reference trajectory: the determinism oracle for every
-    // thread count below (grid execution must reproduce Iterate() exactly,
-    // with or without stage fusion).
+    // thread count below (grid execution must reproduce Iterate() exactly).
     warplda::WarpLdaSampler reference;
     reference.Init(corpus, config);
     for (int64_t i = 0; i < iterations + 1; ++i) reference.Iterate();
     const std::vector<warplda::TopicId> expected = reference.Assignments();
 
-    // Two panels: the fused span schedule (the default) and the four-stage
-    // schedule it replaced, kept live as the before/after comparison the
-    // fusion work is judged against.
-    struct FusionPanel {
-      const char* name;
-      warplda::StageFusion fusion;
-    };
-    for (const FusionPanel& fp :
-         {FusionPanel{"grid-sweep", warplda::StageFusion::kAuto},
-          FusionPanel{"grid-4stage", warplda::StageFusion::kNone}}) {
-      std::printf("  [%s]\n", fp.name);
-      double base = 0.0;
-      for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-        warplda::ParallelExecutor executor(threads);
-        warplda::WarpLdaOptions options;
-        options.fusion = fp.fusion;
-        warplda::WarpLdaSampler sampler(options);
-        sampler.Init(corpus, config);
-        executor.RunSweep(sampler, plan);  // warm-up
-        warplda::Stopwatch watch;
-        for (int64_t i = 0; i < iterations; ++i) {
-          executor.RunSweep(sampler, plan);
-        }
-        double seconds = watch.Seconds();
-        double throughput = corpus.num_tokens() * iterations / seconds / 1e6;
-        if (threads == 1) base = seconds;
-        const bool identical = sampler.Assignments() == expected;
-        std::printf("  threads %2u  %8.2f Mtok/s  speedup %.2fx  "
-                    "bit-identical to Iterate(): %s\n",
-                    threads, throughput, base / seconds,
-                    identical ? "yes" : "NO (BUG)");
-        std::fflush(stdout);
-        json.AddRow()
-            .Str("panel", fp.name)
-            .Int("threads", threads)
-            .Num("tokens_per_sec", throughput * 1e6)
-            .Num("wall_ms", seconds * 1e3)
-            .Num("speedup", base / seconds)
-            .Str("bit_identical", identical ? "yes" : "no");
+    std::printf("  [grid-sweep]\n");
+    double base = 0.0;
+    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+      warplda::ParallelExecutor executor(threads);
+      warplda::WarpLdaSampler sampler;
+      sampler.Init(corpus, config);
+      executor.RunSweep(sampler, plan);  // warm-up
+      warplda::Stopwatch watch;
+      for (int64_t i = 0; i < iterations; ++i) {
+        executor.RunSweep(sampler, plan);
       }
+      double seconds = watch.Seconds();
+      double throughput = corpus.num_tokens() * iterations / seconds / 1e6;
+      if (threads == 1) base = seconds;
+      const bool identical = sampler.Assignments() == expected;
+      std::printf("  threads %2u  %8.2f Mtok/s  speedup %.2fx  "
+                  "bit-identical to Iterate(): %s\n",
+                  threads, throughput, base / seconds,
+                  identical ? "yes" : "NO (BUG)");
+      std::fflush(stdout);
+      json.AddRow()
+          .Str("panel", "grid-sweep")
+          .Int("threads", threads)
+          .Num("tokens_per_sec", throughput * 1e6)
+          .Num("wall_ms", seconds * 1e3)
+          .Num("speedup", base / seconds)
+          .Str("bit_identical", identical ? "yes" : "no");
     }
   }
 
@@ -146,7 +132,6 @@ int main(int argc, char** argv) {
     warplda::TrainOptions options;
     options.iterations = static_cast<uint32_t>(4 * iterations);
     options.eval_every = static_cast<uint32_t>(iterations);
-    options.grid_execution = true;
     options.sweep_plan = warplda::MakeSweepPlan(corpus, 8, 8);
     options.sweep_threads = threads;
     warplda::TrainResult result = Train(sampler, corpus, config, options);

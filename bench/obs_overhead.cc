@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
       warplda::TrainOptions options;
       options.iterations = static_cast<uint32_t>(iterations);
       options.eval_every = 0;
-      options.grid_execution = true;
       options.sweep_plan = warplda::MakeSweepPlan(corpus, 8, 8);
       options.sweep_threads = static_cast<uint32_t>(threads);
       options.metrics = mode.metrics;

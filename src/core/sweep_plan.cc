@@ -70,9 +70,9 @@ void RunInline(uint32_t num_tasks, const BarrierTask& fn) {
 void GridSampler::RunSweep(const SweepPlan& plan) {
   BeginSweep(plan);
   try {
-    // Step stages until the sampler reports the sweep complete: under stage
-    // fusion a sweep is fewer than four barriers, and sweep_stage() names the
-    // span being run, so the driver asks rather than assumes.
+    // Step stages until the sampler reports the sweep complete: a sampler
+    // may fuse stages into fewer than four barriers, and sweep_stage() names
+    // the span being run, so the driver asks rather than assumes.
     while (sweep_stage() != SweepStage::kDone) {
       for (uint32_t i = 0; i < plan.num_doc_blocks; ++i) {
         for (uint32_t j = 0; j < plan.num_word_blocks; ++j) {

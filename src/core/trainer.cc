@@ -63,6 +63,16 @@ struct TraceScope {
 TrainResult Train(Sampler& sampler, const Corpus& corpus,
                   const LdaConfig& config, const TrainOptions& options,
                   const TrainCallback& callback) {
+  // A GridSampler sweeps through the executor (the default trivial plan on
+  // one thread is Iterate()'s own sweep); any other sampler runs Iterate().
+  GridSampler* grid = dynamic_cast<GridSampler*>(&sampler);
+  if (grid == nullptr && (!options.sweep_plan.trivial() ||
+                          options.sweep_threads > 1 ||
+                          options.checkpoint_stages)) {
+    throw std::invalid_argument(
+        "Train: sweep_plan, sweep_threads and checkpoint_stages require a "
+        "sampler implementing GridSampler");
+  }
   TrainResult result;
   MetricsScope metrics_scope(options.metrics);
   TraceScope trace_scope(options.trace_path);
@@ -70,16 +80,7 @@ TrainResult Train(Sampler& sampler, const Corpus& corpus,
   double alpha = config.alpha;
   double beta = config.beta;
 
-  GridSampler* grid = nullptr;
-  std::unique_ptr<ParallelExecutor> executor;
-  if (options.grid_execution) {
-    grid = dynamic_cast<GridSampler*>(&sampler);
-    if (grid == nullptr) {
-      throw std::invalid_argument("Train: grid_execution requires a sampler "
-                                  "implementing GridSampler");
-    }
-    executor = std::make_unique<ParallelExecutor>(options.sweep_threads);
-  }
+  ParallelExecutor executor(options.sweep_threads);
 
   // ------------------------------------------------------------ durability
   const bool durable = !options.checkpoint_dir.empty();
@@ -109,7 +110,7 @@ TrainResult Train(Sampler& sampler, const Corpus& corpus,
                     "thread (the only part the barrier pays for)")
               : nullptr;
 
-  // Iteration-boundary checkpoint: in grid mode a between-sweeps
+  // Iteration-boundary checkpoint: for a GridSampler a between-sweeps
   // SweepCheckpoint (pending proposals + RNG epoch travel along, so the
   // resumed trajectory is bit-identical); otherwise — or when the grid
   // sampler does not support capture — a TrainingCheckpoint.
@@ -144,7 +145,7 @@ TrainResult Train(Sampler& sampler, const Corpus& corpus,
   // the write happens on the checkpoint writer's thread.
   uint32_t completed_before_sweep = 0;
   ParallelExecutor::StageHook stage_hook;
-  if (durable && options.checkpoint_stages && grid != nullptr) {
+  if (durable && options.checkpoint_stages) {
     stage_hook = [&](SweepStage next_stage) {
       throw_if_save_failed();
       obs::TraceSpan span("checkpoint-capture", "ckpt");
@@ -257,10 +258,10 @@ TrainResult Train(Sampler& sampler, const Corpus& corpus,
           // First iteration after a mid-sweep restore: finish the in-flight
           // sweep from the checkpointed stage (bit-identical to the schedule
           // the killed run would have executed), then proceed normally.
-          executor->FinishSweep(*grid, restored_plan, stage_hook);
+          executor.FinishSweep(*grid, restored_plan, stage_hook);
           finish_restored_sweep = false;
         } else {
-          executor->RunSweep(*grid, options.sweep_plan, stage_hook);
+          executor.RunSweep(*grid, options.sweep_plan, stage_hook);
         }
       } else {
         sampler.Iterate();
@@ -292,7 +293,7 @@ TrainResult Train(Sampler& sampler, const Corpus& corpus,
         (last ||
          (options.checkpoint_every != 0 &&
           iter % options.checkpoint_every == 0) ||
-         (options.checkpoint_stages && grid != nullptr))) {
+         options.checkpoint_stages)) {
       save_iteration_checkpoint(iter);
     }
   }

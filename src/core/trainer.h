@@ -24,28 +24,30 @@ struct TrainOptions {
   /// optimization; typically improves held-out quality over fixed 50/K.
   uint32_t optimize_hyper_every = 0;
   bool verbose = false;  ///< print one line per evaluation to stdout
-  /// Grid execution: when set, every sweep runs block-wise over `sweep_plan`
-  /// through a ParallelExecutor with `sweep_threads` workers (wavefront
-  /// block schedule) instead of Iterate()'s inline 1×1 sweep. Requires the
-  /// sampler to implement GridSampler (Train throws std::invalid_argument
-  /// otherwise).
-  /// Changes wall-clock only: grid sweeps sample identically to Iterate().
-  bool grid_execution = false;
-  SweepPlan sweep_plan;        ///< plan swept when grid_execution is set
+  /// Sweep execution. A sampler implementing GridSampler (WarpLDA) runs
+  /// every sweep block-wise over `sweep_plan` through a ParallelExecutor
+  /// with `sweep_threads` workers (wavefront block schedule); the defaults,
+  /// the trivial 1×1 plan on the calling thread, are exactly Iterate()'s
+  /// sweep. Plan and thread count change wall-clock only: every plan samples
+  /// identically. Any other sampler runs Iterate(), and Train throws
+  /// std::invalid_argument when it is given a non-trivial plan,
+  /// sweep_threads > 1 or checkpoint_stages.
+  SweepPlan sweep_plan;
   uint32_t sweep_threads = 1;  ///< executor size, calling thread included
 
   /// Durability (core/checkpoint.h). When non-empty, Train() writes
   /// crash-safe checkpoints into this directory (created if missing):
   ///  * every `checkpoint_every` iterations (0 disables the cadence), and
-  ///    always after the final iteration, a full checkpoint — in grid mode a
-  ///    between-sweeps SweepCheckpoint ("sweep.ckpt", preserving the pending
-  ///    proposals and RNG stream epoch so the resumed run is bit-identical
-  ///    to an uninterrupted one), otherwise a TrainingCheckpoint
-  ///    ("train.ckpt", resuming the exact assignments; the continued
-  ///    trajectory is statistically equivalent, not bit-identical);
-  ///  * with `checkpoint_stages` set (grid mode only), additionally at every
-  ///    stage barrier of every sweep, so a kill loses at most one stage of
-  ///    work.
+  ///    always after the final iteration, a full checkpoint — for a
+  ///    GridSampler a between-sweeps SweepCheckpoint ("sweep.ckpt",
+  ///    preserving the pending proposals and RNG stream epoch so the resumed
+  ///    run is bit-identical to an uninterrupted one), for any other sampler
+  ///    a TrainingCheckpoint ("train.ckpt", resuming the exact assignments;
+  ///    the continued trajectory is statistically equivalent, not
+  ///    bit-identical);
+  ///  * with `checkpoint_stages` set (GridSampler only), additionally at
+  ///    every stage barrier of every sweep, so a kill loses at most one
+  ///    stage of work.
   /// All writes are atomic (temp + fsync + rename): a kill at any instant
   /// leaves the previous complete checkpoint or the new one, never a torn
   /// file. A failed write throws std::runtime_error — durability failures

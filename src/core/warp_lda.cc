@@ -293,8 +293,8 @@ void WarpLdaSampler::Iterate() { RunSweep(SweepPlan::Trivial()); }
 // whole-item span (below): its block owns every token of its items, no
 // other block reads them in that span, so it commits their z in place.
 //
-// Stage fusion (StageFusion::kAuto) merges adjacent stages into one RunBlock
-// pass per block where the write-set proof holds:
+// Stage fusion merges adjacent stages into one RunBlock pass per block where
+// the write-set proof holds, giving each plan its one stage schedule:
 //  * [word-propose, doc-accept] is always legal: a block's word-propose
 //    writes only its own tokens' proposal slots, and its doc-accept reads
 //    only its own tokens' proposals — the same token set, written earlier in
@@ -308,7 +308,9 @@ void WarpLdaSampler::Iterate() { RunSweep(SweepPlan::Trivial()); }
 // These two are the whole-item spans: the block counts its items on the fly
 // (no shared arena), commits their acceptances to z in place and draws the
 // proposals from the committed values — §4.4's pass over one column or row.
-// Fusion never changes the samples — only which barriers exist.
+// Fusion never changes the samples — only which barriers exist: 2 per sweep
+// when every column and every row lies in one block (the trivial plan), 3
+// otherwise.
 
 void WarpLdaSampler::ReserveWorkers(uint32_t num_workers) {
   if (corpus_ == nullptr) {
@@ -357,9 +359,8 @@ void WarpLdaSampler::BeginSweep(const SweepPlan& plan, const TaskRunner& run) {
   grid_.block_moves.resize(num_blocks);
   grid_.block_ran.assign(num_blocks, 0);
   // Mint both pass stream bases up front. Checkpoints therefore carry
-  // identical bytes at a given barrier regardless of which StageFusion
-  // setting produced them, and a restore under either setting resumes the
-  // same trajectory.
+  // identical bytes at a given barrier whichever plan produced them, and a
+  // checkpoint from any barrier resumes the same trajectory.
   phase_epoch_ += 2;
   grid_.base_word = StreamBase(phase_epoch_ - 1);
   grid_.base_doc = StreamBase(phase_epoch_);
@@ -494,7 +495,6 @@ WarpLdaSampler::TokenPositions WarpLdaSampler::Positions(
 }
 
 int WarpLdaSampler::SpanLength(SweepStage s) const {
-  if (options_.fusion == StageFusion::kNone) return 1;
   switch (s) {
     case SweepStage::kWordAccept:
       return grid_.cols_ok ? 2 : 1;
@@ -510,10 +510,10 @@ int WarpLdaSampler::SpanLength(SweepStage s) const {
 void WarpLdaSampler::EnterSpan(SweepStage begin, const TaskRunner& run) {
   const int len = SpanLength(begin);
   // Snapshot refresh: any span containing an accept stage needs ck_fixed =
-  // the fold state at its phase boundary. Refreshing at word-propose entry
-  // (post word-accept fold; word-propose itself never reads it) keeps the
-  // value — and hence the checkpoint bytes at the word-propose barrier —
-  // the same whether doc-accept is fused into this span or runs later.
+  // the fold state at its phase boundary. The [wp, da] span refreshes at
+  // entry (post word-accept fold; word-propose itself never reads it), so
+  // its doc-accept half — and the checkpoint bytes at the word-propose
+  // barrier — see the doc phase's snapshot.
   // Doc-propose entry must NOT refresh: its barrier checkpoint carries the
   // doc-accept snapshot, not the post-doc-accept fold.
   if (begin != SweepStage::kDocPropose) ck_fixed_ = ck_live_;
@@ -529,7 +529,7 @@ void WarpLdaSampler::EnterSpan(SweepStage begin, const TaskRunner& run) {
       // post-acceptance).
       if (!grid_.col_filled) BuildColArena(run);
       BuildColAliases(run);
-      if (len == 2) BuildRowArena(run);  // fused doc-accept reads rows
+      BuildRowArena(run);  // the span's doc-accept half reads rows
       break;
     case SweepStage::kDocAccept:
       // The fused [da, dp] body counts its whole rows on the fly.
@@ -684,7 +684,7 @@ void WarpLdaSampler::RunBlockInto(uint32_t doc_block, uint32_t word_block,
       // [wp, da]: this block's doc-accept reads exactly the proposals its
       // word-propose half just wrote (the block's token set is the same on
       // both axes), so no barrier is needed between them.
-      if (len == 2) RunDocAcceptPart(doc_block, word_block, scratch, moves);
+      RunDocAcceptPart(doc_block, word_block, scratch, moves);
       break;
     case SweepStage::kDocAccept:
       if (len == 2) {
@@ -1013,10 +1013,7 @@ void WarpLdaSampler::EndStage(const TaskRunner& run) {
   }
   const SweepStage begin = grid_.stage;
   const int len = SpanLength(begin);
-  const bool had_accept = begin == SweepStage::kWordAccept ||
-                          begin == SweepStage::kDocAccept ||
-                          (begin == SweepStage::kWordPropose && len == 2);
-  if (had_accept) {
+  if (begin != SweepStage::kDocPropose) {  // every other span accepts
     // Patch the shared column tables in place only when the next span's
     // alias builds will read them (an unfused word-accept feeding
     // word-propose); everywhere else the moves only touch z.
@@ -1332,12 +1329,7 @@ bool WarpLdaSampler::ApplyBlockDelta(const GridBlockDelta& delta,
   // word-accept stage (the barrier may patch the column arena through it),
   // the row for spans whose accept half runs on the doc axis.
   const bool word_items = delta.stage == SweepStage::kWordAccept;
-  const bool stages_moves =
-      delta.stage == SweepStage::kWordAccept ||
-      delta.stage == SweepStage::kDocAccept ||
-      (delta.stage == SweepStage::kWordPropose &&
-       SpanLength(SweepStage::kWordPropose) == 2);
-  if (!stages_moves && !delta.moves.empty()) {
+  if (delta.stage == SweepStage::kDocPropose && !delta.moves.empty()) {
     return fail("delta stages moves in a pure propose span");
   }
   for (const GridBlockDelta::Move& mv : delta.moves) {

@@ -18,29 +18,6 @@
 
 namespace warplda {
 
-/// Grid-stage fusion policy (see RunBlock / EndStage and the README
-/// "Threading model" section for the legality proof).
-enum class StageFusion {
-  /// Always run the four-stage protocol, one stage per barrier. Keeps the
-  /// historical barrier structure for drivers that hand-step stages.
-  kNone,
-  /// Fuse adjacent stages into one RunBlock pass wherever the write-set
-  /// proof holds for the plan: word-propose+doc-accept always (propose
-  /// writes only its own tokens' proposal slots, which no accept reads);
-  /// word-accept+word-propose when every column lies within one doc block;
-  /// doc-accept+doc-propose when every row lies within one word block.
-  /// Cuts a full sweep from 4 barriers to 3 (grids) or 2 (trivial plans)
-  /// while remaining bit-identical to Iterate() and to kNone.
-  kAuto,
-};
-
-/// Runtime options for WarpLDA beyond the shared LdaConfig.
-struct WarpLdaOptions {
-  /// Stage fusion for grid sweeps. Results are identical either way; kNone
-  /// only changes which barriers exist (4 per sweep instead of 2–3).
-  StageFusion fusion = StageFusion::kAuto;
-};
-
 /// WarpLDA (paper §4): Monte-Carlo EM training of LDA with O(1) per-token
 /// sampling and O(K)-sized randomly accessed memory per document/word.
 ///
@@ -87,9 +64,6 @@ struct WarpLdaOptions {
 /// tracer is attached, run the scalar per-token chain (AcceptChain).
 class WarpLdaSampler : public Sampler, public GridSampler {
  public:
-  explicit WarpLdaSampler(const WarpLdaOptions& options = {})
-      : options_(options) {}
-
   void Init(const Corpus& corpus, const LdaConfig& config) override;
   void Iterate() override;
   std::vector<TopicId> Assignments() const override;
@@ -97,14 +71,12 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   void SetPriors(double alpha, double beta) override;
   std::string name() const override { return "WarpLDA"; }
 
-  const WarpLdaOptions& options() const { return options_; }
-
   /// GridSampler: block-wise sweep execution (see core/sweep_plan.h for the
   /// protocol). Produces the same samples as Iterate() for any plan, any
-  /// block schedule, any worker count, and any StageFusion setting. Under
-  /// fusion, sweep_stage() names the *first* stage of the current span and
-  /// RunBlock executes every fused stage of the span for that block;
-  /// EndStage() advances past the whole span.
+  /// block schedule and any worker count. Adjacent stages are fused into one
+  /// span wherever the plan allows (see SpanLength): sweep_stage() names the
+  /// *first* stage of the current span, RunBlock executes every stage of the
+  /// span for that block, and EndStage() advances past the whole span.
   using GridSampler::BeginSweep;
   using GridSampler::EndStage;
   void BeginSweep(const SweepPlan& plan, const TaskRunner& run) override;
@@ -126,10 +98,10 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// per-worker state is empty, so the checkpoint is just assignments,
   /// proposals, c_k snapshot, and RNG stream bases); restore reproduces that
   /// exact state in a fresh process, mid-sweep when the checkpoint was. Any
-  /// thread count — and any StageFusion setting; both stream bases are
-  /// minted at BeginSweep, so the checkpoint bytes do not depend on which
-  /// barriers the capturing run had — may finish a restored sweep
-  /// bit-identically to the uninterrupted run.
+  /// thread count may finish a restored sweep bit-identically to the
+  /// uninterrupted run, and a checkpoint taken at any stage barrier restores:
+  /// both stream bases are minted at BeginSweep, so the bytes do not depend
+  /// on which barriers the capturing run's plan had.
   bool CaptureSweepState(SweepCheckpoint* out) const override;
   bool RestoreSweepState(const SweepCheckpoint& state,
                          std::string* error) override;
@@ -392,7 +364,7 @@ class WarpLdaSampler : public Sampler, public GridSampler {
                            bool word_axis) const;
 
   /// Length (1 or 2) of the fused stage span entered at `s`, under the
-  /// current plan's legality bits and the fusion option.
+  /// current plan's legality bits.
   int SpanLength(SweepStage s) const;
   /// Whether the span entered at `begin` draws proposals, and on which axis
   /// (word_ix vs doc_ix position order) they are gathered / scattered.
@@ -461,7 +433,6 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// the per-worker ck-delta partitions into ck_live_, as tasks on `run`.
   void ApplyStagedMoves(bool patch_col_counts, const TaskRunner& run);
 
-  WarpLdaOptions options_;
   const Corpus* corpus_ = nullptr;
   LdaConfig config_;
   double alpha_bar_ = 0.0;

@@ -1,10 +1,33 @@
 #ifndef WARPLDA_UTIL_HASH_COUNT_H_
 #define WARPLDA_UTIL_HASH_COUNT_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <new>  // NOLINT(warplint-naked-new): for std::bad_alloc only
 #include <vector>
 
 namespace warplda {
+
+/// 64-byte aligned storage for HashCount's slots: a table of 2^n 8-byte
+/// slots then covers exactly its own cache lines wherever the heap puts it,
+/// so its footprint (and a cache tracer's count of it) depends on its size
+/// only, never on allocator state.
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) {}
+  T* allocate(size_t n) {
+    // aligned_alloc takes a size that is a multiple of the alignment.
+    void* p = std::aligned_alloc(64, (n * sizeof(T) + 63) / 64 * 64);
+    if (p == nullptr) throw std::bad_alloc();
+    return static_cast<T*>(p);
+  }
+  void deallocate(T* p, size_t) { std::free(p); }
+  bool operator==(const CacheLineAllocator&) const { return true; }
+};
 
 /// Open-addressing hash table from topic id to count, specialized for the
 /// per-document / per-word count vectors c_d and c_w (paper §5.4).
@@ -23,6 +46,7 @@ class HashCount {
     uint32_t key;
     int32_t value;
   };
+  using Slots = std::vector<Entry, CacheLineAllocator<Entry>>;
 
   static constexpr uint32_t kEmptyKey = 0xFFFFFFFFu;
 
@@ -83,7 +107,7 @@ class HashCount {
   uint32_t capacity() const { return mask_ + 1; }
 
   /// Raw slot access for iteration: skip entries with key == kEmptyKey.
-  const std::vector<Entry>& slots() const { return slots_; }
+  const Slots& slots() const { return slots_; }
 
   /// Approximate memory address of the slot `key` hashes to. Used by the
   /// cache-tracing instrumentation (cachesim) to replay this table's access
@@ -115,7 +139,7 @@ class HashCount {
   }
 
   void Grow() {
-    std::vector<Entry> old = std::move(slots_);
+    Slots old = std::move(slots_);
     uint32_t new_cap = (mask_ + 1) * 2;
     mask_ = new_cap - 1;
     slots_.assign(new_cap, Entry{kEmptyKey, 0});
@@ -129,7 +153,7 @@ class HashCount {
     }
   }
 
-  std::vector<Entry> slots_;
+  Slots slots_;
   uint32_t mask_ = 0;
   uint32_t size_ = 0;
 };

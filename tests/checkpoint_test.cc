@@ -324,8 +324,8 @@ TEST(CheckpointFuzzTest, SweepTruncationAtEveryByteIsRejected) {
   std::string error;
   bool saved = false;
   executor.RunSweep(sampler, plan, [&](SweepStage next) {
-    // doc-propose is a barrier under every StageFusion setting (doc-accept
-    // is fused away on this plan under kAuto).
+    // On 2x2 both columns and rows are split: the barriers are
+    // word-propose and doc-propose.
     if (next != SweepStage::kDocPropose || saved) return;
     SweepCheckpoint captured;
     ASSERT_TRUE(sampler.CaptureSweepState(&captured));
@@ -360,66 +360,79 @@ TEST_P(SweepRestoreBitIdentityTest, MidSweepRestoreMatchesUninterrupted) {
   Corpus corpus = MakeCorpus();
   LdaConfig config = LdaConfig::PaperDefaults(8);
   config.alpha = 0.1;
-  SweepPlan plan = MakeSweepPlan(corpus, 3, 2);
   constexpr uint32_t kTotalSweeps = 6;
   constexpr uint32_t kInterruptedSweep = 3;  // capture mid-sweep 3
 
-  // Uninterrupted serial reference.
+  // Uninterrupted reference (every plan samples what Iterate() samples).
   WarpLdaSampler reference;
   reference.Init(corpus, config);
-  ParallelExecutor serial(1);
-  for (uint32_t i = 0; i < kTotalSweeps; ++i) {
-    serial.RunSweep(reference, plan);
-  }
+  for (uint32_t i = 0; i < kTotalSweeps; ++i) reference.Iterate();
 
   // Every barrier of the interrupted sweep is a legal capture point; check
-  // them all (word-propose, doc-accept, doc-propose). The victim runs with
-  // stage fusion off so all three barriers exist; the resumed sampler keeps
-  // the fused default — a restore must resume the same trajectory under
-  // either StageFusion setting, whichever produced the checkpoint.
-  WarpLdaOptions unfused;
-  unfused.fusion = StageFusion::kNone;
-  for (SweepStage barrier : {SweepStage::kWordPropose, SweepStage::kDocAccept,
-                             SweepStage::kDocPropose}) {
-    WarpLdaSampler victim(unfused);
-    victim.Init(corpus, config);
-    ParallelExecutor capture_exec(capture_threads);
-    for (uint32_t i = 0; i + 1 < kInterruptedSweep; ++i) {
-      capture_exec.RunSweep(victim, plan);
-    }
-    const std::string path = TempPath(
-        "sweep_resume_" + std::to_string(capture_threads) + "_" +
-        std::to_string(resume_threads) + "_" +
-        std::to_string(static_cast<int>(barrier)) + ".bin");
-    std::string error;
-    bool saved = false;
-    capture_exec.RunSweep(victim, plan, [&](SweepStage next) {
-      if (next != barrier || saved) return;
-      SweepCheckpoint captured;
-      ASSERT_TRUE(victim.CaptureSweepState(&captured));
-      captured.iteration = kInterruptedSweep - 1;
-      ASSERT_TRUE(SaveSweepCheckpoint(captured, path, &error)) << error;
-      saved = true;
-    });
-    ASSERT_TRUE(saved);
-    // `victim` dies here (the simulated kill); everything below uses only
-    // the file.
+  // them all. Which barriers exist depends on the plan: on 3x2 columns and
+  // rows are both split, so a sweep stops at word-propose and doc-propose;
+  // on 1x2 every column is whole ([wa, wp] fuses), so it stops at
+  // doc-accept and doc-propose. Together the two reach every mid-sweep
+  // stage.
+  struct PlanBarriers {
+    uint32_t doc_blocks;
+    uint32_t word_blocks;
+    std::vector<SweepStage> barriers;
+  };
+  const std::vector<PlanBarriers> cases = {
+      {3, 2, {SweepStage::kWordPropose, SweepStage::kDocPropose}},
+      {1, 2, {SweepStage::kDocAccept, SweepStage::kDocPropose}},
+  };
+  for (const PlanBarriers& c : cases) {
+    const SweepPlan plan = MakeSweepPlan(corpus, c.doc_blocks, c.word_blocks);
+    for (SweepStage barrier : c.barriers) {
+      const std::string label = std::to_string(c.doc_blocks) + "x" +
+                                std::to_string(c.word_blocks) + " at " +
+                                ToString(barrier);
+      WarpLdaSampler victim;
+      victim.Init(corpus, config);
+      ParallelExecutor capture_exec(capture_threads);
+      for (uint32_t i = 0; i + 1 < kInterruptedSweep; ++i) {
+        capture_exec.RunSweep(victim, plan);
+      }
+      const std::string path = TempPath(
+          "sweep_resume_" + std::to_string(capture_threads) + "_" +
+          std::to_string(resume_threads) + "_" +
+          std::to_string(c.doc_blocks) + "x" + std::to_string(c.word_blocks) +
+          "_" + std::to_string(static_cast<int>(barrier)) + ".bin");
+      std::string error;
+      bool saved = false;
+      std::vector<SweepStage> seen;
+      capture_exec.RunSweep(victim, plan, [&](SweepStage next) {
+        seen.push_back(next);
+        if (next != barrier || saved) return;
+        SweepCheckpoint captured;
+        ASSERT_TRUE(victim.CaptureSweepState(&captured));
+        captured.iteration = kInterruptedSweep - 1;
+        ASSERT_TRUE(SaveSweepCheckpoint(captured, path, &error)) << error;
+        saved = true;
+      });
+      EXPECT_EQ(seen, c.barriers) << label;
+      ASSERT_TRUE(saved) << label;
+      // `victim` dies here (the simulated kill); everything below uses
+      // only the file.
 
-    SweepCheckpoint loaded;
-    ASSERT_TRUE(LoadSweepCheckpoint(path, &loaded, &error)) << error;
-    EXPECT_EQ(loaded.next_stage, barrier);
-    WarpLdaSampler resumed;
-    resumed.Init(corpus, config);
-    ASSERT_TRUE(resumed.RestoreSweepState(loaded, &error)) << error;
-    ParallelExecutor resume_exec(resume_threads);
-    resume_exec.FinishSweep(resumed, loaded.plan);
-    for (uint32_t i = kInterruptedSweep; i < kTotalSweeps; ++i) {
-      resume_exec.RunSweep(resumed, plan);
+      SweepCheckpoint loaded;
+      ASSERT_TRUE(LoadSweepCheckpoint(path, &loaded, &error)) << error;
+      EXPECT_EQ(loaded.next_stage, barrier);
+      WarpLdaSampler resumed;
+      resumed.Init(corpus, config);
+      ASSERT_TRUE(resumed.RestoreSweepState(loaded, &error)) << error;
+      ParallelExecutor resume_exec(resume_threads);
+      resume_exec.FinishSweep(resumed, loaded.plan);
+      for (uint32_t i = kInterruptedSweep; i < kTotalSweeps; ++i) {
+        resume_exec.RunSweep(resumed, plan);
+      }
+      EXPECT_EQ(resumed.Assignments(), reference.Assignments())
+          << "diverged after restoring " << label << " with "
+          << capture_threads << "->" << resume_threads << " threads";
+      EXPECT_EQ(resumed.topic_counts(), reference.topic_counts()) << label;
     }
-    EXPECT_EQ(resumed.Assignments(), reference.Assignments())
-        << "diverged after restoring at " << ToString(barrier) << " with "
-        << capture_threads << "->" << resume_threads << " threads";
-    EXPECT_EQ(resumed.topic_counts(), reference.topic_counts());
   }
 }
 
@@ -456,44 +469,51 @@ TEST(SweepRestoreTest, RestoreRejectsMismatchedRun) {
 }
 
 // ---------------------------------------------------------------------------
-// Trainer-level durability: checkpoint_every in grid mode writes
-// between-sweeps checkpoints that resume bit-identically; non-grid samplers
-// resume their exact assignments through train.ckpt.
+// Trainer-level durability: WarpLDA's checkpoint_every writes
+// between-sweeps checkpoints that resume bit-identically, under any plan
+// and thread count; non-grid samplers resume their exact assignments
+// through train.ckpt.
 
 TEST(TrainerDurabilityTest, GridResumeFromIterationCheckpointIsBitIdentical) {
   Corpus corpus = MakeCorpus();
   LdaConfig config = LdaConfig::PaperDefaults(8);
   config.alpha = 0.1;
 
-  TrainOptions base_options;
-  base_options.iterations = 9;
-  base_options.eval_every = 0;
-  base_options.grid_execution = true;
-  base_options.sweep_plan = MakeSweepPlan(corpus, 2, 2);
-  base_options.sweep_threads = 2;
+  TrainOptions defaults;  // trivial plan on the calling thread
+  defaults.iterations = 9;
+  defaults.eval_every = 0;
+  TrainOptions grid = defaults;
+  grid.sweep_plan = MakeSweepPlan(corpus, 2, 2);
+  grid.sweep_threads = 2;
 
-  WarpLdaSampler uninterrupted;
-  TrainResult reference = Train(uninterrupted, corpus, config, base_options);
+  for (const TrainOptions& base_options : {defaults, grid}) {
+    const std::string label =
+        base_options.sweep_plan.trivial() ? "defaults" : "2x2";
+    WarpLdaSampler uninterrupted;
+    TrainResult reference = Train(uninterrupted, corpus, config, base_options);
 
-  const std::string dir = TempPath("train_grid_resume");
-  std::filesystem::remove_all(dir);
-  TrainOptions first_leg = base_options;
-  first_leg.iterations = 6;
-  first_leg.checkpoint_dir = dir;
-  first_leg.checkpoint_every = 3;
-  WarpLdaSampler killed;
-  Train(killed, corpus, config, first_leg);
+    const std::string dir = TempPath("train_grid_resume_" + label);
+    std::filesystem::remove_all(dir);
+    TrainOptions first_leg = base_options;
+    first_leg.iterations = 6;
+    first_leg.checkpoint_dir = dir;
+    first_leg.checkpoint_every = 3;
+    WarpLdaSampler killed;
+    Train(killed, corpus, config, first_leg);
+    EXPECT_TRUE(FileExists(dir + "/sweep.ckpt")) << label;
+    EXPECT_FALSE(FileExists(dir + "/train.ckpt")) << label;
 
-  TrainOptions second_leg = base_options;  // full 9 iterations
-  second_leg.checkpoint_dir = dir;
-  second_leg.checkpoint_every = 3;
-  second_leg.resume = true;
-  WarpLdaSampler resumed;
-  TrainResult continued = Train(resumed, corpus, config, second_leg);
-  EXPECT_EQ(continued.assignments, reference.assignments);
-  // Resume history restarts after the checkpointed iteration.
-  ASSERT_FALSE(continued.history.empty());
-  EXPECT_EQ(continued.history.front().iteration, 9u);
+    TrainOptions second_leg = base_options;  // full 9 iterations
+    second_leg.checkpoint_dir = dir;
+    second_leg.checkpoint_every = 3;
+    second_leg.resume = true;
+    WarpLdaSampler resumed;
+    TrainResult continued = Train(resumed, corpus, config, second_leg);
+    EXPECT_EQ(continued.assignments, reference.assignments) << label;
+    // Resume history restarts after the checkpointed iteration.
+    ASSERT_FALSE(continued.history.empty()) << label;
+    EXPECT_EQ(continued.history.front().iteration, 9u) << label;
+  }
 }
 
 TEST(TrainerDurabilityTest, NonGridResumeRestoresExactCheckpointState) {
@@ -528,7 +548,6 @@ TEST(TrainerDurabilityTest, ResumeWithCorruptCheckpointThrows) {
   options.eval_every = 0;
   options.checkpoint_dir = dir;
   options.checkpoint_every = 1;
-  options.grid_execution = true;
   options.sweep_plan = MakeSweepPlan(corpus, 2, 2);
   WarpLdaSampler sampler;
   Train(sampler, corpus, config, options);
@@ -554,7 +573,6 @@ TEST(CheckpointKillAndResumeTest, SigkillMidSweepResumesBitIdentical) {
   TrainOptions options;
   options.iterations = 6;
   options.eval_every = 0;
-  options.grid_execution = true;
   options.sweep_plan = MakeSweepPlan(corpus, 2, 2);
   options.sweep_threads = 2;
 
@@ -569,8 +587,8 @@ TEST(CheckpointKillAndResumeTest, SigkillMidSweepResumesBitIdentical) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    // Child: train until the doc-propose barrier of sweep 4 (the mid-sweep
-    // barrier present under every StageFusion setting), then die hard.
+    // Child: train until the doc-propose barrier of sweep 4 (a mid-sweep
+    // barrier of the 2x2 plan), then die hard.
     TrainOptions child_options = options;
     child_options.checkpoint_hook = [](uint32_t completed,
                                        SweepStage next_stage) {

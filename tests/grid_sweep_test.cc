@@ -149,7 +149,7 @@ TEST(GridSweepTest, SweepProtocolViolationsThrow) {
   EXPECT_EQ(sampler.sweep_stage(), SweepStage::kWordPropose);
 
   // Finish the sweep cleanly; the sampler must be fully usable afterwards.
-  // (The number of barriers left depends on stage fusion, so step until the
+  // (The number of barriers left depends on the plan, so step until the
   // sampler reports completion.)
   while (sampler.sweep_stage() != SweepStage::kDone) {
     for (uint32_t i = 0; i < 2; ++i) {
@@ -162,13 +162,12 @@ TEST(GridSweepTest, SweepProtocolViolationsThrow) {
   EXPECT_NO_THROW(sampler.Iterate());
 }
 
-// The bit-identity matrix for stage fusion: fused spans, the four-stage
-// schedule and 1/2/8 executor threads must all reproduce the Iterate()
-// trajectory exactly — on plans that trigger every fusion shape (1x4 fuses
-// [wa,wp] per column, 4x1 fuses [wp,da], Trivial fuses [wa,wp] and [da,dp],
-// 8x8 fuses only [wp,da]) and with an asymmetric α so the doc-proposal
-// prior alias is exercised.
-TEST(GridSweepTest, FusionThreadMatrixMatchesIterate) {
+// The plan × thread bit-identity matrix: every plan's stage schedule on
+// 1/2/8 executor threads must reproduce the Iterate() trajectory exactly —
+// on plans that trigger every fused span (1x4 fuses [wa,wp] per column, 4x1
+// fuses [wp,da], Trivial fuses [wa,wp] and [da,dp], 8x8 fuses only [wp,da])
+// and with an asymmetric α so the doc-proposal prior alias is exercised.
+TEST(GridSweepTest, PlanThreadMatrixMatchesIterate) {
   Corpus corpus = TestCorpus();
   LdaConfig config = TestConfig();
   config.alpha_vector.assign(config.num_topics, 0.08);
@@ -191,34 +190,28 @@ TEST(GridSweepTest, FusionThreadMatrixMatchesIterate) {
       {"8x8", MakeSweepPlan(corpus, 8, 8, PartitionStrategy::kGreedy)},
   };
   for (const NamedPlan& np : plans) {
-    for (StageFusion fusion : {StageFusion::kNone, StageFusion::kAuto}) {
-      for (uint32_t threads : {1u, 2u, 8u}) {
-        WarpLdaOptions options;
-        options.fusion = fusion;
-        WarpLdaSampler grid(options);
-        grid.Init(corpus, config);
-        ParallelExecutor executor(threads);
-        for (int sweep = 0; sweep < 2; ++sweep) {
-          executor.RunSweep(grid, np.plan);
-        }
-        EXPECT_EQ(grid.Assignments(), expected)
-            << "plan " << np.name << " fusion "
-            << (fusion == StageFusion::kAuto ? "auto" : "none") << " threads "
-            << threads;
+    for (uint32_t threads : {1u, 2u, 8u}) {
+      WarpLdaSampler grid;
+      grid.Init(corpus, config);
+      ParallelExecutor executor(threads);
+      for (int sweep = 0; sweep < 2; ++sweep) {
+        executor.RunSweep(grid, np.plan);
       }
+      EXPECT_EQ(grid.Assignments(), expected)
+          << "plan " << np.name << " threads " << threads;
     }
   }
 }
 
 // Checkpoint capture at the barrier that ends the fused [word-propose,
-// doc-accept] span (the only mid-sweep barrier besides word-accept's under
-// kAuto on a general plan) must restore and finish bit-identically.
+// doc-accept] span (on a general plan the only mid-sweep barrier besides
+// word-accept's) must restore and finish bit-identically.
 TEST(GridSweepTest, CheckpointAcrossFusedSpanBarrierRestoresBitIdentical) {
   Corpus corpus = TestCorpus();
   LdaConfig config = TestConfig();
   SweepPlan plan = MakeSweepPlan(corpus, 3, 3, PartitionStrategy::kGreedy);
 
-  WarpLdaSampler reference;  // default options: fusion on
+  WarpLdaSampler reference;
   reference.Init(corpus, config);
   ParallelExecutor reference_exec(2);
   for (int sweep = 0; sweep < 3; ++sweep) reference_exec.RunSweep(reference, plan);
@@ -230,7 +223,7 @@ TEST(GridSweepTest, CheckpointAcrossFusedSpanBarrierRestoresBitIdentical) {
   SweepCheckpoint captured;
   bool saved = false;
   capture_exec.RunSweep(victim, plan, [&](SweepStage next) {
-    // Under kAuto on a 3x3 plan the sweep's barriers are word-accept ->
+    // On a 3x3 plan the sweep's spans are word-accept ->
     // [word-propose, doc-accept] -> doc-propose; next == kDocPropose is the
     // barrier right after the fused span ran.
     if (next != SweepStage::kDocPropose || saved) return;

@@ -217,40 +217,49 @@ TEST(ParallelSweepTest, ClusterSimRunSweepWithExecutorMatchesSerial) {
   EXPECT_EQ(serial.Assignments(), distributed.Assignments());
 }
 
-TEST(ParallelSweepTest, TrainerGridExecutionMatchesFusedTraining) {
+TEST(ParallelSweepTest, TrainerDefaultsMatchThreadedGridTraining) {
   Corpus corpus = TestCorpus();
   LdaConfig config = TestConfig();
 
-  WarpLdaSampler fused;
-  TrainOptions fused_options;
-  fused_options.iterations = 4;
-  fused_options.eval_every = 2;
-  TrainResult fused_result = Train(fused, corpus, config, fused_options);
+  WarpLdaSampler trivial;
+  TrainOptions default_options;  // trivial plan on the calling thread
+  default_options.iterations = 4;
+  default_options.eval_every = 2;
+  TrainResult trivial_result = Train(trivial, corpus, config, default_options);
 
   WarpLdaSampler grid;
-  TrainOptions grid_options = fused_options;
-  grid_options.grid_execution = true;
+  TrainOptions grid_options = default_options;
   grid_options.sweep_plan = MakeSweepPlan(corpus, 3, 3);
   grid_options.sweep_threads = 4;
   TrainResult grid_result = Train(grid, corpus, config, grid_options);
 
-  EXPECT_EQ(fused_result.assignments, grid_result.assignments);
-  ASSERT_EQ(fused_result.history.size(), grid_result.history.size());
-  for (size_t i = 0; i < fused_result.history.size(); ++i) {
-    EXPECT_DOUBLE_EQ(fused_result.history[i].log_likelihood,
+  EXPECT_EQ(trivial_result.assignments, grid_result.assignments);
+  ASSERT_EQ(trivial_result.history.size(), grid_result.history.size());
+  for (size_t i = 0; i < trivial_result.history.size(); ++i) {
+    EXPECT_DOUBLE_EQ(trivial_result.history[i].log_likelihood,
                      grid_result.history[i].log_likelihood);
   }
 }
 
-TEST(ParallelSweepTest, TrainerGridExecutionRequiresGridSampler) {
+TEST(ParallelSweepTest, TrainerGridOptionsRequireGridSampler) {
   Corpus corpus = TestCorpus();
   LdaConfig config = TestConfig();
   auto sampler = CreateSampler("cgs");  // no GridSampler implementation
   ASSERT_NE(sampler, nullptr);
-  TrainOptions options;
-  options.iterations = 1;
-  options.grid_execution = true;
-  EXPECT_THROW(Train(*sampler, corpus, config, options),
+  TrainOptions base;
+  base.iterations = 1;
+
+  TrainOptions plan = base;
+  plan.sweep_plan = MakeSweepPlan(corpus, 2, 2);
+  EXPECT_THROW(Train(*sampler, corpus, config, plan), std::invalid_argument);
+  TrainOptions threads = base;
+  threads.sweep_threads = 2;
+  EXPECT_THROW(Train(*sampler, corpus, config, threads),
+               std::invalid_argument);
+  TrainOptions stages = base;
+  stages.checkpoint_dir = testing::TempDir() + "/cgs_stages";
+  stages.checkpoint_stages = true;
+  EXPECT_THROW(Train(*sampler, corpus, config, stages),
                std::invalid_argument);
 }
 
@@ -274,7 +283,7 @@ TEST(ParallelSweepTest, WorkerReservationIsEnforced) {
   initialized.RunBlock(1, 0, 1);
   initialized.RunBlock(1, 1, 0);
   initialized.EndStage();
-  // Finish the sweep (how many barriers remain depends on stage fusion).
+  // Finish the sweep (how many barriers remain depends on the plan).
   while (initialized.sweep_stage() != SweepStage::kDone) {
     for (uint32_t i = 0; i < 2; ++i) {
       for (uint32_t j = 0; j < 2; ++j) initialized.RunBlock(i, j);
@@ -585,15 +594,14 @@ size_t CountTraceEvents(const std::string& json, const std::string& name,
   return count;
 }
 
-// A traced grid sweep emits one balanced span per stage plus per-worker
-// block spans, with every thread's B/E events forming a proper nesting.
+// A traced grid sweep emits one balanced span per stage span plus
+// per-worker block spans, with every thread's B/E events forming a proper
+// nesting. On a grid whose columns and rows are both split the schedule is
+// [word-accept], [word-propose + doc-accept], [doc-propose]: three spans
+// named by their entry stage, three barriers, and one block pass per span.
 TEST(ParallelSweepTest, RunSweepEmitsBalancedStageAndBlockSpans) {
   Corpus corpus = TestCorpus();
-  // Fusion off pins the historical four-span trace shape; the fused span
-  // shape is covered by FusedSweepTraceNamesSpanEntryStages below.
-  WarpLdaOptions unfused;
-  unfused.fusion = StageFusion::kNone;
-  WarpLdaSampler sampler(unfused);
+  WarpLdaSampler sampler;
   sampler.Init(corpus, TestConfig());
   SweepPlan plan = MakeSweepPlan(corpus, 3, 3);
   ParallelExecutor executor(2);
@@ -620,88 +628,79 @@ TEST(ParallelSweepTest, RunSweepEmitsBalancedStageAndBlockSpans) {
   for (const auto& [tid, d] : depth) {
     EXPECT_EQ(d, 0) << "open span left on tid " << tid;
   }
-  // All four stages appear exactly once per sweep...
-  EXPECT_EQ(begins["word-accept"], 1);
-  EXPECT_EQ(begins["word-propose"], 1);
-  EXPECT_EQ(begins["doc-accept"], 1);
-  EXPECT_EQ(begins["doc-propose"], 1);
-  EXPECT_EQ(begins["end-stage"], 4);
-  // ... and every stage ran all 9 blocks under a block span.
-  EXPECT_EQ(begins["block"], 4 * 9);
-}
-
-// Under the default fusion policy a grid plan runs [word-accept],
-// [word-propose + doc-accept], [doc-propose]: three spans named by their
-// entry stage, three barriers, and one block pass per span.
-TEST(ParallelSweepTest, FusedSweepTraceNamesSpanEntryStages) {
-  Corpus corpus = TestCorpus();
-  WarpLdaSampler sampler;  // default options: StageFusion::kAuto
-  sampler.Init(corpus, TestConfig());
-  SweepPlan plan = MakeSweepPlan(corpus, 3, 3);
-  ParallelExecutor executor(2);
-
-  obs::TraceRecorder& rec = obs::TraceRecorder::Global();
-  rec.Start();
-  executor.RunSweep(sampler, plan);
-  rec.Stop();
-  const std::vector<obs::TraceEvent> events = rec.Snapshot();
-  rec.Clear();
-
-  std::map<std::string, int> begins;
-  for (const obs::TraceEvent& event : events) {
-    if (event.phase == 'B') ++begins[event.name];
-  }
   EXPECT_EQ(begins["word-accept"], 1);
   EXPECT_EQ(begins["word-propose"], 1);  // doc-accept runs inside this span
   EXPECT_EQ(begins["doc-accept"], 0);
   EXPECT_EQ(begins["doc-propose"], 1);
   EXPECT_EQ(begins["end-stage"], 3);
+  // Every span ran all 9 blocks under a block span.
   EXPECT_EQ(begins["block"], 3 * 9);
 }
 
-// The PR's trace acceptance criterion: a grid-execution Train() with
-// trace_path set writes a Chrome trace whose JSON contains all four stage
-// spans per sweep plus per-worker block spans.
+// Train() with trace_path set writes a Chrome trace whose JSON holds one
+// sweep span per iteration and, per sweep, one stage span for each span of
+// the plan's schedule (named by its first stage), one end-stage fold per
+// span and per-worker block spans. Default options train through the same
+// executor on the trivial plan, whose columns and rows are all whole: two
+// spans per sweep, [word-accept + word-propose] and [doc-accept +
+// doc-propose].
 TEST(ParallelSweepTest, TrainWithTracePathWritesChromeTraceJson) {
   Corpus corpus = TestCorpus();
-  LdaConfig config = TestConfig();
-  WarpLdaOptions unfused;
-  unfused.fusion = StageFusion::kNone;  // pin the four-stage trace shape
-  WarpLdaSampler sampler(unfused);
-  TrainOptions options;
-  options.iterations = 3;
-  options.eval_every = 0;
-  options.grid_execution = true;
-  options.sweep_plan = MakeSweepPlan(corpus, 2, 2);
-  options.sweep_threads = 2;
-  options.trace_path = testing::TempDir() + "/train_trace.json";
-  Train(sampler, corpus, config, options);
+  struct Case {
+    const char* name;
+    uint32_t grid;  // grid x grid plan on 2 threads; 0 keeps the defaults
+    std::vector<std::string> spans;
+  };
+  const Case cases[] = {
+      {"2x2", 2, {"word-accept", "word-propose", "doc-propose"}},
+      {"defaults", 0, {"word-accept", "doc-accept"}},
+  };
+  for (const Case& c : cases) {
+    TrainOptions options;
+    options.iterations = 3;
+    options.eval_every = 0;
+    if (c.grid > 0) {
+      options.sweep_plan = MakeSweepPlan(corpus, c.grid, c.grid);
+      options.sweep_threads = 2;
+    }
+    options.trace_path = testing::TempDir() + "/train_trace.json";
+    WarpLdaSampler sampler;
+    Train(sampler, corpus, TestConfig(), options);
 
-  std::FILE* f = std::fopen(options.trace_path.c_str(), "rb");
-  ASSERT_NE(f, nullptr) << "trace file not written: " << options.trace_path;
-  std::string json;
-  char buffer[4096];
-  size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    json.append(buffer, n);
-  }
-  std::fclose(f);
-  std::remove(options.trace_path.c_str());
+    std::FILE* f = std::fopen(options.trace_path.c_str(), "rb");
+    ASSERT_NE(f, nullptr) << "trace file not written: " << options.trace_path;
+    std::string json;
+    char buffer[4096];
+    size_t n = 0;
+    while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
+      json.append(buffer, n);
+    }
+    std::fclose(f);
+    std::remove(options.trace_path.c_str());
 
-  EXPECT_NE(json.find("{\"traceEvents\": ["), std::string::npos);
-  // One sweep span and one of each stage span per iteration.
-  EXPECT_EQ(CountTraceEvents(json, "sweep", "trainer", 'B'),
-            options.iterations);
-  for (const char* stage :
-       {"word-accept", "word-propose", "doc-accept", "doc-propose"}) {
-    EXPECT_EQ(CountTraceEvents(json, stage, "stage", 'B'), options.iterations)
-        << stage;
-    EXPECT_EQ(CountTraceEvents(json, stage, "stage", 'E'), options.iterations)
-        << stage;
+    EXPECT_NE(json.find("{\"traceEvents\": ["), std::string::npos);
+    EXPECT_EQ(CountTraceEvents(json, "sweep", "trainer", 'B'),
+              options.iterations)
+        << c.name;
+    for (const char* stage :
+         {"word-accept", "word-propose", "doc-accept", "doc-propose"}) {
+      const bool is_span =
+          std::find(c.spans.begin(), c.spans.end(), stage) != c.spans.end();
+      const size_t expected = is_span ? options.iterations : 0;
+      EXPECT_EQ(CountTraceEvents(json, stage, "stage", 'B'), expected)
+          << c.name << " " << stage;
+      EXPECT_EQ(CountTraceEvents(json, stage, "stage", 'E'), expected)
+          << c.name << " " << stage;
+    }
+    const size_t spans = options.iterations * c.spans.size();
+    EXPECT_EQ(CountTraceEvents(json, "end-stage", "executor", 'B'), spans)
+        << c.name;
+    const size_t blocks_per_span =
+        options.sweep_plan.num_doc_blocks * options.sweep_plan.num_word_blocks;
+    EXPECT_EQ(CountTraceEvents(json, "block", "executor", 'B'),
+              spans * blocks_per_span)
+        << c.name;
   }
-  // 4 blocks per stage, 4 stages, 3 sweeps.
-  EXPECT_EQ(CountTraceEvents(json, "block", "executor", 'B'),
-            options.iterations * 4u * 4u);
 }
 
 }  // namespace
