@@ -1,17 +1,14 @@
 // Microbenchmarks of the sampling primitives behind the O(1) claims, plus
 // the ablation comparisons DESIGN.md calls out: hash vs dense counts and
-// alias sampling vs random positioning for the doc proposal, and the grid
-// hot-path primitives behind the stage-fusion work: per-token vs batched
-// RNG stream derivation, scalar vs SIMD MH accept ratios, and per-block
-// snapshot rebuilds vs the reusable count-arena setup. Results are also
-// written to BENCH_micro_primitives.json in the repo's bench JSON format.
+// alias sampling vs random positioning for the doc proposal, and two grid
+// hot-path primitives: per-token RNG stream derivation and the per-item
+// count snapshot a block builds on the fly. Results are also written to
+// BENCH_micro_primitives.json in the repo's bench JSON format.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/count_arena.h"
-#include "core/simd_kernels.h"
 #include "util/alias_table.h"
 #include "util/ftree.h"
 #include "util/hash_count.h"
@@ -144,7 +141,7 @@ void BM_DocProposalPositioning(benchmark::State& state) {
 }
 BENCHMARK(BM_DocProposalPositioning);
 
-// --- Grid hot-path primitives (stage fusion / SIMD kernels) -------------
+// --- Grid hot-path primitives ------------------------------------------
 
 // Per-token RNG stream derivation (5 serial SplitMix64 rounds each), as the
 // sampler's propose loops and lazy accept chains construct their streams.
@@ -163,87 +160,36 @@ void BM_StreamDerivePerToken(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamDerivePerToken)->Arg(256);
 
-// Ablation: the MH accept-ratio kernel (Eq. 7's (a_t*b_cur)/(a_cur*b_t) plus
-// the >= 1 accept mask) scalar vs the dispatched SIMD path. Operand arrays
-// model one gathered accept chunk.
-void BM_AcceptRatios(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const bool force_scalar = state.range(1) != 0;
-  Rng rng(9);
-  std::vector<double> a_t(n), b_t(n), a_cur(n), b_cur(n), ratio(n);
-  std::vector<uint8_t> ge1(n);
-  for (size_t i = 0; i < n; ++i) {
-    a_t[i] = rng.NextDouble() * 40 + 0.1;
-    b_t[i] = rng.NextDouble() * 900 + 1.0;
-    a_cur[i] = rng.NextDouble() * 40 + 0.1;
-    b_cur[i] = rng.NextDouble() * 900 + 1.0;
-  }
-  for (auto _ : state) {
-    if (force_scalar) {
-      simd::ComputeAcceptRatiosScalar(n, a_t.data(), b_t.data(), a_cur.data(),
-                                      b_cur.data(), ratio.data(), ge1.data());
-    } else {
-      simd::ComputeAcceptRatios(n, a_t.data(), b_t.data(), a_cur.data(),
-                                b_cur.data(), ratio.data(), ge1.data());
-    }
-    benchmark::DoNotOptimize(ratio.data());
-    benchmark::DoNotOptimize(ge1.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_AcceptRatios)
-    ->ArgNames({"n", "force_scalar"})
-    ->Args({256, 1})
-    ->Args({256, 0});
+// Per-item count snapshot setup (fresh HashCount Init + fill), as a block
+// builds c_w or c_d for each of its items. 64 items of 256 tokens each
+// stands in for one block's columns.
+constexpr uint32_t kSetupItems = 64;
+constexpr uint32_t kSetupLen = 256;
+constexpr uint32_t kSetupK = 1024;
 
-// Ablation: per-(block × item) count snapshot rebuilds (fresh HashCount
-// Init + fill, the pre-fusion grid path) vs the count-arena setup that
-// allocates geometry once and only clears + refills a flat slab per sweep.
-// 64 items of 256 tokens each stands in for one block's columns.
-constexpr uint32_t kArenaItems = 64;
-constexpr uint32_t kArenaLen = 256;
-constexpr uint32_t kArenaK = 1024;
-
-std::vector<std::vector<uint32_t>> ArenaTopics() {
+std::vector<std::vector<uint32_t>> SetupTopics() {
   Rng rng(10);
-  std::vector<std::vector<uint32_t>> topics(kArenaItems);
+  std::vector<std::vector<uint32_t>> topics(kSetupItems);
   for (auto& item : topics) {
-    item.resize(kArenaLen);
-    for (auto& t : item) t = rng.NextInt(kArenaK);
+    item.resize(kSetupLen);
+    for (auto& t : item) t = rng.NextInt(kSetupK);
   }
   return topics;
 }
 
 void BM_StageSetupSnapshotCopy(benchmark::State& state) {
-  const auto topics = ArenaTopics();
+  const auto topics = SetupTopics();
   HashCount counts;
   for (auto _ : state) {
     for (const auto& item : topics) {
-      counts.Init(std::min(kArenaK, 2 * kArenaLen));
+      counts.Init(std::min(kSetupK, 2 * kSetupLen));
       for (uint32_t t : item) counts.Inc(t);
       benchmark::DoNotOptimize(counts.Get(item[0]));
     }
   }
-  state.SetItemsProcessed(state.iterations() * kArenaItems * kArenaLen);
+  state.SetItemsProcessed(state.iterations() * kSetupItems * kSetupLen);
 }
 BENCHMARK(BM_StageSetupSnapshotCopy);
-
-void BM_StageSetupArena(benchmark::State& state) {
-  const auto topics = ArenaTopics();
-  CountArena arena;
-  std::vector<uint32_t> hints(kArenaItems, std::min(kArenaK, 2 * kArenaLen));
-  arena.AllocateFromHints(hints);  // once per corpus, outside the loop
-  for (auto _ : state) {
-    arena.ClearSlots();
-    for (uint32_t i = 0; i < kArenaItems; ++i) {
-      FlatCounts counts = arena.view(i);
-      for (uint32_t t : topics[i]) counts.Inc(t);
-      benchmark::DoNotOptimize(counts.Get(topics[i][0]));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kArenaItems * kArenaLen);
-}
-BENCHMARK(BM_StageSetupArena);
 
 // Console output plus the repo's bench JSON format (same header fields as
 // the fig benches: cpu model, SIMD tier, thread count) so the primitive

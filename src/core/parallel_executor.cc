@@ -47,12 +47,12 @@ struct ExecutorMetrics {
           "own share of tasks");
       em.begin_sweep_us = reg.GetHistogram(
           "executor_begin_sweep_us",
-          "BeginSweep barrier work: plan indices plus the first span's "
-          "count-table rebuild");
+          "BeginSweep barrier work: plan indices and the first span's "
+          "c_k snapshot");
       em.end_stage_us = reg.GetHistogram(
           "executor_end_stage_us",
           "EndStage barrier work: staged-write apply, delta fold and the "
-          "next span's count-table and alias rebuilds");
+          "next span's c_k snapshot");
       return em;
     }();
     return m;

@@ -19,16 +19,18 @@ namespace warplda {
 /// Fixed-size thread pool that executes the blocks of a grid-sweep stage
 /// concurrently (paper §5.3.1, applied to the SweepPlan grid of §6).
 ///
-/// Within a stage, grid blocks touch disjoint assignment state (a GridSampler
-/// stages its writes until the EndStage barrier) and every token owns its RNG
-/// stream, so blocks may run on any worker in any order without changing the
-/// samples — the executor changes wall-clock time, never the trajectory.
-/// `RunSweep()` exploits that: each of the four stages becomes one `Run()`
-/// whose tasks are the stage's blocks, enqueued in wavefront order over the
-/// grid (round r schedules blocks (i, (i+r) mod W)). The first W tasks form a
-/// perfect matching of doc rows to word columns, so concurrently running
-/// workers touch disjoint rows *and* columns — the same rotation schedule a
-/// multi-machine deployment uses, here chosen for cache separation.
+/// Within a stage, grid blocks touch disjoint assignment state (each owns
+/// its tokens' writes, or stages them until the EndStage barrier) and every
+/// token owns its RNG stream, so blocks may run on any worker in any order
+/// without changing the samples — the executor changes wall-clock time,
+/// never the trajectory. `RunSweep()` exploits that: each stage span the
+/// sampler reports becomes one `Run()` whose tasks are the span's blocks,
+/// claimed dynamically so uneven blocks balance. Tasks are enqueued in
+/// wavefront order over the grid (round r schedules blocks (i, (i+r) mod
+/// W)), the rotation a multi-machine deployment uses. For WarpLDA, whose
+/// blocks own contiguous item ranges of one axis per span, the order only
+/// decides which ranges run first; any order gives each worker a disjoint
+/// slice of the items.
 ///
 /// The pool is persistent: workers block on a condition variable between
 /// `Run()` calls, and stage barriers cost one mutex handshake, not a

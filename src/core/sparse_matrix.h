@@ -79,8 +79,12 @@ class SparseMatrix {
   }
 
   /// CSC position of column c's first entry (columns are contiguous, so the
-  /// i-th entry of col_data(c) lives at CSC position col_offset(c)+i).
+  /// i-th entry of col_data(c) lives at CSC position col_offset(c)+i): the
+  /// number of entries in columns before c, for c in [0, num_cols()].
   uint64_t col_offset(uint32_t c) const { return col_offsets_[c]; }
+
+  /// Number of entries in rows before r, for r in [0, num_rows()].
+  uint64_t row_offset(uint32_t r) const { return row_offsets_[r]; }
 
   /// Number of entries in column c.
   uint32_t col_size(uint32_t c) const {

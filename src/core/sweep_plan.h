@@ -19,6 +19,14 @@ namespace warplda {
 ///
 /// Plans are produced by hand, by `SweepPlan::Trivial()`, or — balanced by
 /// token counts — by `MakeSweepPlan()` in `dist/partitioner.h`.
+///
+/// A sampler may map items to blocks its own way, as long as every token
+/// belongs to exactly one block per stage. WarpLdaSampler does: in word
+/// stages block (i, j) owns the (i·W+j)-th of D·W contiguous, token-balanced
+/// column ranges, and in doc stages the (i·W+j)-th such row range, so every
+/// block owns whole items. For it only the block counts matter; the item
+/// maps are validated and checkpointed but do not steer which block owns
+/// an item.
 struct SweepPlan {
   uint32_t num_doc_blocks = 1;
   uint32_t num_word_blocks = 1;
@@ -68,22 +76,21 @@ struct SweepCheckpoint;  // core/checkpoint.h
 /// span — the unit a distributed execution tier ships between processes.
 ///
 /// Within a stage, blocks share no mutable state: accepted topic moves are
-/// staged until the barrier (or, where a block owns whole items, written to
-/// tokens no other block reads) and proposal draws write only the block's
-/// own tokens' slots. A block's entire effect is therefore capturable as
-/// (moves, proposal writes) and replayable in another
-/// process that holds the same pre-stage state — after which EndStage()
-/// applies it exactly as if the block had run locally. `proposals` is in the
-/// block's canonical token order (the plan-derived segment position order,
-/// identical in every process that built indices from the same plan and
-/// corpus), mh_steps entries per token; empty when the span draws none.
+/// written to tokens no other block reads (or staged until the barrier) and
+/// proposal draws write only the block's own tokens' slots. A block's
+/// entire effect is therefore capturable as (moves, proposal writes) and
+/// replayable in another process that holds the same pre-stage state —
+/// after which EndStage() applies it exactly as if the block had run
+/// locally. `proposals` is in the block's canonical token order (derived
+/// from the plan and corpus, identical in every process), mh_steps entries
+/// per token; empty when the span draws none.
 struct GridBlockDelta {
   SweepStage stage = SweepStage::kDone;  ///< span the block ran in
   uint32_t doc_block = 0;
   uint32_t word_block = 0;
-  /// One staged z write: token at storage position `pos` moves `from`→`to`;
-  /// `item` is the token's column (word stages) or row (doc stages), kept so
-  /// the barrier can patch per-item count tables.
+  /// One z write: token at storage position `pos` moves `from`→`to`;
+  /// `item` is the token's column (word stages) or row (doc stages), so a
+  /// receiver can check the move belongs to its block.
   struct Move {
     uint64_t pos = 0;
     uint32_t item = 0;
@@ -110,9 +117,10 @@ void RunInline(uint32_t num_tasks, const BarrierTask& fn);
 
 /// Grid-execution interface of a sampler whose sweep can run block-by-block.
 ///
-/// Protocol: BeginSweep(plan), then for each of the four stages call
+/// Protocol: BeginSweep(plan), then until sweep_stage() reports kDone call
 /// RunBlock(i, j) exactly once per grid block (any order) followed by
-/// EndStage(), then EndSweep(). `RunSweep()` drives the whole protocol in
+/// EndStage(), then EndSweep(). A sampler may run adjacent stages as one
+/// span; sweep_stage() names the span's first stage. `RunSweep()` drives the whole protocol in
 /// canonical order. A conforming implementation guarantees that any schedule
 /// of any plan produces the same assignments as `RunSweep(SweepPlan::
 /// Trivial())` — grid execution changes where work happens, never what is
@@ -124,8 +132,8 @@ void RunInline(uint32_t num_tasks, const BarrierTask& fn);
 /// implementation can key per-thread scratch; call ReserveWorkers(n) before
 /// BeginSweep to size that scratch. BeginSweep/EndStage/EndSweep are called
 /// by the single driving thread, which lends BeginSweep and EndStage a
-/// TaskRunner: the sampler splits its barrier work (count-table rebuilds,
-/// alias builds, staged-write apply, delta fold) into tasks whose writes do
+/// TaskRunner: the sampler splits its barrier work (for WarpLDA, the
+/// injected-move apply and the c_k delta fold) into tasks whose writes do
 /// not overlap, and the runner may spread them over the workers that run
 /// blocks. ParallelExecutor lends its own pool (core/parallel_executor.h);
 /// the one-argument overloads, for hand-stepped drivers, run the same tasks
@@ -200,7 +208,7 @@ class GridSampler {
   virtual void EndStage(const TaskRunner& run) = 0;
   void EndStage() { EndStage(RunInline); }
 
-  /// Closes the sweep; all four stages must have completed.
+  /// Closes the sweep; every stage must have completed.
   virtual void EndSweep() = 0;
 
   /// Error recovery: closes an open sweep immediately, discarding any

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <type_traits>
 
 #include "core/checkpoint.h"
-#include "core/simd_kernels.h"
 #include "obs/metrics.h"
 
 namespace warplda {
@@ -71,9 +69,6 @@ void WarpLdaSampler::Init(const Corpus& corpus, const LdaConfig& config) {
   scratch_[0].ck_delta.assign(k, 0);
   phase_epoch_ = 0;
   grid_ = GridState();
-  col_counts_ = CountArena();
-  row_counts_ = CountArena();
-  col_alias_.clear();
 
   // Random initial assignments.
   ck_live_.assign(k, 0);
@@ -145,8 +140,7 @@ void WarpLdaSampler::BuildCounts(HashCount& counts,
   for (uint32_t i = 0; i < row.size(); ++i) counts.Inc(row[i]);
 }
 
-template <typename Counts>
-TopicId WarpLdaSampler::AcceptChain(ThreadScratch& s, const Counts& counts,
+TopicId WarpLdaSampler::AcceptChain(ThreadScratch& s, const HashCount& counts,
                                     TopicId current, const TopicId* props,
                                     uint32_t m,
                                     const std::vector<double>* prior_vec,
@@ -164,9 +158,7 @@ TopicId WarpLdaSampler::AcceptChain(ThreadScratch& s, const Counts& counts,
           sizeof(HashCount::Entry), /*random=*/true, /*write=*/false);
     const double prior_t = prior_vec ? (*prior_vec)[t] : prior;
     const double prior_s = prior_vec ? (*prior_vec)[current] : prior;
-    // Eq. 7: delayed c_w/c_d and c_k snapshots on both sides. The expression
-    // tree — (mul, mul) over a div — is replicated exactly by the batched
-    // kernel (simd::ComputeAcceptRatios), keeping both paths bit-identical.
+    // Eq. 7: delayed c_w/c_d and c_k snapshots on both sides.
     double accept =
         (counts.Get(t) + prior_t) * (ck_fixed_[current] + beta_bar_) /
         ((counts.Get(current) + prior_s) * (ck_fixed_[t] + beta_bar_));
@@ -208,16 +200,16 @@ void WarpLdaSampler::FlushScratchMetrics() {
   m.alias_builds->Inc(alias_builds);
 }
 
-template <typename Counts>
 void WarpLdaSampler::BuildAliasInto(ThreadScratch& scratch,
-                                    const Counts& counts, AliasTable& alias) {
+                                    const HashCount& counts,
+                                    AliasTable& alias) {
   // Alg. 2 builds the alias table over the post-acceptance C_wk: q_word ∝
   // C_wk + β as a mixture of this count-weighted table and the uniform β
   // branch. Entries are sorted by topic so the bin layout is a pure function
-  // of the count values: a whole-column span (which patches its private
-  // acceptance-time snapshot with the segment's moves) and a split-column
-  // plan (which patches the shared column arena with the staged moves at the
-  // barrier) insert keys in different orders yet load identical tables.
+  // of the count values: the word pass (which patches its acceptance-time
+  // snapshot with the column's moves) and a restored word-propose span
+  // (which counts the committed column afresh) fill the table in different
+  // orders yet load identical tables.
   ++scratch.obs_alias_builds;
   scratch.alias_entries.clear();
   counts.ForEachNonZero([&](uint32_t k, int32_t c) {
@@ -270,9 +262,7 @@ void WarpLdaSampler::DrawDocProposals(uint64_t stream_base,
 void WarpLdaSampler::DrawAllDocProposals() {
   const uint64_t stream_base = StreamBase(phase_epoch_);
   for (DocId d = 0; d < corpus_->num_docs(); ++d) {
-    const std::span<const uint64_t> entries = matrix_.row_positions(d);
-    DrawDocProposals(stream_base,
-                     {entries.data(), 0, static_cast<uint32_t>(entries.size())},
+    DrawDocProposals(stream_base, ItemPositions(d, /*word_axis=*/false),
                      matrix_.row(d));
   }
 }
@@ -280,37 +270,31 @@ void WarpLdaSampler::DrawAllDocProposals() {
 void WarpLdaSampler::Iterate() { RunSweep(SweepPlan::Trivial()); }
 
 // --------------------------------------------------------------------------
-// Grid execution. Stages defer their writes (accepted topics go to the
-// block's staged-move list, count updates to the worker's ck-delta
-// partition) and apply them at the EndStage barrier, so every block of a
-// stage observes the same pre-stage state no matter the schedule. Combined
-// with the per-token RNG streams this makes any grid — the 1×1 plan that
-// Iterate() runs included — sample identically, on any number of workers:
-// a block body reads only shared *immutable* span state (z, the count
-// arenas, the column alias tables) and writes only its own tokens' proposal
-// slots plus scratch_[worker], so concurrent blocks share no mutable memory
-// (ParallelExecutor relies on exactly this). The one exception is a
-// whole-item span (below): its block owns every token of its items, no
-// other block reads them in that span, so it commits their z in place.
+// Grid execution. A sweep is two spans, each a pass over whole items cut
+// into the plan's D·W blocks: [word-accept, word-propose] over contiguous
+// column ranges, then [doc-accept, doc-propose] over contiguous row ranges
+// (BuildGridIndices). A block owns every token of its items, and no other
+// block reads them in that span, so it counts each item on the fly, runs
+// the item's accept chains against the delayed snapshots, commits the
+// accepted z in place and draws the item's proposals from the committed
+// values — §4.4's pass over one column or row. Count updates go to the
+// worker's ck-delta partition, folded at the EndStage barrier, and every
+// token draws from its own RNG stream, so any plan — the 1×1 plan that
+// Iterate() runs included — samples identically on any number of workers:
+// a block body reads only its own items plus shared *immutable* span state
+// (the c_k snapshot), and writes only its own items' z and proposal slots
+// plus scratch_[worker] (ParallelExecutor relies on exactly this).
 //
-// Stage fusion merges adjacent stages into one RunBlock pass per block where
-// the write-set proof holds, giving each plan its one stage schedule:
-//  * [word-propose, doc-accept] is always legal: a block's word-propose
-//    writes only its own tokens' proposal slots, and its doc-accept reads
-//    only its own tokens' proposals — the same token set, written earlier in
-//    the same call. z is stable across the pair (propose never writes z, and
-//    accept stages its writes), so the row snapshots are schedule-invariant.
-//  * [word-accept, word-propose] requires cols_ok (every column inside one
-//    doc block): propose's alias table needs the whole column's
-//    post-acceptance counts, which only that block computed.
-//  * [doc-accept, doc-propose] requires rows_ok (every row inside one word
-//    block): propose positions into the whole row's post-acceptance topics.
-// These two are the whole-item spans: the block counts its items on the fly
-// (no shared arena), commits their acceptances to z in place and draws the
-// proposals from the committed values — §4.4's pass over one column or row.
-// Fusion never changes the samples — only which barriers exist: 2 per sweep
-// when every column and every row lies in one block (the trivial plan), 3
-// otherwise.
+// Contiguous ranges keep each block's footprint compact: a word block
+// streams one run of the CSC arrays, and a doc block's rows read one
+// contiguous sub-run of each column they touch (columns are sorted by row
+// id). The plan's item maps do not steer the ranges; only its block counts
+// do.
+//
+// Earlier builds split items across blocks on most plans and so also
+// stopped at the word-propose and doc-propose barriers. A checkpoint taken
+// there restores into a propose-only span (SpanLength 1), which counts the
+// item from the committed z where it needs counts.
 
 void WarpLdaSampler::ReserveWorkers(uint32_t num_workers) {
   if (corpus_ == nullptr) {
@@ -333,7 +317,8 @@ void WarpLdaSampler::ReserveWorkers(uint32_t num_workers) {
   }
 }
 
-void WarpLdaSampler::BeginSweep(const SweepPlan& plan, const TaskRunner& run) {
+void WarpLdaSampler::BeginSweep(const SweepPlan& plan,
+                                const TaskRunner& /*run*/) {
   if (corpus_ == nullptr) {
     throw std::logic_error("WarpLdaSampler: Init() must precede BeginSweep()");
   }
@@ -343,12 +328,6 @@ void WarpLdaSampler::BeginSweep(const SweepPlan& plan, const TaskRunner& run) {
   std::string error;
   if (!plan.Validate(corpus_->num_docs(), corpus_->num_words(), &error)) {
     throw std::invalid_argument("WarpLdaSampler: invalid SweepPlan: " + error);
-  }
-  if (!local_blocks_.empty() &&
-      local_blocks_.size() !=
-          static_cast<size_t>(plan.num_doc_blocks) * plan.num_word_blocks) {
-    throw std::invalid_argument(
-        "WarpLdaSampler: SetLocalBlocks mask sized for a different plan");
   }
   BuildGridIndices(plan);
   for (auto& s : scratch_) {
@@ -364,275 +343,84 @@ void WarpLdaSampler::BeginSweep(const SweepPlan& plan, const TaskRunner& run) {
   phase_epoch_ += 2;
   grid_.base_word = StreamBase(phase_epoch_ - 1);
   grid_.base_doc = StreamBase(phase_epoch_);
-  grid_.col_filled = false;
   grid_.stage = SweepStage::kWordAccept;
   grid_.open = true;
-  try {
-    EnterSpan(SweepStage::kWordAccept, run);
-  } catch (...) {
-    AbortSweep();  // a failed barrier task leaves no half-open sweep
-    throw;
-  }
+  EnterSpan(SweepStage::kWordAccept);
 }
+
+namespace {
+
+// Cuts items [0, n) into `parts` contiguous ranges of about equal token
+// count, as PartitionStrategy::kDynamic does: range t starts at the first
+// item whose preceding tokens reach total·t/parts. `tokens_before(i)` is
+// the number of tokens in items [0, i), for i in [0, n].
+template <typename TokensBefore>
+std::vector<uint32_t> BalancedBounds(uint32_t n, uint32_t parts,
+                                     const TokensBefore& tokens_before) {
+  std::vector<uint32_t> bounds(parts + 1, n);
+  const uint64_t total = tokens_before(n);
+  uint32_t lo = 0;
+  for (uint32_t t = 0; t < parts; ++t) {
+    const uint64_t target = total * t / parts;
+    uint32_t hi = n;
+    while (lo < hi) {
+      const uint32_t mid = lo + (hi - lo) / 2;
+      if (tokens_before(mid) < target) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    bounds[t] = lo;
+  }
+  return bounds;
+}
+
+}  // namespace
 
 void WarpLdaSampler::BuildGridIndices(const SweepPlan& plan) {
-  if (grid_.indices_built && plan == grid_.plan) return;
   grid_.plan = plan;
-  const uint32_t num_wb = plan.num_word_blocks;
-  const uint32_t num_db = plan.num_doc_blocks;
-  const size_t num_blocks = static_cast<size_t>(num_db) * num_wb;
-  grid_.word_ix.assign(num_blocks, {});
-  grid_.doc_ix.assign(num_blocks, {});
-
-  // Word axis: group each column's CSC positions by doc block, giving every
-  // block its exact token list up front. Columns are never rescanned per
-  // block, and with one doc block every column is whole, so the per-entry
-  // doc-block map is skipped.
-  std::vector<uint32_t> entry_doc_block;
-  if (num_db > 1) {
-    entry_doc_block.resize(matrix_.num_entries());
-    for (DocId d = 0; d < corpus_->num_docs(); ++d) {
-      for (uint64_t pos : matrix_.row_positions(d)) {
-        entry_doc_block[pos] = plan.doc_block[d];
-      }
-    }
-  }
-  std::vector<std::vector<uint64_t>> buckets(num_db);
-  grid_.cols_ok = true;
-  for (WordId w = 0; w < corpus_->num_words(); ++w) {
-    const uint32_t wb = plan.word_block.empty() ? 0 : plan.word_block[w];
-    const uint64_t base = matrix_.col_offset(w);
-    const uint32_t len = matrix_.col_size(w);
-    if (len == 0) continue;
-    for (auto& bucket : buckets) bucket.clear();
-    if (num_db > 1) {
-      for (uint64_t p = base; p < base + len; ++p) {
-        buckets[entry_doc_block[p]].push_back(p);
-      }
-    }
-    if (!AddItemSegments(w, len, buckets, grid_.word_ix, num_wb, wb,
-                         /*over_doc_blocks=*/true)) {
-      grid_.cols_ok = false;
-    }
-  }
-
-  // Doc axis: same grouping, rows by word block, preserving row order so a
-  // split row's positions are a subsequence of the row's own index array.
-  buckets.assign(num_wb, {});
-  std::vector<uint32_t> entry_word_block;
-  if (num_wb > 1) {
-    entry_word_block.resize(matrix_.num_entries());
-    for (WordId w = 0; w < corpus_->num_words(); ++w) {
-      const uint64_t base = matrix_.col_offset(w);
-      std::fill_n(entry_word_block.begin() + base, matrix_.col_size(w),
-                  plan.word_block[w]);
-    }
-  }
-  grid_.rows_ok = true;
-  for (DocId d = 0; d < corpus_->num_docs(); ++d) {
-    const uint32_t db = plan.doc_block.empty() ? 0 : plan.doc_block[d];
-    const std::span<const uint64_t> row = matrix_.row_positions(d);
-    if (row.empty()) continue;
-    for (auto& bucket : buckets) bucket.clear();
-    if (num_wb > 1) {
-      for (uint64_t pos : row) buckets[entry_word_block[pos]].push_back(pos);
-    }
-    if (!AddItemSegments(d, static_cast<uint32_t>(row.size()), buckets,
-                         grid_.doc_ix, num_wb, db,
-                         /*over_doc_blocks=*/false)) {
-      grid_.rows_ok = false;
-    }
-  }
-  grid_.indices_built = true;
+  const uint32_t parts = plan.num_doc_blocks * plan.num_word_blocks;
+  grid_.col_bounds =
+      BalancedBounds(corpus_->num_words(), parts,
+                     [&](uint32_t w) { return matrix_.col_offset(w); });
+  grid_.row_bounds =
+      BalancedBounds(corpus_->num_docs(), parts,
+                     [&](uint32_t d) { return matrix_.row_offset(d); });
 }
 
-bool WarpLdaSampler::AddItemSegments(
-    uint32_t item, uint32_t len,
-    const std::vector<std::vector<uint64_t>>& buckets,
-    std::vector<BlockIndex>& indices, uint32_t num_wb, uint32_t own_block,
-    bool over_doc_blocks) {
-  auto block_of = [&](uint32_t other) {
-    return over_doc_blocks ? static_cast<size_t>(other) * num_wb + own_block
-                           : static_cast<size_t>(own_block) * num_wb + other;
-  };
-  uint32_t hit = 0;
-  uint32_t blocks_hit = 0;
-  for (uint32_t b = 0; b < buckets.size(); ++b) {
-    if (buckets[b].empty()) continue;
-    hit = b;
-    ++blocks_hit;
-  }
-  if (blocks_hit <= 1) {
-    // Whole item (no bucket filled means the other axis has one block).
-    BlockIndex& ix = indices[block_of(hit)];
-    ix.segments.push_back({item, 0, 0});
-    ix.tokens += len;
-    return true;
-  }
-  for (uint32_t b = 0; b < buckets.size(); ++b) {
-    if (buckets[b].empty()) continue;
-    BlockIndex& ix = indices[block_of(b)];
-    const uint32_t begin = static_cast<uint32_t>(ix.positions.size());
-    ix.positions.insert(ix.positions.end(), buckets[b].begin(),
-                        buckets[b].end());
-    ix.segments.push_back(
-        {item, begin, static_cast<uint32_t>(ix.positions.size())});
-    ix.tokens += buckets[b].size();
-  }
-  return false;
-}
-
-WarpLdaSampler::TokenPositions WarpLdaSampler::Positions(
-    const BlockIndex& ix, const BlockSegment& seg, bool word_axis) const {
-  if (seg.begin != seg.end) {
-    return {&ix.positions[seg.begin], 0, seg.end - seg.begin};
-  }
+WarpLdaSampler::TokenPositions WarpLdaSampler::ItemPositions(
+    uint32_t item, bool word_axis) const {
   if (word_axis) {
-    return {nullptr, matrix_.col_offset(seg.item), matrix_.col_size(seg.item)};
+    return {nullptr, matrix_.col_offset(item), matrix_.col_size(item)};
   }
-  const std::span<const uint64_t> row = matrix_.row_positions(seg.item);
+  const std::span<const uint64_t> row = matrix_.row_positions(item);
   return {row.data(), 0, static_cast<uint32_t>(row.size())};
 }
 
-int WarpLdaSampler::SpanLength(SweepStage s) const {
-  switch (s) {
-    case SweepStage::kWordAccept:
-      return grid_.cols_ok ? 2 : 1;
-    case SweepStage::kWordPropose:
-      return 2;  // [word-propose, doc-accept] is legal on every plan
-    case SweepStage::kDocAccept:
-      return grid_.rows_ok ? 2 : 1;
-    default:
-      return 1;
-  }
+std::pair<uint32_t, uint32_t> WarpLdaSampler::BlockItems(
+    size_t block, bool word_axis) const {
+  const std::vector<uint32_t>& bounds =
+      word_axis ? grid_.col_bounds : grid_.row_bounds;
+  return {bounds[block], bounds[block + 1]};
 }
 
-void WarpLdaSampler::EnterSpan(SweepStage begin, const TaskRunner& run) {
-  const int len = SpanLength(begin);
-  // Snapshot refresh: any span containing an accept stage needs ck_fixed =
-  // the fold state at its phase boundary. The [wp, da] span refreshes at
-  // entry (post word-accept fold; word-propose itself never reads it), so
-  // its doc-accept half — and the checkpoint bytes at the word-propose
-  // barrier — see the doc phase's snapshot.
-  // Doc-propose entry must NOT refresh: its barrier checkpoint carries the
-  // doc-accept snapshot, not the post-doc-accept fold.
-  if (begin != SweepStage::kDocPropose) ck_fixed_ = ck_live_;
-  switch (begin) {
-    case SweepStage::kWordAccept:
-      // Unfused word-accept blocks read the shared column tables; the fused
-      // [wa, wp] body builds its own per-column snapshot instead.
-      if (len == 1) BuildColArena(run);
-      break;
-    case SweepStage::kWordPropose:
-      // Post-acceptance column counts: patched in place at the word-accept
-      // barrier, or rebuilt from z on the restore path (where z is already
-      // post-acceptance).
-      if (!grid_.col_filled) BuildColArena(run);
-      BuildColAliases(run);
-      BuildRowArena(run);  // the span's doc-accept half reads rows
-      break;
-    case SweepStage::kDocAccept:
-      // The fused [da, dp] body counts its whole rows on the fly.
-      if (len == 1) BuildRowArena(run);
-      break;
-    default:
-      break;
-  }
+uint64_t WarpLdaSampler::BlockTokens(size_t block, bool word_axis) const {
+  const auto [lo, hi] = BlockItems(block, word_axis);
+  return word_axis ? matrix_.col_offset(hi) - matrix_.col_offset(lo)
+                   : matrix_.row_offset(hi) - matrix_.row_offset(lo);
 }
 
-void WarpLdaSampler::EnsureColArenaGeometry() {
-  if (col_counts_.ready) return;
-  std::vector<uint32_t> lengths(corpus_->num_words());
-  std::vector<uint32_t> hints(corpus_->num_words());
-  for (WordId w = 0; w < corpus_->num_words(); ++w) {
-    lengths[w] = static_cast<uint32_t>(matrix_.col_data(w).size());
-    hints[w] = std::min<uint32_t>(config_.num_topics, 2 * lengths[w]);
-  }
-  col_counts_.AllocateFromHints(hints);
-  col_counts_.SplitRanges(lengths, kBarrierTasks);
+int WarpLdaSampler::SpanLength(SweepStage s) {
+  return s == SweepStage::kWordAccept || s == SweepStage::kDocAccept ? 2 : 1;
 }
 
-void WarpLdaSampler::EnsureRowArenaGeometry() {
-  if (row_counts_.ready) return;
-  std::vector<uint32_t> lengths(corpus_->num_docs());
-  std::vector<uint32_t> hints(corpus_->num_docs());
-  for (DocId d = 0; d < corpus_->num_docs(); ++d) {
-    lengths[d] = matrix_.row(d).size();
-    hints[d] = std::min<uint32_t>(config_.num_topics, 2 * lengths[d]);
-  }
-  row_counts_.AllocateFromHints(hints);
-  row_counts_.SplitRanges(lengths, kBarrierTasks);
-}
-
-void WarpLdaSampler::BuildColArena(const TaskRunner& run) {
-  EnsureColArenaGeometry();
-  const std::vector<uint32_t>& ranges = col_counts_.ranges;
-  run(static_cast<uint32_t>(ranges.size() - 1), [&](uint32_t, uint32_t t) {
-    FillColArenaRange(ranges[t], ranges[t + 1]);
-  });
-  grid_.col_filled = true;
-}
-
-void WarpLdaSampler::FillColArenaRange(uint32_t lo, uint32_t hi) {
-  col_counts_.ClearItems(lo, hi);
-  for (WordId w = lo; w < hi; ++w) {
-    FlatCounts counts = col_counts_.view(w);
-    for (TopicId topic : matrix_.col_data(w)) counts.Inc(topic);
-  }
-}
-
-void WarpLdaSampler::BuildRowArena(const TaskRunner& run) {
-  EnsureRowArenaGeometry();
-  // Row tables are only ever read by doc-accept block bodies, so a
-  // SetLocalBlocks filter restricts the fill to the rows owned blocks
-  // actually visit (unlike the column arena, which the word-accept barrier
-  // patches for every block's moves and must stay complete).
-  const std::vector<char> needed = LocalItemFilter(/*word_axis=*/false);
-  const std::vector<uint32_t>& ranges = row_counts_.ranges;
-  run(static_cast<uint32_t>(ranges.size() - 1), [&](uint32_t, uint32_t t) {
-    FillRowArenaRange(ranges[t], ranges[t + 1], needed);
-  });
-}
-
-void WarpLdaSampler::FillRowArenaRange(uint32_t lo, uint32_t hi,
-                                       const std::vector<char>& needed) {
-  row_counts_.ClearItems(lo, hi);
-  for (DocId d = lo; d < hi; ++d) {
-    if (!needed.empty() && !needed[d]) continue;
-    auto row = matrix_.row(d);
-    FlatCounts counts = row_counts_.view(d);
-    for (uint32_t i = 0; i < row.size(); ++i) counts.Inc(row[i]);
-  }
-}
-
-void WarpLdaSampler::BuildColAliases(const TaskRunner& run) {
-  col_alias_.resize(corpus_->num_words());
-  // One order-stable build per column per sweep — not per (block × column),
-  // each task on its worker's entry scratch. Under a SetLocalBlocks filter
-  // only the columns an owned block will read are built: a distributed
-  // worker skips the (V − V/P) tables whose propose work happens in other
-  // processes.
-  const std::vector<char> needed = LocalItemFilter(/*word_axis=*/true);
-  const std::vector<uint32_t>& ranges = col_counts_.ranges;
-  run(static_cast<uint32_t>(ranges.size() - 1),
-      [&](uint32_t worker, uint32_t t) {
-        if (worker >= scratch_.size()) {
-          throw std::invalid_argument(
-              "WarpLdaSampler: barrier task on worker " +
-              std::to_string(worker) + "; ReserveWorkers() first");
-        }
-        BuildColAliasRange(ranges[t], ranges[t + 1], needed, scratch_[worker]);
-      });
-}
-
-void WarpLdaSampler::BuildColAliasRange(uint32_t lo, uint32_t hi,
-                                        const std::vector<char>& needed,
-                                        ThreadScratch& s) {
-  for (WordId w = lo; w < hi; ++w) {
-    if (matrix_.col_data(w).empty()) continue;
-    if (!needed.empty() && !needed[w]) continue;
-    const FlatCounts counts = col_counts_.view(w);
-    BuildAliasInto(s, counts, col_alias_[w]);
+void WarpLdaSampler::EnterSpan(SweepStage begin) {
+  // An accept stage reads the c_k snapshot of its pass boundary. A
+  // propose-only span (restore path) refreshes nothing: its checkpoint
+  // carries the snapshot the capturing run held there.
+  if (begin == SweepStage::kWordAccept || begin == SweepStage::kDocAccept) {
+    ck_fixed_ = ck_live_;
   }
 }
 
@@ -669,194 +457,66 @@ void WarpLdaSampler::RunBlockInto(uint32_t doc_block, uint32_t word_block,
   }
   ran = 1;
   ThreadScratch& scratch = scratch_[worker];
-  std::vector<StagedMove>& moves = grid_.block_moves[block];
-  const int len = SpanLength(grid_.stage);
   switch (grid_.stage) {
     case SweepStage::kWordAccept:
-      if (len == 2) {
-        RunFusedWordPart(doc_block, word_block, scratch, committed);
-      } else {
-        RunWordAcceptPart(doc_block, word_block, scratch, moves);
-      }
+      RunWordPart(block, scratch, committed);
       break;
     case SweepStage::kWordPropose:
-      RunWordProposePart(doc_block, word_block);
-      // [wp, da]: this block's doc-accept reads exactly the proposals its
-      // word-propose half just wrote (the block's token set is the same on
-      // both axes), so no barrier is needed between them.
-      RunDocAcceptPart(doc_block, word_block, scratch, moves);
+      RunWordProposePart(block, scratch);
       break;
     case SweepStage::kDocAccept:
-      if (len == 2) {
-        RunFusedDocPart(doc_block, word_block, scratch, committed);
-      } else {
-        RunDocAcceptPart(doc_block, word_block, scratch, moves);
-      }
+      RunDocPart(block, scratch, committed);
       break;
     case SweepStage::kDocPropose:
-      RunDocProposePart(doc_block, word_block);
+      RunDocProposePart(block);
       break;
     case SweepStage::kDone:
       break;  // unreachable, checked above
   }
 }
 
-template <typename Counts>
-void WarpLdaSampler::AcceptSegment(ThreadScratch& s, const Counts& counts,
-                                   const TokenPositions& positions,
-                                   const std::vector<double>* prior_vec,
-                                   double prior, uint64_t stream_base,
-                                   uint32_t move_item,
-                                   std::vector<StagedMove>& moves) {
+void WarpLdaSampler::AcceptItem(ThreadScratch& s,
+                                const TokenPositions& positions,
+                                const std::vector<double>* prior_vec,
+                                double prior, uint64_t stream_base,
+                                uint32_t item) {
   const uint32_t m = std::max(1u, config_.mh_steps);
-  const uint32_t n = positions.size;
-  if (tracer_ != nullptr || std::is_same_v<Counts, HashCount>) {
-    // The scalar chain, token by token. Trace runs need it: the batched path
-    // elides the per-proposal slot probes the cache tracer replays. So do
-    // the whole-item spans' private hash tables: there the gather pass's
-    // 1+M probes per token (self-proposals included) cost more than the
-    // vector ratio saves, while over a flat arena they are plain loads.
-    for (uint32_t i = 0; i < n; ++i) {
-      const uint64_t pos = positions[i];
-      const TopicId before = matrix_.entry_data(pos);
-      const TopicId after =
-          AcceptChain(s, counts, before, &proposals_[pos * m], m, prior_vec,
-                      prior, stream_base, pos);
-      if (after != before) moves.push_back({pos, move_item, before, after});
-    }
-    return;
-  }
-  if (s.bat_ca.size() < kAcceptChunk) {
-    s.bat_ca.resize(kAcceptChunk);
-    s.bat_cb.resize(kAcceptChunk);
-    s.bat_cur.resize(kAcceptChunk);
-    s.bat_ratio.resize(kAcceptChunk);
-    s.bat_ge1.resize(kAcceptChunk);
-    s.bat_seeded.resize(kAcceptChunk);
-    s.bat_rng.resize(kAcceptChunk);
-  }
-  const size_t steps_cap = static_cast<size_t>(m) * kAcceptChunk;
-  if (s.bat_ta.size() < steps_cap) {
-    s.bat_ta.resize(steps_cap);
-    s.bat_tb.resize(steps_cap);
-    s.bat_topic.resize(steps_cap);
-  }
-  int64_t* ck_delta = s.ck_delta.data();
-  for (uint32_t chunk = 0; chunk < n; chunk += kAcceptChunk) {
-    const uint32_t nb = std::min(kAcceptChunk, n - chunk);
-    // Gather pass: every operand of every chain step, SoA per step. The
-    // count table is a delayed snapshot — immutable for the whole stage —
-    // so step j's operands can be fetched before steps 0..j-1 resolve.
-    for (uint32_t t = 0; t < nb; ++t) {
-      const uint64_t pos = positions[chunk + t];
-      const TopicId cur = matrix_.entry_data(pos);
-      s.bat_cur[t] = cur;
-      s.bat_ca[t] = counts.Get(cur) + (prior_vec ? (*prior_vec)[cur] : prior);
-      s.bat_cb[t] = ck_fixed_[cur] + beta_bar_;
-      s.bat_seeded[t] = 0;
-      const TopicId* props = &proposals_[pos * m];
-      for (uint32_t j = 0; j < m; ++j) {
-        const TopicId p = props[j];
-        s.bat_topic[j * kAcceptChunk + t] = p;
-        s.bat_ta[j * kAcceptChunk + t] =
-            counts.Get(p) + (prior_vec ? (*prior_vec)[p] : prior);
-        s.bat_tb[j * kAcceptChunk + t] = ck_fixed_[p] + beta_bar_;
-      }
-    }
-    s.obs_tokens += nb;
-    // Chain steps: vectorized ratio compute over the whole chunk, then a
-    // sequential resolve that reproduces the scalar chain exactly — same
-    // self-proposal skips, same lazy per-token stream seeding, same
-    // Bernoulli consumption, and on accept the running (a, b) switch to the
-    // target's gathered operands (legal because the snapshot is immutable).
-    for (uint32_t j = 0; j < m; ++j) {
-      const double* a_t = &s.bat_ta[static_cast<size_t>(j) * kAcceptChunk];
-      const double* b_t = &s.bat_tb[static_cast<size_t>(j) * kAcceptChunk];
-      const uint32_t* topic =
-          &s.bat_topic[static_cast<size_t>(j) * kAcceptChunk];
-      simd::ComputeAcceptRatios(nb, a_t, b_t, s.bat_ca.data(),
-                                s.bat_cb.data(), s.bat_ratio.data(),
-                                s.bat_ge1.data());
-      for (uint32_t t = 0; t < nb; ++t) {
-        const TopicId p = topic[t];
-        if (p == s.bat_cur[t]) continue;
-        ++s.obs_proposals;
-        bool take = s.bat_ge1[t] != 0;
-        if (!take) {
-          if (!s.bat_seeded[t]) {
-            s.bat_rng[t] =
-                StreamRng(stream_base, kTagAccept, positions[chunk + t]);
-            s.bat_seeded[t] = 1;
-          }
-          take = s.bat_rng[t].NextBernoulli(s.bat_ratio[t]);
-        }
-        if (take) {
-          ++s.obs_accepts;
-          --ck_delta[s.bat_cur[t]];
-          ++ck_delta[p];
-          s.bat_cur[t] = p;
-          s.bat_ca[t] = a_t[t];
-          s.bat_cb[t] = b_t[t];
-        }
-      }
-    }
-    for (uint32_t t = 0; t < nb; ++t) {
-      const uint64_t pos = positions[chunk + t];
-      const TopicId before = matrix_.entry_data(pos);
-      const TopicId after = s.bat_cur[t];
-      if (after != before) moves.push_back({pos, move_item, before, after});
-    }
+  s.item_moves.clear();
+  for (uint32_t i = 0; i < positions.size; ++i) {
+    const uint64_t pos = positions[i];
+    const TopicId before = matrix_.entry_data(pos);
+    const TopicId after =
+        AcceptChain(s, s.counts, before, &proposals_[pos * m], m, prior_vec,
+                    prior, stream_base, pos);
+    if (after != before) s.item_moves.push_back({pos, item, before, after});
   }
 }
 
-void WarpLdaSampler::RunWordAcceptPart(uint32_t doc_block,
-                                       uint32_t word_block, ThreadScratch& s,
-                                       std::vector<StagedMove>& moves) {
-  const double beta = config_.beta;
-  const BlockIndex& ix =
-      grid_.word_ix[static_cast<size_t>(doc_block) *
-                        grid_.plan.num_word_blocks +
-                    word_block];
-  for (const BlockSegment& seg : ix.segments) {
-    // Shared pre-stage column table from the arena (immutable this stage).
-    const FlatCounts counts = col_counts_.view(seg.item);
-    AcceptSegment(s, counts, Positions(ix, seg, /*word_axis=*/true), nullptr,
-                  beta, grid_.base_word, seg.item, moves);
-  }
-}
-
-void WarpLdaSampler::RunFusedWordPart(uint32_t doc_block, uint32_t word_block,
-                                      ThreadScratch& s,
-                                      std::vector<StagedMove>* committed) {
-  // [wa, wp] span (cols_ok): each segment is a whole column that no other
-  // block reads this span. Count it on the fly, accept, commit the moves to
-  // z in place while patching the private snapshot with them, then build
-  // the column's alias table and draw — one scope per column, as §4.4 has
-  // it, with no shared arena, staged moves or barrier in between.
+void WarpLdaSampler::RunWordPart(size_t block, ThreadScratch& s,
+                                 std::vector<StagedMove>* committed) {
+  // One scope per column, as §4.4 has it: count it on the fly, accept,
+  // commit the moves to z in place while patching the count snapshot with
+  // them, then build the column's alias table and draw.
   const uint32_t k_topics = config_.num_topics;
   const double beta = config_.beta;
-  const BlockIndex& ix =
-      grid_.word_ix[static_cast<size_t>(doc_block) *
-                        grid_.plan.num_word_blocks +
-                    word_block];
-  for (const BlockSegment& seg : ix.segments) {
-    const TokenPositions positions = Positions(ix, seg, /*word_axis=*/true);
-    const std::span<TopicId> z = matrix_.col_data(seg.item);
+  const auto [lo, hi] = BlockItems(block, /*word_axis=*/true);
+  for (WordId w = lo; w < hi; ++w) {
+    const std::span<TopicId> z = matrix_.col_data(w);
+    if (z.empty()) continue;
+    const TokenPositions positions = ItemPositions(w, /*word_axis=*/true);
     BuildCounts(s.counts, z);
     Trace(reinterpret_cast<const void*>(s.counts.slots().data()),
           s.counts.capacity() * static_cast<uint32_t>(sizeof(HashCount::Entry)),
           /*random=*/true, /*write=*/true);
-    s.segment_moves.clear();
-    AcceptSegment(s, s.counts, positions, nullptr, beta, grid_.base_word,
-                  seg.item, s.segment_moves);
-    for (const StagedMove& mv : s.segment_moves) {
+    AcceptItem(s, positions, nullptr, beta, grid_.base_word, w);
+    for (const StagedMove& mv : s.item_moves) {
       z[mv.pos - positions.first] = mv.to;
       s.counts.Dec(mv.from);
       s.counts.Inc(mv.to);
     }
     if (committed != nullptr) {
-      committed->insert(committed->end(), s.segment_moves.begin(),
-                        s.segment_moves.end());
+      committed->insert(committed->end(), s.item_moves.begin(),
+                        s.item_moves.end());
     }
     BuildAliasInto(s, s.counts, s.alias);
     const double lw = static_cast<double>(z.size());
@@ -865,102 +525,72 @@ void WarpLdaSampler::RunFusedWordPart(uint32_t doc_block, uint32_t word_block,
   }
 }
 
-void WarpLdaSampler::RunWordProposePart(uint32_t doc_block,
-                                        uint32_t word_block) {
+void WarpLdaSampler::RunWordProposePart(size_t block, ThreadScratch& s) {
+  // The word pass's propose half alone: z already holds the post-acceptance
+  // column, so its counts are the ones RunWordPart would have patched to.
   const uint32_t k_topics = config_.num_topics;
   const double beta = config_.beta;
-  const BlockIndex& ix =
-      grid_.word_ix[static_cast<size_t>(doc_block) *
-                        grid_.plan.num_word_blocks +
-                    word_block];
-  for (const BlockSegment& seg : ix.segments) {
-    // Post-acceptance alias table, built once per column at the span entry.
-    const double lw = static_cast<double>(matrix_.col_size(seg.item));
-    DrawWordProposals(Positions(ix, seg, /*word_axis=*/true),
-                      col_alias_[seg.item], lw / (lw + beta * k_topics));
+  const auto [lo, hi] = BlockItems(block, /*word_axis=*/true);
+  for (WordId w = lo; w < hi; ++w) {
+    const std::span<TopicId> z = matrix_.col_data(w);
+    if (z.empty()) continue;
+    BuildCounts(s.counts, z);
+    BuildAliasInto(s, s.counts, s.alias);
+    const double lw = static_cast<double>(z.size());
+    DrawWordProposals(ItemPositions(w, /*word_axis=*/true), s.alias,
+                      lw / (lw + beta * k_topics));
   }
 }
 
-void WarpLdaSampler::RunDocAcceptPart(uint32_t doc_block, uint32_t word_block,
-                                      ThreadScratch& s,
-                                      std::vector<StagedMove>& moves) {
+void WarpLdaSampler::RunDocPart(size_t block, ThreadScratch& s,
+                                std::vector<StagedMove>* committed) {
+  // RunWordPart's scheme per row: count on the fly, accept, commit in
+  // place, then position the row's proposals into its committed topics.
   const std::vector<double>* alpha_vec =
       config_.alpha_vector.empty() ? nullptr : &config_.alpha_vector;
-  const BlockIndex& ix =
-      grid_.doc_ix[static_cast<size_t>(doc_block) *
-                       grid_.plan.num_word_blocks +
-                   word_block];
-  for (const BlockSegment& seg : ix.segments) {
-    const FlatCounts counts = row_counts_.view(seg.item);
-    AcceptSegment(s, counts, Positions(ix, seg, /*word_axis=*/false),
-                  alpha_vec, config_.alpha, grid_.base_doc, seg.item, moves);
-  }
-}
-
-void WarpLdaSampler::RunFusedDocPart(uint32_t doc_block, uint32_t word_block,
-                                     ThreadScratch& s,
-                                     std::vector<StagedMove>* committed) {
-  // [da, dp] span (rows_ok): each segment is a whole row that no other block
-  // reads this span, so it gets the whole-column treatment of
-  // RunFusedWordPart — count on the fly, accept, commit in place, then
-  // position the row's proposals into its committed topics.
-  const std::vector<double>* alpha_vec =
-      config_.alpha_vector.empty() ? nullptr : &config_.alpha_vector;
-  const BlockIndex& ix =
-      grid_.doc_ix[static_cast<size_t>(doc_block) *
-                       grid_.plan.num_word_blocks +
-                   word_block];
-  for (const BlockSegment& seg : ix.segments) {
-    const TokenPositions positions = Positions(ix, seg, /*word_axis=*/false);
-    const SparseMatrix<TopicId>::RowView row = matrix_.row(seg.item);
+  const auto [lo, hi] = BlockItems(block, /*word_axis=*/false);
+  for (DocId d = lo; d < hi; ++d) {
+    const SparseMatrix<TopicId>::RowView row = matrix_.row(d);
+    if (row.size() == 0) continue;
+    const TokenPositions positions = ItemPositions(d, /*word_axis=*/false);
     BuildCounts(s.counts, row);
     Trace(reinterpret_cast<const void*>(s.counts.slots().data()),
           s.counts.capacity() * static_cast<uint32_t>(sizeof(HashCount::Entry)),
           /*random=*/true, /*write=*/true);
-    s.segment_moves.clear();
-    AcceptSegment(s, s.counts, positions, alpha_vec, config_.alpha,
-                  grid_.base_doc, seg.item, s.segment_moves);
-    for (const StagedMove& mv : s.segment_moves) {
+    AcceptItem(s, positions, alpha_vec, config_.alpha, grid_.base_doc, d);
+    for (const StagedMove& mv : s.item_moves) {
       matrix_.entry_data(mv.pos) = mv.to;
     }
     if (committed != nullptr) {
-      committed->insert(committed->end(), s.segment_moves.begin(),
-                        s.segment_moves.end());
+      committed->insert(committed->end(), s.item_moves.begin(),
+                        s.item_moves.end());
     }
     DrawDocProposals(grid_.base_doc, positions, row);
     TraceScopeEnd();
   }
 }
 
-void WarpLdaSampler::RunDocProposePart(uint32_t doc_block,
-                                       uint32_t word_block) {
-  const BlockIndex& ix =
-      grid_.doc_ix[static_cast<size_t>(doc_block) *
-                       grid_.plan.num_word_blocks +
-                   word_block];
-  for (const BlockSegment& seg : ix.segments) {
-    // Positioning reads the whole row's post-barrier topics; this block
-    // draws only for its own tokens.
-    DrawDocProposals(grid_.base_doc, Positions(ix, seg, /*word_axis=*/false),
-                     matrix_.row(seg.item));
+void WarpLdaSampler::RunDocProposePart(size_t block) {
+  const auto [lo, hi] = BlockItems(block, /*word_axis=*/false);
+  for (DocId d = lo; d < hi; ++d) {
+    DrawDocProposals(grid_.base_doc, ItemPositions(d, /*word_axis=*/false),
+                     matrix_.row(d));
   }
 }
 
-void WarpLdaSampler::ApplyStagedMoves(bool patch_col_counts,
-                                      const TaskRunner& run) {
-  // O(moved tokens), not O(all tokens): each stage's accepted moves are the
-  // only z writes. One task per word block applies its blocks' moves — a
-  // column lies in one word block, so no two tasks patch one column table —
-  // and one task per topic range folds the per-worker ck-delta partitions,
-  // the once-per-barrier reduction that replaces a shared (contended) delta
-  // vector. Every position moves at most once per stage, so any task
-  // interleaving folds to the same state.
+void WarpLdaSampler::ApplyStagedMoves(const TaskRunner& run) {
+  // Local blocks committed their moves in place; only injected ones wait
+  // here. One task per word block commits its blocks' moves — blocks own
+  // disjoint tokens, so no two tasks write one position — and one task per
+  // topic range folds the per-worker ck-delta partitions, the
+  // once-per-barrier reduction that replaces a shared (contended) delta
+  // vector.
   const uint32_t num_wb = grid_.plan.num_word_blocks;
   const uint32_t k_topics = config_.num_topics;
   const uint32_t fold_tasks = (k_topics + kFoldTopics - 1) / kFoldTopics;
   run(num_wb + fold_tasks, [&](uint32_t, uint32_t t) {
     if (t < num_wb) {
-      ApplyMovesRange(t, patch_col_counts);
+      ApplyMovesRange(t);
     } else {
       const uint32_t lo = (t - num_wb) * kFoldTopics;
       FoldDeltaRange(lo, std::min(k_topics, lo + kFoldTopics));
@@ -968,20 +598,12 @@ void WarpLdaSampler::ApplyStagedMoves(bool patch_col_counts,
   });
 }
 
-void WarpLdaSampler::ApplyMovesRange(uint32_t word_block,
-                                     bool patch_col_counts) {
+void WarpLdaSampler::ApplyMovesRange(uint32_t word_block) {
   const uint32_t num_wb = grid_.plan.num_word_blocks;
   for (uint32_t db = 0; db < grid_.plan.num_doc_blocks; ++db) {
     std::vector<StagedMove>& moves =
         grid_.block_moves[static_cast<size_t>(db) * num_wb + word_block];
-    for (const StagedMove& mv : moves) {
-      matrix_.entry_data(mv.pos) = mv.to;
-      if (patch_col_counts) {
-        FlatCounts counts = col_counts_.view(mv.item);
-        counts.Dec(mv.from);
-        counts.Inc(mv.to);
-      }
-    }
+    for (const StagedMove& mv : moves) matrix_.entry_data(mv.pos) = mv.to;
     moves.clear();
   }
 }
@@ -1011,27 +633,20 @@ void WarpLdaSampler::EndStage(const TaskRunner& run) {
         " stage with " + std::to_string(missing) + " of " +
         std::to_string(grid_.block_ran.size()) + " blocks not run");
   }
+  ApplyStagedMoves(run);
   const SweepStage begin = grid_.stage;
-  const int len = SpanLength(begin);
-  if (begin != SweepStage::kDocPropose) {  // every other span accepts
-    // Patch the shared column tables in place only when the next span's
-    // alias builds will read them (an unfused word-accept feeding
-    // word-propose); everywhere else the moves only touch z.
-    ApplyStagedMoves(
-        /*patch_col_counts=*/begin == SweepStage::kWordAccept && len == 1,
-        run);
-  }
-  grid_.stage = static_cast<SweepStage>(static_cast<int>(begin) + len);
+  grid_.stage = static_cast<SweepStage>(static_cast<int>(begin) +
+                                        SpanLength(begin));
   std::fill(grid_.block_ran.begin(), grid_.block_ran.end(), 0);
-  if (grid_.stage != SweepStage::kDone) EnterSpan(grid_.stage, run);
+  if (grid_.stage != SweepStage::kDone) EnterSpan(grid_.stage);
   FlushScratchMetrics();  // workers are quiescent at the barrier
 }
 
 void WarpLdaSampler::AbortSweep() {
   if (!grid_.open) return;
-  // Discard the aborted stage's staged moves and unfolded deltas; the live
-  // state is whatever the last completed barrier applied, plus the segments
-  // an aborted whole-item span already committed in place. A barrier whose
+  // Discard the aborted span's injected moves and unfolded deltas; the live
+  // state is whatever the last completed barrier applied, plus the items
+  // the aborted span's blocks already committed in place. A barrier whose
   // tasks threw may have applied only some moves, or folded deltas whose
   // moves it did not apply, so c_k is recounted from z to keep the two
   // consistent. Pending proposals may be stale — callers recover by running
@@ -1063,9 +678,9 @@ void WarpLdaSampler::EndSweep() {
 bool WarpLdaSampler::CaptureSweepState(SweepCheckpoint* out) const {
   if (corpus_ == nullptr) return false;
   if (grid_.open) {
-    // Only quiescent points are capturable: at a barrier every worker's
-    // staged moves are applied and every ck-delta partition is folded (and
-    // zeroed), so the live arrays below are the *whole* state. Mid-stage
+    // Only quiescent points are capturable: at a barrier every injected
+    // move is applied and every ck-delta partition is folded (and zeroed),
+    // so the live arrays below are the *whole* state. Mid-stage
     // they are not, and a checkpoint here would silently drop work.
     for (char ran : grid_.block_ran) {
       if (ran) return false;
@@ -1146,12 +761,6 @@ bool WarpLdaSampler::RestoreSweepState(const SweepCheckpoint& state,
       return fail("checkpoint sweep plan does not fit the corpus: " +
                   plan_error);
     }
-    if (!local_blocks_.empty() &&
-        local_blocks_.size() != static_cast<size_t>(
-                                    state.plan.num_doc_blocks) *
-                                    state.plan.num_word_blocks) {
-      return fail("SetLocalBlocks mask sized for a different plan");
-    }
   }
 
   // Vector-aware prior refresh (SetPriors would overwrite the asymmetric ᾱ
@@ -1181,79 +790,31 @@ bool WarpLdaSampler::RestoreSweepState(const SweepCheckpoint& state,
     grid_.open = false;
     return true;
   }
-  // Reopen the sweep at the checkpointed barrier: rebuild the plan indices
-  // and the span state EnterSpan would have prepared there. The snapshot
-  // refresh inside EnterSpan is a no-op on this path — at an accept span's
-  // entry barrier the checkpointed ck_fixed equals the fold state ck_live
-  // was just rebuilt to — and the arenas are rebuilt from the restored z,
-  // which is exactly the z the capturing run's arenas reflected.
+  // Reopen the sweep at the checkpointed barrier. No span state needs
+  // rebuilding: blocks count their items from z as they run, and the
+  // checkpoint carries the c_k snapshot the barrier's span reads.
   BuildGridIndices(state.plan);
   const size_t num_blocks = static_cast<size_t>(state.plan.num_doc_blocks) *
                             state.plan.num_word_blocks;
   grid_.block_moves.resize(num_blocks);
   grid_.block_ran.assign(num_blocks, 0);
-  grid_.col_filled = false;
   grid_.stage = state.next_stage;
   grid_.open = true;
-  if (state.next_stage != SweepStage::kDocPropose) {
-    EnterSpan(state.next_stage, RunInline);
-  }
   return true;
 }
 
 // --------------------------------------------------------------------------
-// Distributed execution: block deltas. Within a stage, a block's entire
+// Distributed execution: block deltas. Within a span, a block's entire
 // externally visible effect is (moves, own tokens' proposal slots) — its z
-// writes are staged until the barrier or, in a whole-item span, committed to
-// items no other block reads, and every other write lands in per-worker
-// scratch. Capturing those two pieces and replaying them in a
-// peer process that holds the same pre-stage state makes the peer's
-// EndStage() fold bit-identical to having run the block locally: staged
-// moves land in scratch (with their ck-delta net effect, intermediates of
-// an MH chain cancel), and proposals scatter into the very slots the block
-// would have written. Proposal order is the plan-derived segment position
-// order, which every process computes identically from (plan, corpus).
-
-bool WarpLdaSampler::SpanWritesProposals(SweepStage begin,
-                                         bool* word_axis) const {
-  switch (begin) {
-    case SweepStage::kWordAccept:
-      *word_axis = true;
-      return SpanLength(begin) == 2;  // fused [wa, wp] draws word proposals
-    case SweepStage::kWordPropose:
-      // Word proposals always; a fused [wp, da] span's doc-accept half only
-      // stages moves, so the axis stays word.
-      *word_axis = true;
-      return true;
-    case SweepStage::kDocAccept:
-      *word_axis = false;
-      return SpanLength(begin) == 2;  // fused [da, dp] draws doc proposals
-    case SweepStage::kDocPropose:
-      *word_axis = false;
-      return true;
-    default:
-      *word_axis = false;
-      return false;
-  }
-}
-
-std::vector<char> WarpLdaSampler::LocalItemFilter(bool word_axis) const {
-  if (local_blocks_.empty()) return {};
-  const auto& indices = word_axis ? grid_.word_ix : grid_.doc_ix;
-  std::vector<char> needed(
-      word_axis ? corpus_->num_words() : corpus_->num_docs(), 0);
-  for (size_t b = 0; b < indices.size() && b < local_blocks_.size(); ++b) {
-    if (!local_blocks_[b]) continue;
-    for (const BlockSegment& seg : indices[b].segments) {
-      needed[seg.item] = 1;
-    }
-  }
-  return needed;
-}
-
-void WarpLdaSampler::SetLocalBlocks(const std::vector<char>& owned) {
-  local_blocks_ = owned;
-}
+// writes land on items no other block reads, and every other write lands
+// in per-worker scratch. Capturing those two pieces and replaying them in
+// a peer process that holds the same pre-span state makes the peer's
+// EndStage() bit-identical to having run the block locally: the moves are
+// committed at the barrier (with their ck-delta net effect; intermediates
+// of an MH chain cancel), and proposals scatter into the very slots the
+// block would have written. Both are in the block's item order and each
+// item's token order, which every process derives identically from (plan,
+// corpus).
 
 bool WarpLdaSampler::RunBlockCaptured(uint32_t doc_block, uint32_t word_block,
                                       uint32_t worker, GridBlockDelta* out) {
@@ -1268,28 +829,23 @@ bool WarpLdaSampler::RunBlockCaptured(uint32_t doc_block, uint32_t word_block,
   const SweepStage begin = grid_.stage;
   const size_t block =
       static_cast<size_t>(doc_block) * grid_.plan.num_word_blocks + word_block;
-  // A whole-item span reports the moves it commits in place; any other span
-  // stages them in the block's list, which (the block ran once this span)
-  // holds exactly its moves. Only one of the two is non-empty.
   out->moves.clear();
   RunBlockInto(doc_block, word_block, worker, &out->moves);
-  const std::vector<StagedMove>& staged = grid_.block_moves[block];
-  out->moves.insert(out->moves.end(), staged.begin(), staged.end());
   out->stage = begin;
   out->doc_block = doc_block;
   out->word_block = word_block;
+  // Every span draws proposals: word ones in word stages, doc ones in doc
+  // stages.
+  const bool word_axis = begin < SweepStage::kDocAccept;
+  const uint32_t m = std::max(1u, config_.mh_steps);
   out->proposals.clear();
-  bool word_axis = false;
-  if (SpanWritesProposals(begin, &word_axis)) {
-    const BlockIndex& ix = (word_axis ? grid_.word_ix : grid_.doc_ix)[block];
-    const uint32_t m = std::max(1u, config_.mh_steps);
-    out->proposals.reserve(ix.tokens * m);
-    for (const BlockSegment& seg : ix.segments) {
-      const TokenPositions positions = Positions(ix, seg, word_axis);
-      for (uint32_t i = 0; i < positions.size; ++i) {
-        const TopicId* slot = &proposals_[positions[i] * m];
-        out->proposals.insert(out->proposals.end(), slot, slot + m);
-      }
+  out->proposals.reserve(BlockTokens(block, word_axis) * m);
+  const auto [lo, hi] = BlockItems(block, word_axis);
+  for (uint32_t item = lo; item < hi; ++item) {
+    const TokenPositions positions = ItemPositions(item, word_axis);
+    for (uint32_t i = 0; i < positions.size; ++i) {
+      const TopicId* slot = &proposals_[positions[i] * m];
+      out->proposals.insert(out->proposals.end(), slot, slot + m);
     }
   }
   return true;
@@ -1325,11 +881,9 @@ bool WarpLdaSampler::ApplyBlockDelta(const GridBlockDelta& delta,
   // leaves the sampler untouched.
   const uint32_t k_topics = config_.num_topics;
   const uint64_t num_entries = matrix_.num_entries();
-  // Moves carry the item AcceptSegment tagged them with: the column for the
-  // word-accept stage (the barrier may patch the column arena through it),
-  // the row for spans whose accept half runs on the doc axis.
-  const bool word_items = delta.stage == SweepStage::kWordAccept;
-  if (delta.stage == SweepStage::kDocPropose && !delta.moves.empty()) {
+  const bool word_axis = delta.stage < SweepStage::kDocAccept;
+  const auto [lo, hi] = BlockItems(block, word_axis);
+  if (SpanLength(delta.stage) == 1 && !delta.moves.empty()) {
     return fail("delta stages moves in a pure propose span");
   }
   for (const GridBlockDelta::Move& mv : delta.moves) {
@@ -1337,26 +891,27 @@ bool WarpLdaSampler::ApplyBlockDelta(const GridBlockDelta& delta,
     if (mv.from >= k_topics || mv.to >= k_topics) {
       return fail("delta move topic out of range");
     }
-    // z is stable for the whole span, so `from` must match the current
-    // assignment — anything else means the peer ran from different state.
+    // This block's z is untouched until the barrier (it did not run here),
+    // so `from` must match the current assignment — anything else means
+    // the peer ran from different state.
     if (matrix_.entry_data(mv.pos) != mv.from) {
       return fail("delta move disagrees with the current assignment");
     }
   }
-  // AcceptSegment emits a block's moves in its index order, each tagged
-  // with its segment's item. The barrier applies each word block's moves
-  // in its own task, so a move outside its block could race with another
-  // task's writes: check the moves follow the block's index, in one pass.
+  // A block emits its moves in its token order, each tagged with its
+  // column (word pass) or row (doc pass). The barrier commits each word
+  // block's moves in its own task, so a move outside its block could race
+  // with another task's writes: check the moves follow the block's tokens,
+  // in one pass.
   if (!delta.moves.empty()) {
-    const BlockIndex& mix = (word_items ? grid_.word_ix : grid_.doc_ix)[block];
     size_t next = 0;
-    for (const BlockSegment& seg : mix.segments) {
-      const TokenPositions positions = Positions(mix, seg, word_items);
+    for (uint32_t item = lo; item < hi && next < delta.moves.size(); ++item) {
+      const TokenPositions positions = ItemPositions(item, word_axis);
       for (uint32_t p = 0; p < positions.size && next < delta.moves.size();
            ++p) {
         if (delta.moves[next].pos != positions[p]) continue;
-        if (delta.moves[next].item != seg.item) {
-          return fail("delta move item is not its token's segment");
+        if (delta.moves[next].item != item) {
+          return fail("delta move item is not its token's column or row");
         }
         ++next;
       }
@@ -1365,12 +920,8 @@ bool WarpLdaSampler::ApplyBlockDelta(const GridBlockDelta& delta,
       return fail("delta moves do not follow the block's token order");
     }
   }
-  bool word_axis = false;
-  const bool has_proposals = SpanWritesProposals(delta.stage, &word_axis);
-  const BlockIndex& ix = (word_axis ? grid_.word_ix : grid_.doc_ix)[block];
   const uint32_t m = std::max(1u, config_.mh_steps);
-  const size_t expected_proposals =
-      has_proposals ? ix.tokens * static_cast<size_t>(m) : 0;
+  const uint64_t expected_proposals = BlockTokens(block, word_axis) * m;
   if (delta.proposals.size() != expected_proposals) {
     return fail("delta proposal count " +
                 std::to_string(delta.proposals.size()) + " (expected " +
@@ -1381,7 +932,7 @@ bool WarpLdaSampler::ApplyBlockDelta(const GridBlockDelta& delta,
   }
 
   // Injected moves land in the block's own list and their counts in worker
-  // 0's ck-delta partition — the same apply and commutative fold EndStage()
+  // 0's ck-delta partition — the same commit and commutative fold EndStage()
   // gives local work (scratch_[0] always exists: Init sizes the pool to at
   // least one).
   std::vector<StagedMove>& moves = grid_.block_moves[block];
@@ -1391,13 +942,11 @@ bool WarpLdaSampler::ApplyBlockDelta(const GridBlockDelta& delta,
     --s.ck_delta[mv.from];
     ++s.ck_delta[mv.to];
   }
-  if (has_proposals) {
-    const TopicId* next = delta.proposals.data();
-    for (const BlockSegment& seg : ix.segments) {
-      const TokenPositions positions = Positions(ix, seg, word_axis);
-      for (uint32_t i = 0; i < positions.size; ++i, next += m) {
-        std::copy(next, next + m, &proposals_[positions[i] * m]);
-      }
+  const TopicId* next = delta.proposals.data();
+  for (uint32_t item = lo; item < hi; ++item) {
+    const TokenPositions positions = ItemPositions(item, word_axis);
+    for (uint32_t i = 0; i < positions.size; ++i, next += m) {
+      std::copy(next, next + m, &proposals_[positions[i] * m]);
     }
   }
   ran = 1;

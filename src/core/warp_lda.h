@@ -4,10 +4,10 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/sampler.h"
-#include "core/count_arena.h"
 #include "core/sparse_matrix.h"
 #include "core/sweep_plan.h"
 #include "eval/topic_model.h"
@@ -38,30 +38,23 @@ namespace warplda {
 /// what decouples the two count matrices and shrinks the random-access
 /// footprint to one cache-resident vector (§3.3, Table 2's last row).
 ///
-/// There is one sweep implementation, the grid sweep (GridSampler): it runs
-/// block-by-block over a SweepPlan's (doc-partition × word-partition) grid —
-/// the multi-machine schedule, where worker i owns doc partition i and word
-/// slices rotate. Iterate() is that sweep on the trivial 1×1 plan, run
-/// inline; threaded training lends a ParallelExecutor and a larger plan.
-/// Every (pass, token) pair draws from its own RNG stream derived from the
-/// seed, and delayed counts make tokens within a stage independent, so any
-/// plan and any block order produce identical assignments. Distinct blocks
-/// of a stage may run concurrently: each RunBlock call works out of the
-/// calling worker's ThreadScratch — including its partition of the c_k
-/// deltas, folded once at the EndStage barrier — and writes only its own
-/// tokens' proposal slots. A block whose span covers whole columns (or
-/// whole rows) owns those items outright, so it counts them on the fly and
-/// commits their z in place, as §4.4's pass over one column does; every
-/// other span defers its z writes into the block's own move list for the
-/// barrier. The barrier work itself (arena and alias rebuilds, move apply,
-/// delta fold) runs as tasks with disjoint write sets on the TaskRunner
-/// the driver lends.
-///
-/// Spans whose items may be split across blocks read shared flat count
-/// arenas built once per sweep (CountArena), and their MH accept chains run
-/// as a gather → vectorized-ratio → masked-select batch
-/// (core/simd_kernels.h). Whole-item spans, and every span while a memory
-/// tracer is attached, run the scalar per-token chain (AcceptChain).
+/// There is one sweep implementation, the grid sweep (GridSampler), run
+/// block by block over a SweepPlan's D×W blocks. Each pass is split into
+/// whole items: in the word pass block (i, j) owns the (i·W+j)-th of D·W
+/// contiguous, token-balanced column ranges, and in the doc pass the
+/// (i·W+j)-th such row range — the reference code's `omp parallel for` over
+/// words, then over docs, cut into D·W chunks. So every plan runs the same
+/// two spans, [word-accept + word-propose] → c_k fold → [doc-accept +
+/// doc-propose], and Iterate() is the 1×1 plan run inline. A block counts
+/// its items on the fly, commits their z in place and draws their
+/// proposals from the committed values; no other block reads those items
+/// in that span. Every (pass, token) pair draws from its own RNG stream
+/// derived from the seed, and delayed counts make tokens within a pass
+/// independent, so any plan, block order and worker count produce
+/// identical assignments. Distinct blocks of a span may run concurrently:
+/// each RunBlock call works out of the calling worker's ThreadScratch —
+/// including its partition of the c_k deltas, folded once at the EndStage
+/// barrier — and writes only its own items' z and proposal slots.
 class WarpLdaSampler : public Sampler, public GridSampler {
  public:
   void Init(const Corpus& corpus, const LdaConfig& config) override;
@@ -73,10 +66,11 @@ class WarpLdaSampler : public Sampler, public GridSampler {
 
   /// GridSampler: block-wise sweep execution (see core/sweep_plan.h for the
   /// protocol). Produces the same samples as Iterate() for any plan, any
-  /// block schedule and any worker count. Adjacent stages are fused into one
-  /// span wherever the plan allows (see SpanLength): sweep_stage() names the
-  /// *first* stage of the current span, RunBlock executes every stage of the
-  /// span for that block, and EndStage() advances past the whole span.
+  /// block schedule and any worker count. An accept stage and the propose
+  /// stage after it run as one span (see SpanLength): sweep_stage() names
+  /// the *first* stage of the current span, RunBlock executes every stage
+  /// of the span for that block, and EndStage() advances past the whole
+  /// span.
   using GridSampler::BeginSweep;
   using GridSampler::EndStage;
   void BeginSweep(const SweepPlan& plan, const TaskRunner& run) override;
@@ -94,36 +88,33 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   void ReserveWorkers(uint32_t num_workers) override;
 
   /// Durability hooks (core/checkpoint.h): capture is legal between sweeps
-  /// and at stage barriers (deltas folded, staged moves applied — the
+  /// and at stage barriers (deltas folded, injected moves applied — the
   /// per-worker state is empty, so the checkpoint is just assignments,
   /// proposals, c_k snapshot, and RNG stream bases); restore reproduces that
   /// exact state in a fresh process, mid-sweep when the checkpoint was. Any
   /// thread count may finish a restored sweep bit-identically to the
   /// uninterrupted run, and a checkpoint taken at any stage barrier restores:
   /// both stream bases are minted at BeginSweep, so the bytes do not depend
-  /// on which barriers the capturing run's plan had.
+  /// on which barriers the capturing run's plan had. Checkpoints written by
+  /// builds whose plans also stopped at the word-propose or doc-propose
+  /// barrier resume through a propose-only span.
   bool CaptureSweepState(SweepCheckpoint* out) const override;
   bool RestoreSweepState(const SweepCheckpoint& state,
                          std::string* error) override;
 
   /// Distributed execution hooks (see core/sweep_plan.h). A block's effect
-  /// is its moves (staged, or committed in place by a whole-item span) plus
-  /// the proposal slots its span wrote, gathered / scattered in the
-  /// plan-derived segment position order — canonical because every process
-  /// builds identical indices from the same plan and corpus. Injected
-  /// deltas land in the block's own move list, worker 0's ck-delta and the
-  /// block's own proposal slots, so EndStage() applies them exactly as
-  /// local work; a full set of deltas makes this sampler's state evolve
-  /// bit-identically to the process that ran the blocks.
+  /// is the moves it committed in place plus the proposal slots its span
+  /// wrote, gathered / scattered in its items' id order and each item's
+  /// token order — canonical because every process derives the same item
+  /// ranges from the same plan and corpus. Injected deltas land in the
+  /// block's own move list, worker 0's ck-delta and the block's own
+  /// proposal slots, so EndStage() applies them exactly as local work; a
+  /// full set of deltas makes this sampler's state evolve bit-identically
+  /// to the process that ran the blocks.
   bool RunBlockCaptured(uint32_t doc_block, uint32_t word_block,
                         uint32_t worker, GridBlockDelta* out) override;
   bool ApplyBlockDelta(const GridBlockDelta& delta,
                        std::string* error) override;
-  /// Restricts per-item cache builds (column alias tables, row count
-  /// tables) to the items owned blocks actually read. The column count
-  /// arena is always built in full: the word-accept barrier patches it with
-  /// *every* block's moves, local and injected alike.
-  void SetLocalBlocks(const std::vector<char>& owned) override;
 
   /// Live global topic counts c_k (size K). Deltas are folded in at stage
   /// barriers, so between Iterate() calls (or outside an open sweep)
@@ -147,13 +138,13 @@ class WarpLdaSampler : public Sampler, public GridSampler {
       std::vector<WordId>* changed_words);
 
  private:
-  /// A write from an accept stage: token at CSC position `pos` moves from
-  /// topic `from` to `to`. `item` is the token's column (word stages) so
-  /// the barrier can patch the column count arena, or its row (doc stages).
-  /// The same record a block delta ships, so captured moves need no copy.
+  /// An accepted topic move: token at CSC position `pos` moves from topic
+  /// `from` to `to`; `item` is the token's column (word pass) or row (doc
+  /// pass). The same record a block delta ships, so captured moves need no
+  /// copy.
   using StagedMove = GridBlockDelta::Move;
 
-  struct WARP_WORKER_LOCAL ThreadScratch {
+  struct alignas(64) WARP_WORKER_LOCAL ThreadScratch {
     HashCount counts;
     AliasTable alias;
     AliasTable::Workspace alias_ws;
@@ -161,17 +152,9 @@ class WarpLdaSampler : public Sampler, public GridSampler {
     /// stage barriers.
     std::vector<int64_t> ck_delta;
     std::vector<std::pair<uint32_t, double>> alias_entries;
-    /// A whole-item segment's accepted moves, committed to z in place (and
-    /// replayed into `counts`) once the segment's accept pass is done.
-    std::vector<StagedMove> segment_moves;
-    /// Accept-batch SoA scratch (one chunk of tokens; see AcceptSegment):
-    /// per-proposal a=count+prior / b=ck_fixed+beta_bar gathers, the current
-    /// topic's running a/b, computed ratios and accept masks, and the
-    /// lazily seeded per-token chain RNGs.
-    std::vector<double> bat_ta, bat_tb, bat_ca, bat_cb, bat_ratio;
-    std::vector<uint32_t> bat_topic, bat_cur;
-    std::vector<uint8_t> bat_ge1, bat_seeded;
-    std::vector<Rng> bat_rng;
+    /// One item's accepted moves, committed to z in place (and replayed
+    /// into `counts`) once the item's accept pass is done.
+    std::vector<StagedMove> item_moves;
     /// Plain (non-atomic) obs accumulators, bumped on the hot path and
     /// drained into the global registry by FlushScratchMetrics() at stage
     /// barriers — never an atomic op per token.
@@ -180,27 +163,14 @@ class WarpLdaSampler : public Sampler, public GridSampler {
     uint64_t obs_accepts = 0;      ///< proposals accepted (topic moved)
     uint64_t obs_alias_builds = 0; ///< alias tables (re)built
   };
+  // Whole cache lines per worker: unpadded, worker w's per-token obs_*
+  // bumps shared a line with worker w+1's `counts` header, and an 8x8 sweep
+  // on 4 threads used 1.6x the CPU of 1 thread (1.07x padded; medians).
+  static_assert(alignof(ThreadScratch) == 64 &&
+                sizeof(ThreadScratch) % 64 == 0);
 
-  /// Per-(block × stage-axis) work list, precomputed by BuildGridIndices:
-  /// the CSC positions a block owns, grouped into per-column (word stages)
-  /// or per-row (doc stages) segments. A segment that covers its whole item
-  /// stores no positions — the column's own run or the row's own index
-  /// array already lists them — so only items split across blocks copy
-  /// theirs. Read a segment's positions through Positions().
-  struct BlockSegment {
-    uint32_t item;   // column (word axis) or row (doc axis)
-    /// [begin, end) into BlockIndex::positions for a split item; begin ==
-    /// end for a whole item.
-    uint32_t begin;
-    uint32_t end;
-  };
-  struct BlockIndex {
-    std::vector<BlockSegment> segments;
-    std::vector<uint64_t> positions;  // split items' CSC entry positions
-    uint64_t tokens = 0;              // tokens over all segments
-  };
-  /// One segment's CSC positions: the stored list of a split item, the
-  /// contiguous run of a whole column, or the index array of a whole row.
+  /// One item's CSC positions: the contiguous run of a column, or the index
+  /// array of a row.
   struct TokenPositions {
     const uint64_t* list;  // null: contiguous from `first`
     uint64_t first;
@@ -218,35 +188,22 @@ class WarpLdaSampler : public Sampler, public GridSampler {
     WARP_IMMUTABLE_AFTER(BuildGridIndices) SweepPlan plan;
     WARP_BARRIER_ONLY SweepStage stage = SweepStage::kDone;
     WARP_BARRIER_ONLY bool open = false;
-    /// True when the plan-derived indices below match `plan`; BeginSweep
-    /// skips rebuilding them for repeated sweeps of the same plan.
-    WARP_IMMUTABLE_AFTER(BuildGridIndices) bool indices_built = false;
-    /// Fusion legality, per plan: cols_ok — every column's tokens lie in a
-    /// single doc block (word-accept may fuse with word-propose); rows_ok —
-    /// every row's tokens lie in a single word block (doc-accept may fuse
-    /// with doc-propose).
-    WARP_IMMUTABLE_AFTER(BuildGridIndices) bool cols_ok = false;
-    WARP_IMMUTABLE_AFTER(BuildGridIndices) bool rows_ok = false;
-    /// True once BuildColArena filled the column tables for this sweep (the
-    /// word-accept barrier then patches them in place instead of rebuilding).
-    WARP_BARRIER_ONLY bool col_filled = false;
     // word/doc-phase RNG stream bases (see StreamBase).
     WARP_IMMUTABLE_AFTER(BeginSweep, RestoreSweepState) uint64_t base_word = 0;
     WARP_IMMUTABLE_AFTER(BeginSweep, RestoreSweepState) uint64_t base_doc = 0;
-    // (doc×word) block -> column / row segments.
-    WARP_IMMUTABLE_AFTER(BuildGridIndices) std::vector<BlockIndex> word_ix;
-    WARP_IMMUTABLE_AFTER(BuildGridIndices) std::vector<BlockIndex> doc_ix;
+    /// Item ranges, D·W + 1 bounds each: block b = i·W + j owns columns
+    /// [col_bounds[b], col_bounds[b+1]) in word stages and rows
+    /// [row_bounds[b], row_bounds[b+1]) in doc stages.
+    WARP_IMMUTABLE_AFTER(BuildGridIndices) std::vector<uint32_t> col_bounds;
+    WARP_IMMUTABLE_AFTER(BuildGridIndices) std::vector<uint32_t> row_bounds;
     /// Per (doc, word) block: ran in the current span. Deliberately
     /// unannotated — RunBlock marks its own block done through a reference,
     /// a per-block-disjoint write the line-level contract model cannot
     /// distinguish from a race.
     std::vector<char> block_ran;
-    /// Per (doc, word) block: deferred z writes of the current span,
-    /// applied (and the column arena patched) at the EndStage barrier, one
-    /// task per word block. Kept per block, not per worker, so no two apply
-    /// tasks touch one column. Empty for a whole-item span's local blocks,
-    /// which commit in place; injected deltas still land here.
-    /// Unannotated for block_ran's reason.
+    /// Per (doc, word) block: moves injected by ApplyBlockDelta, committed
+    /// to z at the EndStage barrier (a local block commits its own in
+    /// place). Unannotated for block_ran's reason.
     std::vector<std::vector<StagedMove>> block_moves;
   };
 
@@ -254,14 +211,6 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   static constexpr uint32_t kTagAccept = 0x51;
   static constexpr uint32_t kTagPropose = 0xA3;
 
-  /// Tokens per accept-batch chunk: large enough to expose memory-level
-  /// parallelism in the gather pass and fill the vector lanes, small enough
-  /// that the SoA scratch stays L1-resident.
-  static constexpr uint32_t kAcceptChunk = 256;
-
-  /// Barrier tasks per item axis: enough that dynamic claiming evens out
-  /// the Zipfian item costs over pools of up to a few dozen workers.
-  static constexpr uint32_t kBarrierTasks = 64;
   /// Topics per ck-delta fold task.
   static constexpr uint32_t kFoldTopics = 4096;
 
@@ -290,30 +239,18 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// gives (prior_vec=nullptr, prior=β); the doc pass gives the α_k vector
   /// (or nullptr) and the symmetric α. The RNG stream is seeded
   /// lazily — chains whose proposals all equal the current topic, or always
-  /// accept, draw nothing. This is the scalar accept path; AcceptSegment
-  /// runs it, or its batched equivalent, over a segment.
-  template <typename Counts>
-  TopicId AcceptChain(ThreadScratch& s, const Counts& counts, TopicId current,
-                      const TopicId* props, uint32_t m,
+  /// accept, draw nothing.
+  TopicId AcceptChain(ThreadScratch& s, const HashCount& counts,
+                      TopicId current, const TopicId* props, uint32_t m,
                       const std::vector<double>* prior_vec, double prior,
                       uint64_t stream_base, uint64_t token);
 
-  /// Batched MH acceptance over one segment's tokens: gathers each token's
-  /// (count+prior, ck_fixed+beta_bar) operands into SoA chunks, computes
-  /// the chain-step ratios with the vectorized kernel, then resolves
-  /// accepts sequentially per token (preserving each token's lazy RNG
-  /// stream consumption exactly). Appends a StagedMove per moved token
-  /// (tagged `move_item`) to `moves`, in position order; z is not written.
-  /// Bit-identical to running AcceptChain per token, which it does instead
-  /// over a HashCount (a whole-item span's private table, where the gather
-  /// pass does not pay) and when a memory tracer is attached (for trace
-  /// fidelity).
-  template <typename Counts>
-  void AcceptSegment(ThreadScratch& s, const Counts& counts,
-                     const TokenPositions& positions,
-                     const std::vector<double>* prior_vec, double prior,
-                     uint64_t stream_base, uint32_t move_item,
-                     std::vector<StagedMove>& moves);
+  /// Runs AcceptChain over one item's tokens and appends a StagedMove per
+  /// moved token (tagged `item`) to `s.item_moves`, in position order; z is
+  /// not written.
+  void AcceptItem(ThreadScratch& s, const TokenPositions& positions,
+                  const std::vector<double>* prior_vec, double prior,
+                  uint64_t stream_base, uint32_t item);
 
   /// Drains every worker's obs accumulators into the global metrics
   /// registry (when metrics are enabled; the accumulators are zeroed either
@@ -323,12 +260,9 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// Loads the word-proposal alias table over q_word ∝ C_wk (the count
   /// branch of the mixture) from `counts`, which must hold the
   /// post-acceptance c_w. Entries are emitted in ascending-topic order, so
-  /// the table depends only on the count *values* — not on how the table
-  /// was filled — so a whole-column span (which replays its acceptance moves
-  /// into a private snapshot) and a split-column plan (which patches the
-  /// shared column arena at the barrier) load identical tables.
-  template <typename Counts>
-  void BuildAliasInto(ThreadScratch& scratch, const Counts& counts,
+  /// the table depends only on the count *values*, not on the order the
+  /// table was filled in.
+  void BuildAliasInto(ThreadScratch& scratch, const HashCount& counts,
                       AliasTable& alias);
 
   /// Draws M word proposals for each of `positions` from the count/β
@@ -344,94 +278,52 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// SetAssignments: the pending proposals the next word pass consumes).
   void DrawAllDocProposals();
 
-  /// (Re)builds the plan-derived grid indices (per-block segment lists,
-  /// fusion legality) unless they already match `plan`. Shared by BeginSweep
-  /// and RestoreSweepState.
+  /// Derives the per-block item ranges from `plan`'s block counts. Shared
+  /// by BeginSweep and RestoreSweepState.
   void BuildGridIndices(const SweepPlan& plan);
-  /// Appends one item's segments (`len` tokens) to the blocks holding it.
-  /// `buckets[b]` lists the item's positions in block b of the other axis;
-  /// all are empty when that axis has a single block. `own_block` is the
-  /// item's block on its own axis; `over_doc_blocks` says the buckets run
-  /// over doc blocks (a column) rather than word blocks (a row). An item
-  /// inside one block becomes a whole-item segment that stores no
-  /// positions. Returns false when the item is split across blocks.
-  static bool AddItemSegments(uint32_t item, uint32_t len,
-                              const std::vector<std::vector<uint64_t>>& buckets,
-                              std::vector<BlockIndex>& indices, uint32_t num_wb,
-                              uint32_t own_block, bool over_doc_blocks);
-  /// The CSC positions of `seg`, a segment of `ix` on the given axis.
-  TokenPositions Positions(const BlockIndex& ix, const BlockSegment& seg,
-                           bool word_axis) const;
+  /// The CSC positions of column `item` (word axis) or row `item`.
+  TokenPositions ItemPositions(uint32_t item, bool word_axis) const;
+  /// Block `block`'s items on the word axis (columns) or the doc axis
+  /// (rows), as the range [first, second), and its token count there.
+  std::pair<uint32_t, uint32_t> BlockItems(size_t block,
+                                           bool word_axis) const;
+  uint64_t BlockTokens(size_t block, bool word_axis) const;
 
-  /// Length (1 or 2) of the fused stage span entered at `s`, under the
-  /// current plan's legality bits.
-  int SpanLength(SweepStage s) const;
-  /// Whether the span entered at `begin` draws proposals, and on which axis
-  /// (word_ix vs doc_ix position order) they are gathered / scattered.
-  /// Shared by RunBlockCaptured and ApplyBlockDelta so the two sides agree.
-  bool SpanWritesProposals(SweepStage begin, bool* word_axis) const;
-  /// True when `item` (word for the word axis, doc otherwise) is read by a
-  /// locally owned block, or when no SetLocalBlocks filter is active.
-  /// Implements the filtered cache builds.
-  std::vector<char> LocalItemFilter(bool word_axis) const;
-  /// Barrier-side preparation for the span entered at `begin`: snapshot
-  /// refreshes and count-arena/alias (re)builds its stages read, as tasks
-  /// on `run`.
-  void EnterSpan(SweepStage begin, const TaskRunner& run);
+  /// Length (1 or 2) of the span entered at `s`: an accept stage runs with
+  /// its propose stage; a propose stage alone is a span only when a
+  /// checkpoint restored the sweep at its barrier.
+  static int SpanLength(SweepStage s);
+  /// Barrier-side preparation for the span entered at `begin`: the c_k
+  /// snapshot its accept stage reads.
+  void EnterSpan(SweepStage begin);
 
-  /// Shared count-table arenas (see count_arena.h), read by spans whose
-  /// items may be split across blocks; whole-item spans count on the fly.
-  /// Geometry is sized once per corpus; contents are rebuilt per sweep
-  /// (columns at BeginSweep, rows at the doc-accept span entry) and the
-  /// column arena is patched in place with the word-accept moves at the
-  /// barrier.
-  void EnsureColArenaGeometry();
-  void EnsureRowArenaGeometry();
-  void BuildColArena(const TaskRunner& run);
-  void BuildRowArena(const TaskRunner& run);
-  /// Builds every column's word-proposal alias table from the (patched)
-  /// column arena — once per column per sweep, replacing the old
-  /// once-per-(block × column) rebuilds.
-  void BuildColAliases(const TaskRunner& run);
-
-  /// Barrier task bodies. Each writes only its own items' tables, its own
-  /// word block's z positions and column tables, or its own topics of
-  /// ck_live_ and the ck-delta partitions, so tasks may run concurrently.
-  void FillColArenaRange(uint32_t lo, uint32_t hi);
-  void FillRowArenaRange(uint32_t lo, uint32_t hi,
-                         const std::vector<char>& needed);
-  void BuildColAliasRange(uint32_t lo, uint32_t hi,
-                          const std::vector<char>& needed, ThreadScratch& s);
-  /// Applies the staged moves of every block in word block `word_block`.
-  void ApplyMovesRange(uint32_t word_block, bool patch_col_counts);
+  /// Barrier task bodies. Each writes only its own word block's z positions
+  /// or its own topics of ck_live_ and the ck-delta partitions, so tasks may
+  /// run concurrently.
+  /// Commits the injected moves of every block in word block `word_block`.
+  void ApplyMovesRange(uint32_t word_block);
   void FoldDeltaRange(uint32_t lo, uint32_t hi);
 
-  /// RunBlock with an optional capture list: a whole-item span appends the
-  /// moves it commits in place to `*committed` (RunBlockCaptured's delta).
+  /// RunBlock with an optional capture list: the span appends the moves it
+  /// commits in place to `*committed` (RunBlockCaptured's delta).
   void RunBlockInto(uint32_t doc_block, uint32_t word_block, uint32_t worker,
                     std::vector<StagedMove>* committed);
 
-  /// Grid block bodies, one per (span pattern, axis). Concurrency-safe
-  /// across distinct blocks: they read shared *immutable* span state, write
-  /// only their own tokens' proposal slots, and put count updates into
-  /// scratch_[worker]'s ck-delta partition. The split-item bodies defer z
-  /// writes into the block's move list; the two whole-item bodies (the
-  /// fused [wa, wp] and [da, dp] spans) commit their own items' z in place
-  /// and report those moves to `committed` when it is non-null.
-  void RunWordAcceptPart(uint32_t doc_block, uint32_t word_block,
-                         ThreadScratch& s, std::vector<StagedMove>& moves);
-  void RunFusedWordPart(uint32_t doc_block, uint32_t word_block,
-                        ThreadScratch& s, std::vector<StagedMove>* committed);
-  void RunWordProposePart(uint32_t doc_block, uint32_t word_block);
-  void RunDocAcceptPart(uint32_t doc_block, uint32_t word_block,
-                        ThreadScratch& s, std::vector<StagedMove>& moves);
-  void RunFusedDocPart(uint32_t doc_block, uint32_t word_block,
-                       ThreadScratch& s, std::vector<StagedMove>* committed);
-  void RunDocProposePart(uint32_t doc_block, uint32_t word_block);
-  /// Applies every block's staged moves to z (and, when the next span's
-  /// alias builds will read it, patches the column count arena), then folds
-  /// the per-worker ck-delta partitions into ck_live_, as tasks on `run`.
-  void ApplyStagedMoves(bool patch_col_counts, const TaskRunner& run);
+  /// Block bodies, one per span. Concurrency-safe across distinct blocks:
+  /// each reads and writes only its own items' z and proposal slots, reads
+  /// shared *immutable* span state, and puts count updates into the
+  /// worker's ck-delta partition. The accept spans commit their items' z in
+  /// place and report those moves to `committed` when it is non-null; the
+  /// propose-only spans run only on a sweep restored at their barrier.
+  void RunWordPart(size_t block, ThreadScratch& s,
+                   std::vector<StagedMove>* committed);
+  void RunWordProposePart(size_t block, ThreadScratch& s);
+  void RunDocPart(size_t block, ThreadScratch& s,
+                  std::vector<StagedMove>* committed);
+  void RunDocProposePart(size_t block);
+  /// Commits every block's injected moves to z, then folds the per-worker
+  /// ck-delta partitions into ck_live_, as tasks on `run`.
+  void ApplyStagedMoves(const TaskRunner& run);
 
   const Corpus* corpus_ = nullptr;
   LdaConfig config_;
@@ -442,14 +334,13 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// diff base for incremental publishing.
   std::shared_ptr<const TopicModel> last_export_;
 
-  /// z in CSC order. Shared-read during grid stages; mutations are staged in
-  /// GridState::block_moves and applied under the EndStage barrier, except
-  /// in a whole-item span, whose block commits its own items in place (no
-  /// other block reads those items until the barrier).
+  /// z in CSC order. Shared-read during grid stages; a block commits its
+  /// own items in place (no other block reads them until the barrier), and
+  /// injected moves are applied under the EndStage barrier.
   WARP_BARRIER_ONLY SparseMatrix<TopicId> matrix_;
-  /// M proposals per token, CSC order. Deliberately unannotated: propose
-  /// stages legitimately write their own tokens' slots concurrently (the
-  /// slot ranges are disjoint by construction), which a per-member contract
+  /// M proposals per token, CSC order. Deliberately unannotated: blocks
+  /// legitimately write their own tokens' slots concurrently (the slot
+  /// ranges are disjoint by construction), which a per-member contract
   /// would mislabel as a race.
   std::vector<TopicId> proposals_;
   WARP_BARRIER_ONLY AliasTable prior_alias_;  // over α_k (asymmetric prior)
@@ -460,14 +351,8 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// partitions at barriers.
   WARP_BARRIER_ONLY std::vector<int64_t> ck_live_;
   WARP_WORKER_LOCAL std::vector<ThreadScratch> scratch_;
-  WARP_BARRIER_ONLY CountArena col_counts_;  // per-column c_w (split items)
-  WARP_BARRIER_ONLY CountArena row_counts_;  // per-row c_d (split items)
-  WARP_BARRIER_ONLY std::vector<AliasTable> col_alias_;  // word proposals
   WARP_BARRIER_ONLY uint64_t phase_epoch_ = 0;  // RNG stream epoch
   GridState grid_;
-  /// SetLocalBlocks ownership flags (num_blocks, row-major); empty = no
-  /// filter, build every per-item cache.
-  WARP_BARRIER_ONLY std::vector<char> local_blocks_;
 };
 
 }  // namespace warplda

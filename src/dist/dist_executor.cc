@@ -252,7 +252,7 @@ bool WorkerHandle(WorkerState& ws, const FrameChannel::Message& msg) {
       ws.epoch = epoch;
       ws.iteration = iteration;
       ws.owner = std::move(owner);
-      // Ownership first: the restore's cache rebuilds honor the new mask.
+      // Ownership first: a sampler that honors the hint sees the new mask.
       ws.sampler->SetLocalBlocks(OwnedMask(ws.owner, ws.worker_id));
       if (!ws.sampler->RestoreSweepState(ckpt, &error)) {
         ws.failed = true;
@@ -795,8 +795,8 @@ DistResult RunDistributedSweeps(GridSampler& sampler, const Corpus& corpus,
     for (WorkerSlot& slot : coord.workers) {
       if (slot.live) slot.channel->Send(kMsgAssign, assign);
     }
-    // The coordinator replica owns no blocks: per-item cache builds are
-    // skipped entirely, it only folds deltas at barriers.
+    // The coordinator replica owns no blocks: it only folds deltas at
+    // barriers.
     sampler.SetLocalBlocks(std::vector<char>(coord.num_blocks, 0));
 
     // ---- main loop: sweeps -> spans -> delta exchange.
@@ -886,8 +886,8 @@ DistResult RunDistributedSweeps(GridSampler& sampler, const Corpus& corpus,
   coord.result.block_owner = coord.owner;
   coord.result.final_epoch = coord.epoch;
   if (coord.result.error.empty()) coord.result.ok = true;
-  // The trailing mask would leak into later single-process use, where
-  // Iterate()'s trivial plan rejects a mask sized for this grid.
+  // The mask is sized for this grid; clear it so later single-process use
+  // of the sampler does not inherit it.
   sampler.SetLocalBlocks({});
   return coord.result;
 }

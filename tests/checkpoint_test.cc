@@ -324,9 +324,8 @@ TEST(CheckpointFuzzTest, SweepTruncationAtEveryByteIsRejected) {
   std::string error;
   bool saved = false;
   executor.RunSweep(sampler, plan, [&](SweepStage next) {
-    // On 2x2 both columns and rows are split: the barriers are
-    // word-propose and doc-propose.
-    if (next != SweepStage::kDocPropose || saved) return;
+    // Every plan's one mid-sweep barrier: between the word and doc passes.
+    if (next != SweepStage::kDocAccept || saved) return;
     SweepCheckpoint captured;
     ASSERT_TRUE(sampler.CaptureSweepState(&captured));
     captured.iteration = 0;
@@ -369,19 +368,18 @@ TEST_P(SweepRestoreBitIdentityTest, MidSweepRestoreMatchesUninterrupted) {
   for (uint32_t i = 0; i < kTotalSweeps; ++i) reference.Iterate();
 
   // Every barrier of the interrupted sweep is a legal capture point; check
-  // them all. Which barriers exist depends on the plan: on 3x2 columns and
-  // rows are both split, so a sweep stops at word-propose and doc-propose;
-  // on 1x2 every column is whole ([wa, wp] fuses), so it stops at
-  // doc-accept and doc-propose. Together the two reach every mid-sweep
-  // stage.
+  // them all. Every plan runs the same two spans, [word-accept +
+  // word-propose] and [doc-accept + doc-propose], so a sweep stops once, at
+  // doc-accept. (Checkpoints at the word-propose and doc-propose barriers
+  // of earlier builds are covered by LegacyProposeBarrierFixturesRestore.)
   struct PlanBarriers {
     uint32_t doc_blocks;
     uint32_t word_blocks;
     std::vector<SweepStage> barriers;
   };
   const std::vector<PlanBarriers> cases = {
-      {3, 2, {SweepStage::kWordPropose, SweepStage::kDocPropose}},
-      {1, 2, {SweepStage::kDocAccept, SweepStage::kDocPropose}},
+      {3, 2, {SweepStage::kDocAccept}},
+      {1, 2, {SweepStage::kDocAccept}},
   };
   for (const PlanBarriers& c : cases) {
     const SweepPlan plan = MakeSweepPlan(corpus, c.doc_blocks, c.word_blocks);
@@ -445,6 +443,54 @@ INSTANTIATE_TEST_SUITE_P(
       return "capture" + std::to_string(pinfo.param.first) + "_resume" +
              std::to_string(pinfo.param.second);
     });
+
+// Checkpoints from an earlier build, whose 3x2 plan split columns and rows
+// across blocks and so also stopped at the word-propose and doc-propose
+// barriers: each was captured in sweep 3 of MakeCorpus() with
+// PaperDefaults(8), alpha 0.1, on MakeSweepPlan(corpus, 3, 2). Restoring one
+// enters a propose-only span; the run must finish bit-identical to the
+// uninterrupted one on any thread count.
+TEST(SweepRestoreTest, LegacyProposeBarrierFixturesRestore) {
+  Corpus corpus = MakeCorpus();
+  LdaConfig config = LdaConfig::PaperDefaults(8);
+  config.alpha = 0.1;
+  constexpr uint32_t kTotalSweeps = 6;
+  WarpLdaSampler reference;
+  reference.Init(corpus, config);
+  for (uint32_t i = 0; i < kTotalSweeps; ++i) reference.Iterate();
+
+  const struct {
+    const char* file;
+    SweepStage stage;
+  } fixtures[] = {
+      {"sweep_3x2_word_propose.ckpt", SweepStage::kWordPropose},
+      {"sweep_3x2_doc_propose.ckpt", SweepStage::kDocPropose},
+  };
+  for (const auto& fixture : fixtures) {
+    const std::string path =
+        std::string(WARPLDA_TEST_FIXTURES) + "/" + fixture.file;
+    SweepCheckpoint loaded;
+    std::string error;
+    ASSERT_TRUE(LoadSweepCheckpoint(path, &loaded, &error)) << error;
+    EXPECT_EQ(loaded.next_stage, fixture.stage) << fixture.file;
+    EXPECT_EQ(loaded.iteration, 2u) << fixture.file;
+    for (uint32_t threads : {1u, 4u}) {
+      WarpLdaSampler resumed;
+      resumed.Init(corpus, config);
+      ASSERT_TRUE(resumed.RestoreSweepState(loaded, &error)) << error;
+      EXPECT_EQ(resumed.sweep_stage(), fixture.stage);
+      ParallelExecutor executor(threads);
+      executor.FinishSweep(resumed, loaded.plan);
+      for (uint32_t i = loaded.iteration + 1; i < kTotalSweeps; ++i) {
+        executor.RunSweep(resumed, loaded.plan);
+      }
+      EXPECT_EQ(resumed.Assignments(), reference.Assignments())
+          << fixture.file << " at " << threads << " threads";
+      EXPECT_EQ(resumed.topic_counts(), reference.topic_counts())
+          << fixture.file << " at " << threads << " threads";
+    }
+  }
+}
 
 TEST(SweepRestoreTest, RestoreRejectsMismatchedRun) {
   Corpus corpus = MakeCorpus();
@@ -587,12 +633,12 @@ TEST(CheckpointKillAndResumeTest, SigkillMidSweepResumesBitIdentical) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    // Child: train until the doc-propose barrier of sweep 4 (a mid-sweep
-    // barrier of the 2x2 plan), then die hard.
+    // Child: train until the doc-accept barrier of sweep 4 (the mid-sweep
+    // barrier of every plan), then die hard.
     TrainOptions child_options = options;
     child_options.checkpoint_hook = [](uint32_t completed,
                                        SweepStage next_stage) {
-      if (completed == 3 && next_stage == SweepStage::kDocPropose) {
+      if (completed == 3 && next_stage == SweepStage::kDocAccept) {
         kill(getpid(), SIGKILL);
       }
     };

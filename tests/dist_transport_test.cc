@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/parallel_executor.h"
 #include "core/warp_lda.h"
 #include "corpus/synthetic.h"
 #include "dist/dist_executor.h"
@@ -414,6 +415,18 @@ TEST(DistExecutorTest, KillWorkerAtEveryBarrierStaysBitIdentical) {
   Corpus corpus = DistTestCorpus();
   const std::vector<TopicId> reference =
       ReferenceAssignments(corpus, iterations);
+  // One kill point per span of the run. The span count is what an
+  // in-process sweep of RunDist's plan reports: its barrier hook fires at
+  // every barrier but the sweep's last.
+  uint32_t spans_per_sweep = 1;
+  {
+    WarpLdaSampler probe;
+    probe.Init(corpus, DistTestConfig());
+    ParallelExecutor(1).RunSweep(
+        probe, MakeSweepPlan(corpus, 4, 4, PartitionStrategy::kGreedy),
+        [&](SweepStage) { ++spans_per_sweep; });
+  }
+  const uint32_t kill_points = iterations * spans_per_sweep;
 
   for (const bool mid_stage : {false, true}) {
     uint32_t barriers_covered = 0;
@@ -438,8 +451,12 @@ TEST(DistExecutorTest, KillWorkerAtEveryBarrierStaysBitIdentical) {
       for (uint32_t owner : run.result.block_owner) EXPECT_EQ(owner, 0u);
       ++barriers_covered;
     }
-    EXPECT_GE(barriers_covered, 4u)
-        << "expected at least one kill per stage span of a sweep";
+    // A kill just before the run's final EndStage may go unnoticed: the
+    // coordinator can already hold every delta of the run.
+    const uint32_t must_recover = mid_stage ? kill_points : kill_points - 1;
+    EXPECT_GE(barriers_covered, must_recover)
+        << "expected a recovery from a kill in every span of the run";
+    EXPECT_LE(barriers_covered, kill_points);
   }
 }
 

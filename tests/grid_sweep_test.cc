@@ -146,17 +146,14 @@ TEST(GridSweepTest, SweepProtocolViolationsThrow) {
   sampler.RunBlock(1, 1);
   EXPECT_THROW(sampler.EndSweep(), std::logic_error);  // stages remain
   sampler.EndStage();
-  EXPECT_EQ(sampler.sweep_stage(), SweepStage::kWordPropose);
+  // The word span covered word-accept and word-propose.
+  EXPECT_EQ(sampler.sweep_stage(), SweepStage::kDocAccept);
 
   // Finish the sweep cleanly; the sampler must be fully usable afterwards.
-  // (The number of barriers left depends on the plan, so step until the
-  // sampler reports completion.)
-  while (sampler.sweep_stage() != SweepStage::kDone) {
-    for (uint32_t i = 0; i < 2; ++i) {
-      for (uint32_t j = 0; j < 2; ++j) sampler.RunBlock(i, j);
-    }
-    sampler.EndStage();
+  for (uint32_t i = 0; i < 2; ++i) {
+    for (uint32_t j = 0; j < 2; ++j) sampler.RunBlock(i, j);
   }
+  sampler.EndStage();
   EXPECT_EQ(sampler.sweep_stage(), SweepStage::kDone);
   sampler.EndSweep();
   EXPECT_NO_THROW(sampler.Iterate());
@@ -203,9 +200,9 @@ TEST(GridSweepTest, PlanThreadMatrixMatchesIterate) {
   }
 }
 
-// Checkpoint capture at the barrier that ends the fused [word-propose,
-// doc-accept] span (on a general plan the only mid-sweep barrier besides
-// word-accept's) must restore and finish bit-identically.
+// Checkpoint capture at the barrier that ends the fused [word-accept,
+// word-propose] span (every plan's only mid-sweep barrier) must restore
+// and finish bit-identically on another thread count.
 TEST(GridSweepTest, CheckpointAcrossFusedSpanBarrierRestoresBitIdentical) {
   Corpus corpus = TestCorpus();
   LdaConfig config = TestConfig();
@@ -223,15 +220,15 @@ TEST(GridSweepTest, CheckpointAcrossFusedSpanBarrierRestoresBitIdentical) {
   SweepCheckpoint captured;
   bool saved = false;
   capture_exec.RunSweep(victim, plan, [&](SweepStage next) {
-    // On a 3x3 plan the sweep's spans are word-accept ->
-    // [word-propose, doc-accept] -> doc-propose; next == kDocPropose is the
-    // barrier right after the fused span ran.
-    if (next != SweepStage::kDocPropose || saved) return;
+    // The sweep's spans are [word-accept, word-propose] ->
+    // [doc-accept, doc-propose]; next == kDocAccept is the barrier right
+    // after the fused word span ran.
+    if (next != SweepStage::kDocAccept || saved) return;
     ASSERT_TRUE(victim.CaptureSweepState(&captured));
     saved = true;
   });
   ASSERT_TRUE(saved);
-  EXPECT_EQ(captured.next_stage, SweepStage::kDocPropose);
+  EXPECT_EQ(captured.next_stage, SweepStage::kDocAccept);
 
   WarpLdaSampler resumed;
   resumed.Init(corpus, config);

@@ -299,8 +299,8 @@ TEST(ParallelSweepTest, WorkerReservationIsEnforced) {
             Histogram(initialized.Assignments(), TestConfig().num_topics));
 }
 
-// Barrier-runner tests: K >= 1000, so the count-table, alias and delta-fold
-// work at each barrier splits into many tasks.
+// Barrier-runner tests: K >= 1000 and 8x8 plans, so the move apply and
+// delta-fold work at each barrier splits into several tasks.
 Corpus BarrierCorpus() {
   SyntheticConfig config;
   config.num_docs = 300;
@@ -379,13 +379,13 @@ TEST(BarrierRunnerTest, PooledAndInlineBarriersMatchIterate) {
   }
 }
 
-// Under a SetLocalBlocks filter only the owned blocks' items are rebuilt
-// and the rest arrive as deltas; pooled and inline barriers must still
-// agree with an unfiltered sampler. The plans cover every span shape:
-// trivial and 1x4 run whole-item spans, whose local blocks commit z in
-// place and report those moves in RunBlockCaptured's delta; 4x1 and 8x8
-// stage every move. Each plan runs with the owned set and its complement,
-// so the one block of the trivial plan is both injected and run locally.
+// Owned blocks run locally and the rest arrive as deltas; pooled and
+// inline barriers must still agree with a sampler that ran every block.
+// Local blocks commit z in place and report those moves in
+// RunBlockCaptured's delta; injected moves are committed at the barrier.
+// The plans cover one, a row, a column and a grid of blocks. Each plan
+// runs with the owned set and its complement, so the one block of the
+// trivial plan is both injected and run locally.
 TEST(BarrierRunnerTest, PooledBarrierMatchesInlineUnderLocalBlockFilter) {
   Corpus corpus = BarrierCorpus();
   LdaConfig config = BarrierConfig();
@@ -493,14 +493,14 @@ TEST(BarrierRunnerTest, CheckpointBytesMatchAtEveryBarrier) {
                  [&] { capture(pooled, &pooled_bytes); });
     SteppedSweep(executor, inlined, plan, RunInline,
                  [&] { capture(inlined, &inline_bytes); });
-    ASSERT_EQ(pooled_bytes.size(), 4u);  // BeginSweep + 3 barriers on 8x8
+    ASSERT_EQ(pooled_bytes.size(), 3u);  // BeginSweep + 2 barriers
     EXPECT_EQ(pooled_bytes, inline_bytes) << "sweep " << sweep;
   }
 }
 
 // The barrier applies each word block's moves in its own task, so an
-// injected move must come from its own block, tagged with its segment's
-// item; anything else is rejected before it touches the sampler.
+// injected move must come from its own block, tagged with its token's
+// column; anything else is rejected before it touches the sampler.
 TEST(BarrierRunnerTest, DeltaMovesOutsideTheirBlockAreRejected) {
   Corpus corpus = BarrierCorpus();
   LdaConfig config = BarrierConfig();
@@ -526,7 +526,7 @@ TEST(BarrierRunnerTest, DeltaMovesOutsideTheirBlockAreRejected) {
   GridBlockDelta retagged = own;
   retagged.moves[0].item ^= 1;
   EXPECT_FALSE(target.ApplyBlockDelta(retagged, &error));
-  EXPECT_NE(error.find("segment"), std::string::npos) << error;
+  EXPECT_NE(error.find("column or row"), std::string::npos) << error;
   EXPECT_TRUE(target.ApplyBlockDelta(own, &error)) << error;
 }
 
@@ -564,13 +564,10 @@ TEST(BarrierRunnerTest, BarrierTaskExceptionReachesCallerAndSweepRecovers) {
     });
   };
 
-  // BeginSweep's count-table rebuild fails: the sweep closes itself.
-  EXPECT_THROW(sampler.BeginSweep(plan, failing), std::runtime_error);
-  ExpectNextSweepMatchesIterate(executor, sampler, plan, config.num_topics);
-
-  // The word-accept EndStage fails part-way through its moves: the driver
-  // aborts the open sweep.
-  sampler.BeginSweep(plan, Pooled(executor));
+  // The word-span EndStage fails part-way through its tasks: the driver
+  // aborts the open sweep. (BeginSweep runs no barrier tasks: blocks count
+  // their items themselves.)
+  sampler.BeginSweep(plan, failing);
   executor.Run(num_blocks, [&](uint32_t worker, uint32_t t) {
     sampler.RunBlock(t / plan.num_word_blocks, t % plan.num_word_blocks,
                      worker);
@@ -596,9 +593,9 @@ size_t CountTraceEvents(const std::string& json, const std::string& name,
 
 // A traced grid sweep emits one balanced span per stage span plus
 // per-worker block spans, with every thread's B/E events forming a proper
-// nesting. On a grid whose columns and rows are both split the schedule is
-// [word-accept], [word-propose + doc-accept], [doc-propose]: three spans
-// named by their entry stage, three barriers, and one block pass per span.
+// nesting. Every plan's schedule is [word-accept + word-propose],
+// [doc-accept + doc-propose]: two spans named by their entry stage, two
+// barriers, and one block pass per span.
 TEST(ParallelSweepTest, RunSweepEmitsBalancedStageAndBlockSpans) {
   Corpus corpus = TestCorpus();
   WarpLdaSampler sampler;
@@ -629,21 +626,20 @@ TEST(ParallelSweepTest, RunSweepEmitsBalancedStageAndBlockSpans) {
     EXPECT_EQ(d, 0) << "open span left on tid " << tid;
   }
   EXPECT_EQ(begins["word-accept"], 1);
-  EXPECT_EQ(begins["word-propose"], 1);  // doc-accept runs inside this span
-  EXPECT_EQ(begins["doc-accept"], 0);
-  EXPECT_EQ(begins["doc-propose"], 1);
-  EXPECT_EQ(begins["end-stage"], 3);
+  EXPECT_EQ(begins["word-propose"], 0);  // runs inside word-accept's span
+  EXPECT_EQ(begins["doc-accept"], 1);
+  EXPECT_EQ(begins["doc-propose"], 0);  // runs inside doc-accept's span
+  EXPECT_EQ(begins["end-stage"], 2);
   // Every span ran all 9 blocks under a block span.
-  EXPECT_EQ(begins["block"], 3 * 9);
+  EXPECT_EQ(begins["block"], 2 * 9);
 }
 
 // Train() with trace_path set writes a Chrome trace whose JSON holds one
 // sweep span per iteration and, per sweep, one stage span for each span of
-// the plan's schedule (named by its first stage), one end-stage fold per
-// span and per-worker block spans. Default options train through the same
-// executor on the trivial plan, whose columns and rows are all whole: two
-// spans per sweep, [word-accept + word-propose] and [doc-accept +
-// doc-propose].
+// the schedule (named by its first stage), one end-stage fold per span and
+// per-worker block spans. A 2x2 plan on two threads and the default
+// options (the trivial plan, inline) run the same two spans per sweep,
+// [word-accept + word-propose] and [doc-accept + doc-propose].
 TEST(ParallelSweepTest, TrainWithTracePathWritesChromeTraceJson) {
   Corpus corpus = TestCorpus();
   struct Case {
@@ -652,7 +648,7 @@ TEST(ParallelSweepTest, TrainWithTracePathWritesChromeTraceJson) {
     std::vector<std::string> spans;
   };
   const Case cases[] = {
-      {"2x2", 2, {"word-accept", "word-propose", "doc-propose"}},
+      {"2x2", 2, {"word-accept", "doc-accept"}},
       {"defaults", 0, {"word-accept", "doc-accept"}},
   };
   for (const Case& c : cases) {
