@@ -5,10 +5,15 @@
 // bit-identical to single-process Iterate() — a distributed result that is
 // fast but different counts for nothing.
 //
-// Honest-reporting note: on a single-core container every "worker" shares
-// one physical CPU, so measured speedup tops out near (or below) 1x while
-// the model predicts near-linear scaling — the gap IS the finding, and the
-// hardware_threads field in the header is what explains it.
+// Metrics are on for every run, so each row also splits the coordinator's
+// sweep into the dist_coord_* histograms: relaying deltas to peers,
+// applying them to its own replica, capturing barrier checkpoints, and
+// idling with nothing to handle. ClusterSim prices none of these, which is
+// where predicted and measured speedup part. The sweep timings therefore
+// include the cost of recording metrics in every process, and each row is
+// the median of kReps runs; rows written by builds that timed one
+// metrics-off run per point are not directly comparable.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -18,7 +23,28 @@
 #include "dist/cluster_sim.h"
 #include "dist/dist_executor.h"
 #include "dist/partitioner.h"
+#include "obs/metrics.h"
 #include "util/flags.h"
+
+namespace {
+
+// Runs per worker count; the row reports their median and spread.
+constexpr int64_t kReps = 3;
+
+const char* const kCoordHistograms[] = {
+    "dist_coord_relay_us", "dist_coord_apply_us", "dist_coord_capture_us",
+    "dist_coord_wait_us"};
+
+std::vector<double> CoordSums() {
+  auto& registry = warplda::obs::MetricsRegistry::Global();
+  std::vector<double> sums;
+  for (const char* name : kCoordHistograms) {
+    sums.push_back(registry.GetHistogram(name)->Snapshot().sum);
+  }
+  return sums;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   double scale = 0.002;
@@ -46,11 +72,12 @@ int main(int argc, char** argv) {
       warplda::MakeSweepPlan(corpus, static_cast<uint32_t>(grid),
                              static_cast<uint32_t>(grid),
                              warplda::PartitionStrategy::kGreedy);
-  std::printf("corpus: %s, K=%lld, %lldx%lld grid, %lld sweeps per point\n",
-              warplda::DescribeCorpus(corpus).c_str(),
-              static_cast<long long>(k), static_cast<long long>(grid),
-              static_cast<long long>(grid),
-              static_cast<long long>(iterations));
+  std::printf(
+      "corpus: %s, K=%lld, %lldx%lld grid, %lld sweeps per run, %lld runs "
+      "per point\n",
+      warplda::DescribeCorpus(corpus).c_str(), static_cast<long long>(k),
+      static_cast<long long>(grid), static_cast<long long>(grid),
+      static_cast<long long>(iterations), static_cast<long long>(kReps));
 
   // Reference: the uninterrupted single-process run every distributed
   // result must reproduce bit-for-bit.
@@ -64,28 +91,54 @@ int main(int argc, char** argv) {
       .Int("k", k)
       .Int("iterations", iterations)
       .Int("grid", grid)
+      .Int("reps", kReps)
       .Str("transport", "AF_UNIX socketpair, frame protocol v2");
 
-  std::printf("\n%8s %12s %12s %12s %10s %8s\n", "workers", "sweep_s",
-              "measured_x", "predicted_x", "retrans", "ident");
+  std::printf("\n%8s %10s %10s %11s %11s %8s %8s %8s %8s %8s %6s\n",
+              "workers", "sweep_s", "spread_s", "measured_x", "predicted_x",
+              "relay", "apply", "capture", "wait", "retrans", "ident");
+  std::printf("%*s(coordinator ms per sweep)\n", 56, "");
+  warplda::obs::SetMetricsEnabled(true);
   double base_seconds = 0.0;
   bool all_identical = true;
   for (int64_t w = 1; w <= max_workers; w *= 2) {
-    warplda::WarpLdaSampler sampler;
-    sampler.Init(corpus, config);
-    warplda::DistConfig dist;
-    dist.num_workers = static_cast<uint32_t>(w);
-    dist.iterations = static_cast<uint32_t>(iterations);
-    const warplda::DistResult result =
-        RunDistributedSweeps(sampler, corpus, plan, dist);
-    if (!result.ok) {
-      std::fprintf(stderr, "dist run failed at %lld workers: %s\n",
-                   static_cast<long long>(w), result.error.c_str());
-      return 1;
+    std::vector<double> rep_seconds;
+    uint64_t retransmits = 0;
+    uint64_t frames_sent = 0;
+    bool identical = true;
+    const std::vector<double> sums_before = CoordSums();
+    for (int64_t r = 0; r < kReps; ++r) {
+      warplda::WarpLdaSampler sampler;
+      sampler.Init(corpus, config);
+      warplda::DistConfig dist;
+      dist.num_workers = static_cast<uint32_t>(w);
+      dist.iterations = static_cast<uint32_t>(iterations);
+      const warplda::DistResult result =
+          RunDistributedSweeps(sampler, corpus, plan, dist);
+      if (!result.ok) {
+        std::fprintf(stderr, "dist run failed at %lld workers: %s\n",
+                     static_cast<long long>(w), result.error.c_str());
+        return 1;
+      }
+      double total = 0.0;
+      for (double s : result.sweep_seconds) total += s;
+      rep_seconds.push_back(total / static_cast<double>(iterations));
+      retransmits += result.coordinator_stats.retransmits +
+                     result.worker_stats.retransmits;
+      frames_sent += result.coordinator_stats.frames_sent +
+                     result.worker_stats.frames_sent;
+      identical =
+          identical && sampler.Assignments() == reference.Assignments();
     }
-    double total = 0.0;
-    for (double s : result.sweep_seconds) total += s;
-    const double per_sweep = total / static_cast<double>(iterations);
+    const std::vector<double> sums_after = CoordSums();
+    std::vector<double> coord_ms;
+    for (size_t h = 0; h < sums_after.size(); ++h) {
+      coord_ms.push_back((sums_after[h] - sums_before[h]) / 1e3 /
+                         static_cast<double>(kReps * iterations));
+    }
+    std::sort(rep_seconds.begin(), rep_seconds.end());
+    const double per_sweep = rep_seconds[rep_seconds.size() / 2];
+    const double spread = rep_seconds.back() - rep_seconds.front();
     if (w == 1) base_seconds = per_sweep;
     const double measured = base_seconds / per_sweep;
 
@@ -95,26 +148,30 @@ int main(int argc, char** argv) {
     const double predicted =
         warplda::ClusterSim(corpus, sim_config).SimulatedSpeedup();
 
-    const bool identical =
-        sampler.Assignments() == reference.Assignments();
     all_identical = all_identical && identical;
-    const uint64_t retransmits = result.coordinator_stats.retransmits +
-                                 result.worker_stats.retransmits;
-    std::printf("%8lld %12.4f %11.2fx %11.2fx %10llu %8s\n",
-                static_cast<long long>(w), per_sweep, measured, predicted,
-                static_cast<unsigned long long>(retransmits),
-                identical ? "yes" : "NO");
+    std::printf(
+        "%8lld %10.4f %10.4f %10.2fx %10.2fx %8.1f %8.1f %8.1f %8.1f %8llu "
+        "%6s\n",
+        static_cast<long long>(w), per_sweep, spread, measured, predicted,
+        coord_ms[0], coord_ms[1], coord_ms[2], coord_ms[3],
+        static_cast<unsigned long long>(retransmits),
+        identical ? "yes" : "NO");
     json.AddRow()
         .Int("workers", w)
         .Num("seconds_per_sweep", per_sweep)
+        .Num("seconds_per_sweep_min", rep_seconds.front())
+        .Num("seconds_per_sweep_max", rep_seconds.back())
         .Num("measured_speedup", measured)
         .Num("predicted_speedup", predicted)
-        .Int("retransmits", static_cast<int64_t>(retransmits))
-        .Int("frames_sent",
-             static_cast<int64_t>(result.coordinator_stats.frames_sent +
-                                  result.worker_stats.frames_sent))
+        .Num("coord_relay_ms_per_sweep", coord_ms[0])
+        .Num("coord_apply_ms_per_sweep", coord_ms[1])
+        .Num("coord_capture_ms_per_sweep", coord_ms[2])
+        .Num("coord_wait_ms_per_sweep", coord_ms[3])
+        .Int("retransmits_all_runs", static_cast<int64_t>(retransmits))
+        .Int("frames_sent_per_run", static_cast<int64_t>(frames_sent) / kReps)
         .Str("bit_identical", identical ? "yes" : "no");
   }
+  warplda::obs::SetMetricsEnabled(false);
   json.Write("BENCH_dist_transport.json");
 
   if (!all_identical) {
@@ -122,7 +179,8 @@ int main(int argc, char** argv) {
                  "FAIL: a distributed run diverged from Iterate()\n");
     return 1;
   }
-  std::printf("\nall worker counts bit-identical to Iterate(); "
-              "predicted-vs-measured gap reflects the host's core count\n");
+  std::printf("\nall worker counts bit-identical to Iterate(); ClusterSim "
+              "prices none of the coordinator's relay, apply or capture "
+              "time\n");
   return 0;
 }

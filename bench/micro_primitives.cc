@@ -2,7 +2,8 @@
 // the ablation comparisons DESIGN.md calls out: hash vs dense counts and
 // alias sampling vs random positioning for the doc proposal, and two grid
 // hot-path primitives: per-token RNG stream derivation and the per-item
-// count snapshot a block builds on the fly. Results are also written to
+// count snapshot a block builds on the fly, plus the CRC-32 every checkpoint
+// and dist frame is checked with. Results are also written to
 // BENCH_micro_primitives.json in the repo's bench JSON format.
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 
 #include "bench/bench_common.h"
 #include "util/alias_table.h"
+#include "util/crc32.h"
 #include "util/ftree.h"
 #include "util/hash_count.h"
 #include "util/rng.h"
@@ -191,6 +193,21 @@ void BM_StageSetupSnapshotCopy(benchmark::State& state) {
 }
 BENCHMARK(BM_StageSetupSnapshotCopy);
 
+// --- Frame checksum ----------------------------------------------------
+
+// CRC-32 over one frame payload. 150 KiB is about one dist block-delta frame
+// on the dist-w3 warpbench workload; the sender and the receiver each
+// checksum every frame once.
+void BM_Crc32(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(11);
+  std::vector<uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  for (auto _ : state) benchmark::DoNotOptimize(Crc32(bytes.data(), n));
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Crc32)->Arg(153600);
+
 // Console output plus the repo's bench JSON format (same header fields as
 // the fig benches: cpu model, SIMD tier, thread count) so the primitive
 // numbers are tracked across commits next to BENCH_fig9.json.
@@ -208,6 +225,10 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
       auto items = run.counters.find("items_per_second");
       if (items != run.counters.end()) {
         row.Num("items_per_second", items->second);
+      }
+      auto bytes = run.counters.find("bytes_per_second");
+      if (bytes != run.counters.end()) {
+        row.Num("bytes_per_second", bytes->second);
       }
     }
     benchmark::ConsoleReporter::ReportRuns(runs);

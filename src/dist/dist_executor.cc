@@ -13,6 +13,7 @@
 
 #include "core/checkpoint.h"
 #include "dist/partitioner.h"
+#include "obs/metrics.h"
 #include "util/checkpoint_io.h"
 #include "util/rng.h"
 
@@ -33,6 +34,44 @@ int64_t NowMs() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+int64_t NowUs() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Where the coordinator's main thread spends a sweep, in the global
+/// registry. Relay, apply and idle wait are observed once per completed span
+/// (their totals over that span); capture once per barrier checkpoint.
+/// Recorded only while obs::MetricsEnabled().
+struct CoordinatorMetrics {
+  obs::Histogram* relay_us;
+  obs::Histogram* apply_us;
+  obs::Histogram* capture_us;
+  obs::Histogram* wait_us;
+
+  static const CoordinatorMetrics& Get() {
+    static const CoordinatorMetrics m = [] {
+      auto& reg = obs::MetricsRegistry::Global();
+      CoordinatorMetrics cm;
+      cm.relay_us = reg.GetHistogram(
+          "dist_coord_relay_us",
+          "Coordinator time per span sending peers' deltas to other workers");
+      cm.apply_us = reg.GetHistogram(
+          "dist_coord_apply_us",
+          "Coordinator time per span decoding and applying block deltas");
+      cm.capture_us = reg.GetHistogram(
+          "dist_coord_capture_us",
+          "Coordinator time per barrier checkpoint capture");
+      cm.wait_us = reg.GetHistogram(
+          "dist_coord_wait_us",
+          "Coordinator time per span idle, with no delta to handle");
+      return cm;
+    }();
+    return m;
+  }
+};
 
 uint32_t BlockOf(const SweepPlan& plan, uint32_t doc_block,
                  uint32_t word_block) {
@@ -425,6 +464,10 @@ struct Coordinator {
 
   std::vector<char> ran;
   uint32_t ran_count = 0;
+  /// Current span's totals for CoordinatorMetrics (metrics on only).
+  int64_t span_relay_us = 0;
+  int64_t span_apply_us = 0;
+  int64_t span_wait_us = 0;
 
   DistResult result;
 
@@ -453,10 +496,16 @@ struct Coordinator {
 
   /// Captures the current barrier state; every recovery restores to it.
   bool CaptureBarrier() {
+    const bool metrics = obs::MetricsEnabled();
+    const int64_t start = metrics ? NowUs() : 0;
     if (!sampler->CaptureSweepState(&barrier_ckpt)) {
       return Fail("sampler refused a barrier checkpoint (mid-stage state?)");
     }
     barrier_ckpt.iteration = iteration;
+    if (metrics) {
+      CoordinatorMetrics::Get().capture_us->Observe(
+          static_cast<double>(NowUs() - start));
+    }
     return true;
   }
 
@@ -501,11 +550,14 @@ struct Coordinator {
   void ResetSpan() {
     ran.assign(num_blocks, 0);
     ran_count = 0;
+    span_relay_us = 0;
+    span_apply_us = 0;
+    span_wait_us = 0;
   }
 
   /// One pass over live channels: applies + relays any received deltas,
   /// returns true if anything arrived. Death is detected by the caller.
-  bool PumpDeltas() {
+  bool PumpDeltas(bool metrics) {
     bool any = false;
     FrameChannel::Message msg;
     for (uint32_t w = 0; w < workers.size(); ++w) {
@@ -514,6 +566,7 @@ struct Coordinator {
         any = true;
         if (msg.type == kMsgStats || msg.type == kMsgHello) continue;
         if (msg.type != kMsgBlockDelta) continue;
+        const int64_t apply_start = metrics ? NowUs() : 0;
         uint64_t delta_epoch = 0;
         GridBlockDelta delta;
         if (!DecodeDelta(msg.body, &delta_epoch, &delta)) {
@@ -530,12 +583,17 @@ struct Coordinator {
         }
         ran[b] = 1;
         ++ran_count;
+        const int64_t relay_start = metrics ? NowUs() : 0;
         // Relay to every other live worker; FIFO guarantees each worker
         // holds all of a span's deltas before any next-span frame.
         for (uint32_t o = 0; o < workers.size(); ++o) {
           if (o != w && workers[o].live) {
             workers[o].channel->Send(kMsgBlockDelta, msg.body);
           }
+        }
+        if (metrics) {
+          span_apply_us += relay_start - apply_start;
+          span_relay_us += NowUs() - relay_start;
         }
       }
     }
@@ -559,16 +617,27 @@ struct Coordinator {
   /// Waits until every block of the current span has been applied locally,
   /// recovering from worker deaths along the way.
   bool WaitForSpan() {
+    const bool metrics = obs::MetricsEnabled();
     while (ran_count < num_blocks) {
       if (!result.error.empty()) return false;
-      const bool any = PumpDeltas();
+      const bool any = PumpDeltas(metrics);
       if (!result.error.empty()) return false;
       const uint32_t dead = DetectDeath();
       if (dead != DistConfig::kNoWorker) {
         if (!Recover(dead)) return false;
         return true;  // span state rewound; caller re-enters its loop
       }
-      if (!any) std::this_thread::sleep_for(std::chrono::microseconds(200));
+      if (!any) {
+        const int64_t idle_start = metrics ? NowUs() : 0;
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        if (metrics) span_wait_us += NowUs() - idle_start;
+      }
+    }
+    if (metrics) {
+      const CoordinatorMetrics& m = CoordinatorMetrics::Get();
+      m.relay_us->Observe(static_cast<double>(span_relay_us));
+      m.apply_us->Observe(static_cast<double>(span_apply_us));
+      m.wait_us->Observe(static_cast<double>(span_wait_us));
     }
     return true;
   }
@@ -818,7 +887,12 @@ DistResult RunDistributedSweeps(GridSampler& sampler, const Corpus& corpus,
           break;
         }
         sampler.EndStage();
-        if (!coord.CaptureBarrier()) break;
+        // The sweep's last barrier is captured after EndSweep below; no
+        // recovery can read a capture taken in between.
+        if (sampler.sweep_stage() != SweepStage::kDone &&
+            !coord.CaptureBarrier()) {
+          break;
+        }
       }
       if (!coord.result.error.empty()) break;
       if (rewound || !coord.sweep_open) continue;

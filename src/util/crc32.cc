@@ -1,35 +1,17 @@
 #include "util/crc32.h"
 
-#include <array>
+#include <zlib.h>
 
 namespace warplda {
 
-namespace {
-
-/// Byte-indexed lookup table for the reflected IEEE polynomial, generated
-/// once at static-init time (256 entries, 1 KiB).
-std::array<uint32_t, 256> MakeTable() {
-  std::array<uint32_t, 256> table{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t c = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-}  // namespace
-
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  static const std::array<uint32_t, 256> table = MakeTable();
-  const auto* bytes = static_cast<const uint8_t*>(data);
-  uint32_t crc = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
+  // zlib's crc32_z: same polynomial, pre/post inversion and seed chaining as
+  // the header promises, computed a word at a time with braided tables. A
+  // null buffer makes zlib return 0 whatever the seed; empty input must
+  // return the seed unchanged.
+  if (size == 0) return seed;
+  return static_cast<uint32_t>(
+      crc32_z(seed, static_cast<const Bytef*>(data), size));
 }
 
 }  // namespace warplda

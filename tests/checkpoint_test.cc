@@ -24,6 +24,7 @@
 #include "eval/log_likelihood.h"
 #include "serve/model_store.h"
 #include "util/checkpoint_io.h"
+#include "util/crc32.h"
 
 namespace warplda {
 namespace {
@@ -1023,6 +1024,66 @@ TEST(FrameStreamTest, ReadFrameFdRetriesEintr) {
   writer.join();
   ::close(fds[0]);
   ASSERT_EQ(sigaction(SIGUSR1, &old_action, nullptr), 0);
+}
+
+// ==========================================================================
+// CRC-32: the checksum in every checkpoint and dist frame. The fixtures in
+// tests/fixtures carry CRCs from an earlier implementation, so any change to
+// Crc32's bytes also fails LegacyProposeBarrierFixturesRestore.
+
+/// Bit-at-a-time CRC-32 (reflected 0xEDB88320, inverted in and out).
+uint32_t ReferenceCrc32(const uint8_t* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> CrcTestBytes(size_t size) {
+  std::vector<uint8_t> bytes(size);
+  uint32_t x = 0x9E3779B9u;
+  for (uint8_t& b : bytes) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<uint8_t>(x >> 24);
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  const char kCheck[] = "123456789";
+  EXPECT_EQ(Crc32(kCheck, 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  EXPECT_EQ(Crc32(kCheck, 0), 0u);
+  // Empty input leaves a chained seed unchanged, whatever the pointer.
+  EXPECT_EQ(Crc32(nullptr, 0, 0xCBF43926u), 0xCBF43926u);
+  EXPECT_EQ(Crc32(kCheck + 9, 0, 0x12345678u), 0x12345678u);
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  const std::vector<uint8_t> bytes = CrcTestBytes(257 + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; size <= 257; ++size) {
+      ASSERT_EQ(Crc32(bytes.data() + offset, size),
+                ReferenceCrc32(bytes.data() + offset, size))
+          << "offset " << offset << ", size " << size;
+    }
+  }
+}
+
+TEST(Crc32Test, SeedChainsAtEverySplitPoint) {
+  const std::vector<uint8_t> bytes = CrcTestBytes(1024);
+  const uint32_t whole = Crc32(bytes.data(), bytes.size());
+  EXPECT_EQ(whole, ReferenceCrc32(bytes.data(), bytes.size()));
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    ASSERT_EQ(Crc32(bytes.data() + split, bytes.size() - split,
+                    Crc32(bytes.data(), split)),
+              whole)
+        << "split " << split;
+  }
 }
 
 }  // namespace

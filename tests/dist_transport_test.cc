@@ -410,6 +410,36 @@ TEST(DistExecutorTest, RetryCountsVisibleInObsMetrics) {
                 64);
 }
 
+TEST(DistExecutorTest, CoordinatorTimeVisibleInObsMetrics) {
+  obs::SetMetricsEnabled(true);
+  auto& reg = obs::MetricsRegistry::Global();
+  const char* const kNames[] = {"dist_coord_relay_us", "dist_coord_apply_us",
+                                "dist_coord_wait_us", "dist_coord_capture_us"};
+  std::vector<uint64_t> before;
+  for (const char* name : kNames) {
+    before.push_back(reg.GetHistogram(name)->Snapshot().count);
+  }
+
+  Corpus corpus = DistTestCorpus();
+  DistConfig config;
+  config.num_workers = 2;
+  config.iterations = 2;
+  DistRun run = RunDist(corpus, config);
+  obs::SetMetricsEnabled(false);
+
+  ASSERT_TRUE(run.result.ok) << run.result.error;
+  // Relay, apply and wait are observed once per span: two spans per sweep.
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(reg.GetHistogram(kNames[i])->Snapshot().count - before[i],
+              2u * config.iterations)
+        << kNames[i];
+  }
+  // One capture at the mid-sweep barrier and one after EndSweep; the
+  // sweep's last EndStage is not captured.
+  EXPECT_EQ(reg.GetHistogram(kNames[3])->Snapshot().count - before[3],
+            2u * config.iterations);
+}
+
 TEST(DistExecutorTest, KillWorkerAtEveryBarrierStaysBitIdentical) {
   const uint32_t iterations = 2;
   Corpus corpus = DistTestCorpus();
