@@ -8,7 +8,11 @@
 // Metrics are on for every run, so each row also splits the coordinator's
 // sweep into the dist_coord_* histograms: relaying deltas to peers,
 // applying them to its own replica, capturing barrier checkpoints, and
-// idling with nothing to handle. ClusterSim prices none of these, which is
+// idling with nothing to handle. Beside them, each worker's main thread as
+// it reports it at shutdown (DistWorkerReport), averaged over workers:
+// running and capturing its blocks, encoding and sending their deltas,
+// receiving and applying its peers' slices, and idling; and the wire bytes
+// per sweep, all channel ends. ClusterSim prices none of these, which is
 // where predicted and measured speedup part. The sweep timings therefore
 // include the cost of recording metrics in every process, and each row is
 // the median of kReps runs; rows written by builds that timed one
@@ -92,12 +96,16 @@ int main(int argc, char** argv) {
       .Int("iterations", iterations)
       .Int("grid", grid)
       .Int("reps", kReps)
-      .Str("transport", "AF_UNIX socketpair, frame protocol v2");
+      .Str("transport",
+           "AF_UNIX socketpair, frame protocol v2, dist protocol v2");
 
-  std::printf("\n%8s %10s %10s %11s %11s %8s %8s %8s %8s %8s %6s\n",
-              "workers", "sweep_s", "spread_s", "measured_x", "predicted_x",
-              "relay", "apply", "capture", "wait", "retrans", "ident");
-  std::printf("%*s(coordinator ms per sweep)\n", 56, "");
+  std::printf(
+      "\n%7s %8s %8s %7s %7s %6s %6s %6s %6s %6s %6s %6s %6s %7s %5s %5s\n",
+      "workers", "sweep_s", "spread_s", "meas_x", "pred_x", "relay", "apply",
+      "capt", "wait", "comp", "enc", "apply", "idle", "MB", "retr", "ident");
+  std::printf("%*s(coordinator ms/sweep)   (mean worker ms/sweep)  "
+              "(per sweep)\n",
+              41, "");
   warplda::obs::SetMetricsEnabled(true);
   double base_seconds = 0.0;
   bool all_identical = true;
@@ -105,6 +113,10 @@ int main(int argc, char** argv) {
     std::vector<double> rep_seconds;
     uint64_t retransmits = 0;
     uint64_t frames_sent = 0;
+    uint64_t bytes_sent = 0;
+    // compute, encode, apply, idle µs summed over every worker and rep.
+    std::vector<double> worker_us(4, 0.0);
+    int64_t worker_reports = 0;
     bool identical = true;
     const std::vector<double> sums_before = CoordSums();
     for (int64_t r = 0; r < kReps; ++r) {
@@ -127,6 +139,16 @@ int main(int argc, char** argv) {
                      result.worker_stats.retransmits;
       frames_sent += result.coordinator_stats.frames_sent +
                      result.worker_stats.frames_sent;
+      bytes_sent += result.coordinator_stats.bytes_sent +
+                    result.worker_stats.bytes_sent;
+      for (const warplda::DistWorkerReport& report : result.worker_reports) {
+        if (!report.reported) continue;
+        ++worker_reports;
+        worker_us[0] += static_cast<double>(report.compute_us);
+        worker_us[1] += static_cast<double>(report.encode_us);
+        worker_us[2] += static_cast<double>(report.apply_us);
+        worker_us[3] += static_cast<double>(report.idle_us);
+      }
       identical =
           identical && sampler.Assignments() == reference.Assignments();
     }
@@ -136,6 +158,17 @@ int main(int argc, char** argv) {
       coord_ms.push_back((sums_after[h] - sums_before[h]) / 1e3 /
                          static_cast<double>(kReps * iterations));
     }
+    // Per worker and sweep: the reports cover every rep's iterations.
+    std::vector<double> worker_ms;
+    for (double us : worker_us) {
+      worker_ms.push_back(worker_reports == 0
+                              ? 0.0
+                              : us / 1e3 /
+                                    static_cast<double>(worker_reports *
+                                                        iterations));
+    }
+    const double mb_per_sweep = static_cast<double>(bytes_sent) / 1e6 /
+                                static_cast<double>(kReps * iterations);
     std::sort(rep_seconds.begin(), rep_seconds.end());
     const double per_sweep = rep_seconds[rep_seconds.size() / 2];
     const double spread = rep_seconds.back() - rep_seconds.front();
@@ -150,10 +183,11 @@ int main(int argc, char** argv) {
 
     all_identical = all_identical && identical;
     std::printf(
-        "%8lld %10.4f %10.4f %10.2fx %10.2fx %8.1f %8.1f %8.1f %8.1f %8llu "
-        "%6s\n",
+        "%7lld %8.4f %8.4f %6.2fx %6.2fx %6.1f %6.1f %6.1f %6.1f %6.1f %6.1f "
+        "%6.1f %6.1f %7.2f %5llu %5s\n",
         static_cast<long long>(w), per_sweep, spread, measured, predicted,
-        coord_ms[0], coord_ms[1], coord_ms[2], coord_ms[3],
+        coord_ms[0], coord_ms[1], coord_ms[2], coord_ms[3], worker_ms[0],
+        worker_ms[1], worker_ms[2], worker_ms[3], mb_per_sweep,
         static_cast<unsigned long long>(retransmits),
         identical ? "yes" : "NO");
     json.AddRow()
@@ -167,6 +201,11 @@ int main(int argc, char** argv) {
         .Num("coord_apply_ms_per_sweep", coord_ms[1])
         .Num("coord_capture_ms_per_sweep", coord_ms[2])
         .Num("coord_wait_ms_per_sweep", coord_ms[3])
+        .Num("worker_compute_ms_per_sweep", worker_ms[0])
+        .Num("worker_encode_ms_per_sweep", worker_ms[1])
+        .Num("worker_apply_ms_per_sweep", worker_ms[2])
+        .Num("worker_idle_ms_per_sweep", worker_ms[3])
+        .Num("bytes_per_sweep", mb_per_sweep * 1e6)
         .Int("retransmits_all_runs", static_cast<int64_t>(retransmits))
         .Int("frames_sent_per_run", static_cast<int64_t>(frames_sent) / kReps)
         .Str("bit_identical", identical ? "yes" : "no");

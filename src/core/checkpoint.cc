@@ -147,7 +147,7 @@ void EncodeSweepCheckpointPayload(const SweepCheckpoint& checkpoint,
   out.PutVec(checkpoint.ck_fixed);
   out.PutVec(checkpoint.assignments);
   out.PutVec(checkpoint.proposals);
-  *payload = out.bytes();
+  *payload = out.Take();
 }
 
 bool SaveSweepCheckpoint(const SweepCheckpoint& checkpoint,

@@ -81,9 +81,20 @@ struct SweepCheckpoint;  // core/checkpoint.h
 /// entire effect is therefore capturable as (moves, proposal writes) and
 /// replayable in another process that holds the same pre-stage state —
 /// after which EndStage() applies it exactly as if the block had run
-/// locally. `proposals` is in the block's canonical token order (derived
-/// from the plan and corpus, identical in every process), mh_steps entries
-/// per token; empty when the span draws none.
+/// locally.
+///
+/// The effect is cut by reader. A reader map names, per block, the process
+/// that runs it (the map is the same in both passes); a token's reader is
+/// the process that runs the item it belongs to in the *next* span: after a
+/// word span, the runner of the doc block holding the token's row; after a
+/// doc span, the runner of the word block holding its column. Slice r
+/// carries the moves and proposals of reader r's tokens, each in the
+/// block's canonical token order (derived from the plan and corpus,
+/// identical in every process; mh_steps proposals per token). Captured
+/// without a reader map, a delta has one slice, reader 0, covering the
+/// whole block. `ck_net` is the block's net change to the global topic
+/// counts c_k — every reader needs it, whichever slice it gets, to keep its
+/// c_k global.
 struct GridBlockDelta {
   SweepStage stage = SweepStage::kDone;  ///< span the block ran in
   uint32_t doc_block = 0;
@@ -97,8 +108,19 @@ struct GridBlockDelta {
     uint32_t from = 0;
     uint32_t to = 0;
   };
-  std::vector<Move> moves;
-  std::vector<uint32_t> proposals;  ///< TopicId, mh_steps per token
+  /// One nonzero entry of the block's net c_k change.
+  struct TopicCount {
+    uint32_t topic = 0;
+    int32_t count = 0;
+  };
+  /// Reader `reader`'s share of the block.
+  struct Slice {
+    uint32_t reader = 0;
+    std::vector<Move> moves;
+    std::vector<uint32_t> proposals;  ///< TopicId, mh_steps per token
+  };
+  std::vector<TopicCount> ck_net;  ///< ascending topic, counts sum to 0
+  std::vector<Slice> slices;       ///< ascending reader, at most one each
 };
 
 /// One unit of barrier work: fn(worker, task), see TaskRunner.
@@ -166,40 +188,50 @@ class GridSampler {
 
   /// Distributed execution: runs a block exactly like RunBlock and
   /// additionally captures its externally visible effect into `*out`, ready
-  /// to ship to a peer process holding the same pre-stage state. Returns
+  /// to ship to a peer process holding the same pre-stage state. `readers`
+  /// is the reader map (the runner of each block, size num_doc_blocks ×
+  /// num_word_blocks, row-major): the capture holds one slice per reader id
+  /// up to the largest in the map, empty ones included. An empty map
+  /// captures the whole block as one slice. A call with a map that differs
+  /// from the previous call's may rebuild per-reader indices, so it must
+  /// not overlap another RunBlockCaptured or ApplyBlockDelta call. Returns
   /// false when the sampler does not support delta capture (the default).
   virtual bool RunBlockCaptured(uint32_t doc_block, uint32_t word_block,
-                                uint32_t worker, GridBlockDelta* out) {
+                                uint32_t worker,
+                                const std::vector<uint32_t>& readers,
+                                GridBlockDelta* out) {
     (void)doc_block;
     (void)word_block;
     (void)worker;
+    (void)readers;
     (void)out;
     return false;
   }
 
   /// Distributed execution: injects a peer's captured block effect, marking
   /// the block as run for the current stage — EndStage() then applies it
-  /// exactly as if the block had run locally. Idempotent: a delta for a
-  /// block that already ran this stage (a duplicate frame) is accepted and
-  /// ignored. Returns false on a malformed delta (wrong stage, out-of-range
-  /// positions/topics) or when unsupported (the default); `*error` explains.
+  /// exactly as if the block had run locally. `readers` is the map the
+  /// delta was cut with (empty for a whole-block delta). Each slice the
+  /// delta carries is applied to its reader's tokens; a process applies
+  /// just its own slice when only the tokens it reads next must be
+  /// current, or every slice to keep a full replica. c_k always moves by
+  /// `ck_net`; when every slice is present, `ck_net` is checked against
+  /// the moves. Idempotent: a delta for a block that already ran this stage
+  /// (a duplicate frame) is accepted and ignored. Returns false, leaving
+  /// the sampler untouched, on a malformed delta (wrong stage, out-of-range
+  /// positions/topics, a move or proposal count that does not fit its
+  /// slice, a `ck_net` that does not sum to zero) or when unsupported (the
+  /// default); `*error` explains.
   virtual bool ApplyBlockDelta(const GridBlockDelta& delta,
+                               const std::vector<uint32_t>& readers,
                                std::string* error) {
     (void)delta;
+    (void)readers;
     if (error != nullptr) {
       *error = "this sampler does not support block deltas";
     }
     return false;
   }
-
-  /// Distributed execution hint: this process will only RunBlock the blocks
-  /// whose flag is set in `owned` (size num_doc_blocks × num_word_blocks,
-  /// row-major; empty = unrestricted, the default), every other block
-  /// arriving via ApplyBlockDelta. Implementations may skip building
-  /// per-item caches no owned block reads. Purely an optimization — results
-  /// are identical with or without the hint. Call before BeginSweep or
-  /// RestoreSweepState; cleared state persists until the next call.
-  virtual void SetLocalBlocks(const std::vector<char>& owned) { (void)owned; }
 
   /// Barrier: checks every block of the current stage ran, applies the
   /// stage's staged updates, and advances to the next stage, running the

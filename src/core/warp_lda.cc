@@ -69,6 +69,7 @@ void WarpLdaSampler::Init(const Corpus& corpus, const LdaConfig& config) {
   scratch_[0].ck_delta.assign(k, 0);
   phase_epoch_ = 0;
   grid_ = GridState();
+  reader_index_ = ReaderIndex();
 
   // Random initial assignments.
   ck_live_.assign(k, 0);
@@ -403,12 +404,6 @@ std::pair<uint32_t, uint32_t> WarpLdaSampler::BlockItems(
   const std::vector<uint32_t>& bounds =
       word_axis ? grid_.col_bounds : grid_.row_bounds;
   return {bounds[block], bounds[block + 1]};
-}
-
-uint64_t WarpLdaSampler::BlockTokens(size_t block, bool word_axis) const {
-  const auto [lo, hi] = BlockItems(block, word_axis);
-  return word_axis ? matrix_.col_offset(hi) - matrix_.col_offset(lo)
-                   : matrix_.row_offset(hi) - matrix_.row_offset(lo);
 }
 
 int WarpLdaSampler::SpanLength(SweepStage s) {
@@ -810,14 +805,105 @@ bool WarpLdaSampler::RestoreSweepState(const SweepCheckpoint& state,
 // in per-worker scratch. Capturing those two pieces and replaying them in
 // a peer process that holds the same pre-span state makes the peer's
 // EndStage() bit-identical to having run the block locally: the moves are
-// committed at the barrier (with their ck-delta net effect; intermediates
-// of an MH chain cancel), and proposals scatter into the very slots the
-// block would have written. Both are in the block's item order and each
-// item's token order, which every process derives identically from (plan,
-// corpus).
+// committed at the barrier, c_k moves by the block's net change (the
+// intermediates of an MH chain cancel), and proposals scatter into the
+// very slots the block would have written. Both are in the block's item
+// order and each item's token order, which every process derives
+// identically from (plan, corpus).
+//
+// A reader map cuts the effect by the process that reads each token next.
+// That process ran the token's item in the previous span or received the
+// token's moves from whoever did, so its z there is current and the
+// `from` check below holds on every slice it applies; a process never
+// reads z or proposals outside its own items, and ck_net keeps its c_k
+// global.
+
+std::pair<uint64_t, uint64_t> WarpLdaSampler::BlockAxisRange(
+    size_t block, bool word_axis) const {
+  const auto [lo, hi] = BlockItems(block, word_axis);
+  return word_axis
+             ? std::pair<uint64_t, uint64_t>{matrix_.col_offset(lo),
+                                             matrix_.col_offset(hi)}
+             : std::pair<uint64_t, uint64_t>{matrix_.row_offset(lo),
+                                             matrix_.row_offset(hi)};
+}
+
+const WarpLdaSampler::ReaderIndex* WarpLdaSampler::ReaderIndexFor(
+    const std::vector<uint32_t>& readers, std::string* error) {
+  const size_t num_blocks = grid_.block_ran.size();
+  if (!readers.empty() && readers.size() != num_blocks) {
+    *error = "reader map has " + std::to_string(readers.size()) +
+             " entries for " + std::to_string(num_blocks) + " blocks";
+    return nullptr;
+  }
+  for (uint32_t r : readers) {
+    if (r >= kMaxReaders) {
+      *error = "reader id " + std::to_string(r) + " out of range";
+      return nullptr;
+    }
+  }
+  std::vector<uint32_t> map =
+      readers.empty() ? std::vector<uint32_t>(num_blocks, 0) : readers;
+  if (reader_index_.readers != map ||
+      reader_index_.col_bounds != grid_.col_bounds ||
+      reader_index_.row_bounds != grid_.row_bounds) {
+    BuildReaderIndex(std::move(map));
+  }
+  return &reader_index_;
+}
+
+void WarpLdaSampler::BuildReaderIndex(std::vector<uint32_t> readers) {
+  const uint64_t num_tokens = matrix_.num_entries();
+  if (num_tokens > UINT32_MAX) {
+    throw std::length_error(
+        "WarpLdaSampler: block deltas need fewer than 2^32 tokens");
+  }
+  ReaderIndex& index = reader_index_;
+  index.readers = std::move(readers);
+  index.col_bounds = grid_.col_bounds;
+  index.row_bounds = grid_.row_bounds;
+  index.num_readers =
+      *std::max_element(index.readers.begin(), index.readers.end()) + 1;
+  const uint32_t num_readers = index.num_readers;
+  const size_t num_blocks = index.readers.size();
+  // A token's reader in one axis's span is the runner of the block holding
+  // it on the other axis. Tag every CSC position with it, then counting-
+  // sort the axis's tokens into (block, reader) groups, canonical order
+  // kept within each group.
+  std::vector<uint32_t> reader_of(num_tokens);
+  for (const bool word_axis : {true, false}) {
+    for (size_t b = 0; b < num_blocks; ++b) {
+      const auto [first, end] = BlockAxisRange(b, !word_axis);
+      for (uint64_t a = first; a < end; ++a) {
+        reader_of[AxisPosition(a, !word_axis)] = index.readers[b];
+      }
+    }
+    std::vector<uint32_t>& begin = index.begin[word_axis ? 0 : 1];
+    std::vector<uint32_t>& tokens = index.tokens[word_axis ? 0 : 1];
+    begin.assign(num_blocks * num_readers + 1, 0);
+    for (size_t b = 0; b < num_blocks; ++b) {
+      const auto [first, end] = BlockAxisRange(b, word_axis);
+      for (uint64_t a = first; a < end; ++a) {
+        ++begin[b * num_readers + reader_of[AxisPosition(a, word_axis)] + 1];
+      }
+    }
+    for (size_t g = 1; g < begin.size(); ++g) begin[g] += begin[g - 1];
+    tokens.resize(num_tokens);
+    std::vector<uint32_t> cursor(begin.begin(), begin.end() - 1);
+    for (size_t b = 0; b < num_blocks; ++b) {
+      const auto [first, end] = BlockAxisRange(b, word_axis);
+      for (uint64_t a = first; a < end; ++a) {
+        const uint32_t r = reader_of[AxisPosition(a, word_axis)];
+        tokens[cursor[b * num_readers + r]++] = static_cast<uint32_t>(a);
+      }
+    }
+  }
+}
 
 bool WarpLdaSampler::RunBlockCaptured(uint32_t doc_block, uint32_t word_block,
-                                      uint32_t worker, GridBlockDelta* out) {
+                                      uint32_t worker,
+                                      const std::vector<uint32_t>& readers,
+                                      GridBlockDelta* out) {
   if (!grid_.open || grid_.stage == SweepStage::kDone) {
     throw std::logic_error(
         "WarpLdaSampler: RunBlockCaptured() outside an active stage");
@@ -826,32 +912,77 @@ bool WarpLdaSampler::RunBlockCaptured(uint32_t doc_block, uint32_t word_block,
     throw std::invalid_argument(
         "WarpLdaSampler: worker id out of range; ReserveWorkers() first");
   }
+  std::string error;
+  const ReaderIndex* index = ReaderIndexFor(readers, &error);
+  if (index == nullptr) {
+    throw std::invalid_argument("WarpLdaSampler: " + error);
+  }
   const SweepStage begin = grid_.stage;
   const size_t block =
       static_cast<size_t>(doc_block) * grid_.plan.num_word_blocks + word_block;
-  out->moves.clear();
-  RunBlockInto(doc_block, word_block, worker, &out->moves);
+  ThreadScratch& s = scratch_[worker];
+  s.block_moves.clear();
+  RunBlockInto(doc_block, word_block, worker, &s.block_moves);
   out->stage = begin;
   out->doc_block = doc_block;
   out->word_block = word_block;
-  // Every span draws proposals: word ones in word stages, doc ones in doc
-  // stages.
+
+  // The block's net c_k change, ascending by topic.
+  const uint32_t k_topics = config_.num_topics;
+  s.ck_tally.resize(k_topics, 0);
+  for (const StagedMove& mv : s.block_moves) {
+    --s.ck_tally[mv.from];
+    ++s.ck_tally[mv.to];
+  }
+  out->ck_net.clear();
+  for (uint32_t k = 0; k < k_topics; ++k) {
+    if (s.ck_tally[k] != 0) {
+      out->ck_net.push_back({k, s.ck_tally[k]});
+      s.ck_tally[k] = 0;
+    }
+  }
+
+  // Every span draws proposals (word ones in word stages, doc ones in doc
+  // stages). One walk over the block's tokens in canonical order routes
+  // each token's proposals, and its move if it moved, to its reader.
   const bool word_axis = begin < SweepStage::kDocAccept;
+  const uint32_t axis = word_axis ? 0 : 1;
+  const uint32_t num_readers = index->num_readers;
   const uint32_t m = std::max(1u, config_.mh_steps);
-  out->proposals.clear();
-  out->proposals.reserve(BlockTokens(block, word_axis) * m);
-  const auto [lo, hi] = BlockItems(block, word_axis);
-  for (uint32_t item = lo; item < hi; ++item) {
-    const TokenPositions positions = ItemPositions(item, word_axis);
-    for (uint32_t i = 0; i < positions.size; ++i) {
-      const TopicId* slot = &proposals_[positions[i] * m];
-      out->proposals.insert(out->proposals.end(), slot, slot + m);
+  const auto [first, end] = BlockAxisRange(block, word_axis);
+  s.reader_tag.resize(end - first);
+  out->slices.resize(num_readers);
+  std::vector<TopicId*> fill(num_readers);  // next proposal slot per slice
+  for (uint32_t r = 0; r < num_readers; ++r) {
+    const size_t g = block * num_readers + r;
+    GridBlockDelta::Slice& slice = out->slices[r];
+    slice.reader = r;
+    slice.moves.clear();
+    slice.proposals.resize(
+        static_cast<size_t>(index->begin[axis][g + 1] - index->begin[axis][g]) *
+        m);
+    fill[r] = slice.proposals.data();
+    for (uint32_t i = index->begin[axis][g]; i < index->begin[axis][g + 1];
+         ++i) {
+      s.reader_tag[index->tokens[axis][i] - first] = r;
+    }
+  }
+  size_t next = 0;
+  for (uint64_t a = first; a < end; ++a) {
+    const uint32_t r = s.reader_tag[a - first];
+    const uint64_t pos = AxisPosition(a, word_axis);
+    const TopicId* slot = &proposals_[pos * m];
+    TopicId*& to = fill[r];
+    for (uint32_t j = 0; j < m; ++j) *to++ = slot[j];  // no memmove per token
+    if (next < s.block_moves.size() && s.block_moves[next].pos == pos) {
+      out->slices[r].moves.push_back(s.block_moves[next++]);
     }
   }
   return true;
 }
 
 bool WarpLdaSampler::ApplyBlockDelta(const GridBlockDelta& delta,
+                                     const std::vector<uint32_t>& readers,
                                      std::string* error) {
   auto fail = [&](const std::string& message) {
     if (error != nullptr) *error = "WarpLdaSampler: " + message;
@@ -876,77 +1007,120 @@ bool WarpLdaSampler::ApplyBlockDelta(const GridBlockDelta& delta,
   // already ran (locally or injected) is acknowledged without reapplying —
   // applying twice would double its moves and ck updates.
   if (ran) return true;
+  std::string index_error;
+  const ReaderIndex* index = ReaderIndexFor(readers, &index_error);
+  if (index == nullptr) return fail(index_error);
 
   // Validate the whole delta before mutating anything, so a malformed frame
   // leaves the sampler untouched.
   const uint32_t k_topics = config_.num_topics;
-  const uint64_t num_entries = matrix_.num_entries();
   const bool word_axis = delta.stage < SweepStage::kDocAccept;
-  const auto [lo, hi] = BlockItems(block, word_axis);
-  if (SpanLength(delta.stage) == 1 && !delta.moves.empty()) {
-    return fail("delta stages moves in a pure propose span");
-  }
-  for (const GridBlockDelta::Move& mv : delta.moves) {
-    if (mv.pos >= num_entries) return fail("delta move position out of range");
-    if (mv.from >= k_topics || mv.to >= k_topics) {
-      return fail("delta move topic out of range");
+  const uint32_t axis = word_axis ? 0 : 1;
+  const uint32_t num_readers = index->num_readers;
+  const uint32_t m = std::max(1u, config_.mh_steps);
+  int64_t ck_sum = 0;
+  for (size_t i = 0; i < delta.ck_net.size(); ++i) {
+    const GridBlockDelta::TopicCount& tc = delta.ck_net[i];
+    if (tc.topic >= k_topics) return fail("delta ck_net topic out of range");
+    if (i > 0 && tc.topic <= delta.ck_net[i - 1].topic) {
+      return fail("delta ck_net topics are not ascending");
     }
-    // This block's z is untouched until the barrier (it did not run here),
-    // so `from` must match the current assignment — anything else means
-    // the peer ran from different state.
-    if (matrix_.entry_data(mv.pos) != mv.from) {
-      return fail("delta move disagrees with the current assignment");
-    }
+    ck_sum += tc.count;
   }
-  // A block emits its moves in its token order, each tagged with its
-  // column (word pass) or row (doc pass). The barrier commits each word
-  // block's moves in its own task, so a move outside its block could race
-  // with another task's writes: check the moves follow the block's tokens,
-  // in one pass.
-  if (!delta.moves.empty()) {
-    size_t next = 0;
-    for (uint32_t item = lo; item < hi && next < delta.moves.size(); ++item) {
-      const TokenPositions positions = ItemPositions(item, word_axis);
-      for (uint32_t p = 0; p < positions.size && next < delta.moves.size();
-           ++p) {
-        if (delta.moves[next].pos != positions[p]) continue;
-        if (delta.moves[next].item != item) {
-          return fail("delta move item is not its token's column or row");
-        }
-        ++next;
+  if (ck_sum != 0) return fail("delta ck_net does not sum to 0");
+  size_t num_moves = 0;
+  for (size_t si = 0; si < delta.slices.size(); ++si) {
+    const GridBlockDelta::Slice& slice = delta.slices[si];
+    if (slice.reader >= num_readers ||
+        (si > 0 && slice.reader <= delta.slices[si - 1].reader)) {
+      return fail("delta slice reader " + std::to_string(slice.reader) +
+                  " out of range or out of order");
+    }
+    if (SpanLength(delta.stage) == 1 && !slice.moves.empty()) {
+      return fail("delta stages moves in a pure propose span");
+    }
+    const size_t g = block * num_readers + slice.reader;
+    const uint32_t* tokens = index->tokens[axis].data();
+    const uint32_t group_begin = index->begin[axis][g];
+    const uint32_t group_end = index->begin[axis][g + 1];
+    const uint64_t expected_proposals =
+        static_cast<uint64_t>(group_end - group_begin) * m;
+    if (slice.proposals.size() != expected_proposals) {
+      return fail("delta proposal count " +
+                  std::to_string(slice.proposals.size()) + " (expected " +
+                  std::to_string(expected_proposals) + ")");
+    }
+    for (uint32_t p : slice.proposals) {
+      if (p >= k_topics) return fail("delta proposal topic out of range");
+    }
+    // A slice's moves follow its reader's tokens in canonical order, each
+    // tagged with its column (word pass) or row (doc pass). The barrier
+    // commits each word block's moves in its own task, so a move outside
+    // its block could race with another task's writes, and one outside the
+    // reader's tokens would land where this process's z may be stale.
+    uint32_t cursor = group_begin;
+    uint32_t item = BlockItems(block, word_axis).first;
+    for (const GridBlockDelta::Move& mv : slice.moves) {
+      while (cursor < group_end &&
+             AxisPosition(tokens[cursor], word_axis) != mv.pos) {
+        ++cursor;
+      }
+      if (cursor == group_end) {
+        return fail("delta moves do not follow the slice's token order");
+      }
+      // Tokens in canonical order walk the block's items in order.
+      while (AxisEnd(item, word_axis) <= tokens[cursor]) ++item;
+      if (mv.item != item) {
+        return fail("delta move item is not its token's column or row");
+      }
+      if (mv.from >= k_topics || mv.to >= k_topics) {
+        return fail("delta move topic out of range");
+      }
+      // The reader's z here is current (see above), so `from` must match
+      // it — anything else means the peer ran from different state.
+      if (matrix_.entry_data(mv.pos) != mv.from) {
+        return fail("delta move disagrees with the current assignment");
+      }
+      ++cursor;
+    }
+    num_moves += slice.moves.size();
+  }
+  if (delta.slices.size() == num_readers) {
+    // Every slice is here: ck_net must be exactly the moves' net effect.
+    std::vector<int64_t> net(k_topics, 0);
+    for (const GridBlockDelta::Slice& slice : delta.slices) {
+      for (const GridBlockDelta::Move& mv : slice.moves) {
+        --net[mv.from];
+        ++net[mv.to];
       }
     }
-    if (next != delta.moves.size()) {
-      return fail("delta moves do not follow the block's token order");
+    for (const GridBlockDelta::TopicCount& tc : delta.ck_net) {
+      net[tc.topic] -= tc.count;
+    }
+    for (int64_t d : net) {
+      if (d != 0) return fail("delta ck_net disagrees with its moves");
     }
   }
-  const uint32_t m = std::max(1u, config_.mh_steps);
-  const uint64_t expected_proposals = BlockTokens(block, word_axis) * m;
-  if (delta.proposals.size() != expected_proposals) {
-    return fail("delta proposal count " +
-                std::to_string(delta.proposals.size()) + " (expected " +
-                std::to_string(expected_proposals) + ")");
-  }
-  for (uint32_t p : delta.proposals) {
-    if (p >= k_topics) return fail("delta proposal topic out of range");
-  }
 
-  // Injected moves land in the block's own list and their counts in worker
-  // 0's ck-delta partition — the same commit and commutative fold EndStage()
+  // Injected moves land in the block's own list and ck_net in worker 0's
+  // ck-delta partition — the same commit and commutative fold EndStage()
   // gives local work (scratch_[0] always exists: Init sizes the pool to at
   // least one).
   std::vector<StagedMove>& moves = grid_.block_moves[block];
-  moves.insert(moves.end(), delta.moves.begin(), delta.moves.end());
+  moves.reserve(moves.size() + num_moves);
   ThreadScratch& s = scratch_[0];
-  for (const GridBlockDelta::Move& mv : delta.moves) {
-    --s.ck_delta[mv.from];
-    ++s.ck_delta[mv.to];
+  for (const GridBlockDelta::TopicCount& tc : delta.ck_net) {
+    s.ck_delta[tc.topic] += tc.count;
   }
-  const TopicId* next = delta.proposals.data();
-  for (uint32_t item = lo; item < hi; ++item) {
-    const TokenPositions positions = ItemPositions(item, word_axis);
-    for (uint32_t i = 0; i < positions.size; ++i, next += m) {
-      std::copy(next, next + m, &proposals_[positions[i] * m]);
+  for (const GridBlockDelta::Slice& slice : delta.slices) {
+    moves.insert(moves.end(), slice.moves.begin(), slice.moves.end());
+    const size_t g = block * num_readers + slice.reader;
+    const TopicId* next = slice.proposals.data();
+    for (uint32_t i = index->begin[axis][g]; i < index->begin[axis][g + 1];
+         ++i, next += m) {
+      TopicId* slot = &proposals_[AxisPosition(index->tokens[axis][i],
+                                               word_axis) * m];
+      for (uint32_t j = 0; j < m; ++j) slot[j] = next[j];
     }
   }
   ran = 1;

@@ -87,6 +87,12 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// but never while a stage has blocks in flight.
   void ReserveWorkers(uint32_t num_workers) override;
 
+  /// The items block `block` (= doc_block·W + word_block) owns in the word
+  /// spans (columns, `word_axis`) or the doc spans (rows) of the current
+  /// or last sweep's plan, as the range [first, second).
+  std::pair<uint32_t, uint32_t> BlockItems(size_t block,
+                                           bool word_axis) const;
+
   /// Durability hooks (core/checkpoint.h): capture is legal between sweeps
   /// and at stage barriers (deltas folded, injected moves applied — the
   /// per-worker state is empty, so the checkpoint is just assignments,
@@ -106,14 +112,21 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// is the moves it committed in place plus the proposal slots its span
   /// wrote, gathered / scattered in its items' id order and each item's
   /// token order — canonical because every process derives the same item
-  /// ranges from the same plan and corpus. Injected deltas land in the
-  /// block's own move list, worker 0's ck-delta and the block's own
-  /// proposal slots, so EndStage() applies them exactly as local work; a
-  /// full set of deltas makes this sampler's state evolve bit-identically
-  /// to the process that ran the blocks.
+  /// ranges from the same plan and corpus. A reader map cuts that effect
+  /// into per-reader slices through per-(block, reader) token lists, built
+  /// from the map on first use (the empty map is the one-reader map), so a
+  /// slice is cut, validated and applied in time proportional to its size.
+  /// Injected moves land in the block's own move list, the block's c_k
+  /// change (`ck_net`) in worker 0's ck-delta and the proposals in the
+  /// slice tokens' own slots, so EndStage() applies them exactly as local
+  /// work; a full set of deltas makes this sampler's state evolve
+  /// bit-identically to the process that ran the blocks, and a reader's
+  /// slices keep every token it reads next (and c_k) current.
   bool RunBlockCaptured(uint32_t doc_block, uint32_t word_block,
-                        uint32_t worker, GridBlockDelta* out) override;
+                        uint32_t worker, const std::vector<uint32_t>& readers,
+                        GridBlockDelta* out) override;
   bool ApplyBlockDelta(const GridBlockDelta& delta,
+                       const std::vector<uint32_t>& readers,
                        std::string* error) override;
 
   /// Live global topic counts c_k (size K). Deltas are folded in at stage
@@ -155,6 +168,12 @@ class WarpLdaSampler : public Sampler, public GridSampler {
     /// One item's accepted moves, committed to z in place (and replayed
     /// into `counts`) once the item's accept pass is done.
     std::vector<StagedMove> item_moves;
+    /// RunBlockCaptured only: the block's committed moves, each token's
+    /// reader, and the block's per-topic c_k change (size K once used,
+    /// all zero between captures).
+    std::vector<StagedMove> block_moves;
+    std::vector<uint32_t> reader_tag;
+    std::vector<int32_t> ck_tally;
     /// Plain (non-atomic) obs accumulators, bumped on the hot path and
     /// drained into the global registry by FlushScratchMetrics() at stage
     /// barriers — never an atomic op per token.
@@ -206,6 +225,27 @@ class WarpLdaSampler : public Sampler, public GridSampler {
     /// place). Unannotated for block_ran's reason.
     std::vector<std::vector<StagedMove>> block_moves;
   };
+
+  /// Per-(block, reader) token lists for cutting and applying sliced block
+  /// deltas (see GridBlockDelta). Built by BuildReaderIndex from a reader
+  /// map and kept while the map and the grid's item ranges stay the same;
+  /// empty until a delta hook runs, so in-process sweeps never build one.
+  /// Tokens are named by their index along an axis's canonical order: the
+  /// CSC position on the word axis, the row-major index on the doc axis.
+  struct ReaderIndex {
+    std::vector<uint32_t> readers;  ///< the (normalized) map, size D·W
+    std::vector<uint32_t> col_bounds;  ///< grid item ranges it was built on
+    std::vector<uint32_t> row_bounds;
+    uint32_t num_readers = 0;
+    /// Per axis (0: word spans, 1: doc spans), the tokens of group
+    /// g = block·num_readers + reader are tokens[begin[g] .. begin[g+1]),
+    /// in canonical order. 4 B per token per axis.
+    std::vector<uint32_t> begin[2];
+    std::vector<uint32_t> tokens[2];
+  };
+
+  /// Largest reader id + 1 a reader map may name.
+  static constexpr uint32_t kMaxReaders = 1u << 16;
 
   /// RNG stream tags: each (epoch, tag, token) triple names one stream.
   static constexpr uint32_t kTagAccept = 0x51;
@@ -283,11 +323,6 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   void BuildGridIndices(const SweepPlan& plan);
   /// The CSC positions of column `item` (word axis) or row `item`.
   TokenPositions ItemPositions(uint32_t item, bool word_axis) const;
-  /// Block `block`'s items on the word axis (columns) or the doc axis
-  /// (rows), as the range [first, second), and its token count there.
-  std::pair<uint32_t, uint32_t> BlockItems(size_t block,
-                                           bool word_axis) const;
-  uint64_t BlockTokens(size_t block, bool word_axis) const;
 
   /// Length (1 or 2) of the span entered at `s`: an accept stage runs with
   /// its propose stage; a propose stage alone is a span only when a
@@ -303,6 +338,25 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// Commits the injected moves of every block in word block `word_block`.
   void ApplyMovesRange(uint32_t word_block);
   void FoldDeltaRange(uint32_t lo, uint32_t hi);
+
+  /// The reader index for `readers` (empty = every block read by reader
+  /// 0), rebuilt when the map or the grid's item ranges changed. Returns
+  /// null and fills `*error` for a map of the wrong size or with a reader
+  /// id of kMaxReaders or more.
+  const ReaderIndex* ReaderIndexFor(const std::vector<uint32_t>& readers,
+                                    std::string* error);
+  void BuildReaderIndex(std::vector<uint32_t> readers);
+  /// Canonical-order tokens [first, second) of `block` on an axis, the CSC
+  /// position of axis token `a`, and the end of item `item`'s tokens.
+  std::pair<uint64_t, uint64_t> BlockAxisRange(size_t block,
+                                               bool word_axis) const;
+  uint64_t AxisPosition(uint64_t a, bool word_axis) const {
+    return word_axis ? a : matrix_.csc_position(a);
+  }
+  uint64_t AxisEnd(uint32_t item, bool word_axis) const {
+    return word_axis ? matrix_.col_offset(item + 1)
+                     : matrix_.row_offset(item + 1);
+  }
 
   /// RunBlock with an optional capture list: the span appends the moves it
   /// commits in place to `*committed` (RunBlockCaptured's delta).
@@ -353,6 +407,7 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   WARP_WORKER_LOCAL std::vector<ThreadScratch> scratch_;
   WARP_BARRIER_ONLY uint64_t phase_epoch_ = 0;  // RNG stream epoch
   GridState grid_;
+  WARP_IMMUTABLE_AFTER(Init, BuildReaderIndex) ReaderIndex reader_index_;
 };
 
 }  // namespace warplda

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <thread>
 
 #include "core/checkpoint.h"
@@ -20,11 +21,18 @@
 namespace warplda {
 namespace {
 
+/// Version of the message layouts below, carried by kMsgHello: a worker
+/// built with other layouts fails the handshake instead of misreading
+/// frames. 2: block deltas cut into per-reader slices, kMsgStats carries
+/// worker times.
+constexpr uint32_t kDistProtocolVersion = 2;
+
 /// Application message types carried by FrameChannel data frames.
-constexpr uint32_t kMsgHello = 1;      ///< worker -> coord: u32 worker_id
+constexpr uint32_t kMsgHello = 1;      ///< worker -> coord: id, version
 constexpr uint32_t kMsgAssign = 2;     ///< coord -> worker: epoch, iter, owner
 constexpr uint32_t kMsgRestore = 3;    ///< coord -> worker: + sweep checkpoint
-constexpr uint32_t kMsgBlockDelta = 4; ///< either way: one block's effect
+constexpr uint32_t kMsgBlockDelta = 4; ///< a block's effect: all slices up,
+                                       ///< the reader's own one down
 constexpr uint32_t kMsgRecover = 5;    ///< coord -> worker: abort, epoch bump
 constexpr uint32_t kMsgShutdown = 6;   ///< coord -> worker: run complete
 constexpr uint32_t kMsgStats = 7;      ///< worker -> coord: channel stats
@@ -78,15 +86,6 @@ uint32_t BlockOf(const SweepPlan& plan, uint32_t doc_block,
   return doc_block * plan.num_word_blocks + word_block;
 }
 
-std::vector<char> OwnedMask(const std::vector<uint32_t>& owner,
-                            uint32_t worker_id) {
-  std::vector<char> mask(owner.size(), 0);
-  for (size_t b = 0; b < owner.size(); ++b) {
-    mask[b] = owner[b] == worker_id ? 1 : 0;
-  }
-  return mask;
-}
-
 /// Per-direction fault schedule seeds derived from the one run seed, so a
 /// single number reproduces the whole run's fault pattern yet no two
 /// channel directions share a schedule.
@@ -116,7 +115,9 @@ void AccumulateStats(FrameChannel::Stats* into,
   into->faults_injected += from.faults_injected;
 }
 
-std::vector<uint8_t> EncodeStats(const FrameChannel::Stats& s) {
+/// kMsgStats: the worker's channel stats, then its main-thread times.
+std::vector<uint8_t> EncodeStats(const DistWorkerReport& r) {
+  const FrameChannel::Stats& s = r.stats;
   PayloadWriter out;
   out.Put(s.frames_sent);
   out.Put(s.frames_received);
@@ -128,56 +129,124 @@ std::vector<uint8_t> EncodeStats(const FrameChannel::Stats& s) {
   out.Put(s.naks_sent);
   out.Put(s.naks_received);
   out.Put(s.faults_injected);
-  return out.bytes();
+  out.Put(r.compute_us);
+  out.Put(r.encode_us);
+  out.Put(r.apply_us);
+  out.Put(r.idle_us);
+  return out.Take();
 }
 
-bool DecodeStats(const std::vector<uint8_t>& body, FrameChannel::Stats* s) {
+bool DecodeStats(const std::vector<uint8_t>& body, DistWorkerReport* r) {
+  FrameChannel::Stats* s = &r->stats;
   PayloadReader in(body);
   return in.Get(&s->frames_sent) && in.Get(&s->frames_received) &&
          in.Get(&s->bytes_sent) && in.Get(&s->bytes_received) &&
          in.Get(&s->retransmits) && in.Get(&s->crc_rejects) &&
          in.Get(&s->dup_suppressed) && in.Get(&s->naks_sent) &&
-         in.Get(&s->naks_received) && in.Get(&s->faults_injected);
+         in.Get(&s->naks_received) && in.Get(&s->faults_injected) &&
+         in.Get(&r->compute_us) && in.Get(&r->encode_us) &&
+         in.Get(&r->apply_us) && in.Get(&r->idle_us);
 }
 
-std::vector<uint8_t> EncodeDelta(uint64_t epoch, const GridBlockDelta& d) {
-  PayloadWriter out;
-  out.Put(epoch);
-  out.Put(static_cast<uint32_t>(d.stage));
-  out.Put(d.doc_block);
-  out.Put(d.word_block);
-  out.Put(static_cast<uint64_t>(d.moves.size()));
-  for (const GridBlockDelta::Move& mv : d.moves) {
-    out.Put(mv.pos);
-    out.Put(mv.item);
-    out.Put(mv.from);
-    out.Put(mv.to);
+/// Wire layout of a kMsgBlockDelta body: epoch, stage, block, ck_net, then
+/// the slices to the end of the body. A slice is self-delimiting, so the
+/// header followed by any one slice is itself a valid body — what the
+/// coordinator forwards to that slice's reader, without re-encoding.
+constexpr size_t kDeltaHeaderBytes = 8 + 4 + 4 + 4 + 8;
+constexpr size_t kTopicCountBytes = 4 + 4;
+constexpr size_t kSliceHeaderBytes = 4 + 8 + 8;
+constexpr size_t kMoveBytes = 8 + 4 + 4 + 4;
+
+/// Encodes `d` into `*out`, replacing what it held (the caller reuses one
+/// writer, so its buffer is not faulted in afresh per block).
+void EncodeDelta(uint64_t epoch, const GridBlockDelta& d, PayloadWriter* out) {
+  size_t size = kDeltaHeaderBytes + d.ck_net.size() * kTopicCountBytes;
+  for (const GridBlockDelta::Slice& slice : d.slices) {
+    size += kSliceHeaderBytes + slice.moves.size() * kMoveBytes +
+            slice.proposals.size() * sizeof(uint32_t);
   }
-  out.PutVec(d.proposals);
-  return out.bytes();
+  out->Clear();
+  out->Reserve(size);
+  out->Put(epoch);
+  out->Put(static_cast<uint32_t>(d.stage));
+  out->Put(d.doc_block);
+  out->Put(d.word_block);
+  out->Put(static_cast<uint64_t>(d.ck_net.size()));
+  for (const GridBlockDelta::TopicCount& tc : d.ck_net) {
+    out->Put(tc.topic);
+    out->Put(tc.count);
+  }
+  for (const GridBlockDelta::Slice& slice : d.slices) {
+    out->Put(slice.reader);
+    out->Put(static_cast<uint64_t>(slice.moves.size()));
+    for (const GridBlockDelta::Move& mv : slice.moves) {
+      out->Put(mv.pos);
+      out->Put(mv.item);
+      out->Put(mv.from);
+      out->Put(mv.to);
+    }
+    out->PutVec(slice.proposals);
+  }
 }
+
+/// Byte ranges of a decoded delta body: the header (through ck_net) and
+/// each slice, in the body's slice order.
+struct DeltaLayout {
+  size_t header_bytes = 0;
+  std::vector<std::pair<size_t, size_t>> slices;  ///< [begin, end)
+};
 
 bool DecodeDelta(const std::vector<uint8_t>& body, uint64_t* epoch,
-                 GridBlockDelta* d) {
+                 GridBlockDelta* d, DeltaLayout* layout) {
   PayloadReader in(body);
+  auto offset = [&] { return body.size() - in.remaining(); };
   uint32_t stage = 0;
-  uint64_t num_moves = 0;
+  uint64_t count = 0;
   if (!in.Get(epoch) || !in.Get(&stage) || !in.Get(&d->doc_block) ||
-      !in.Get(&d->word_block) || !in.Get(&num_moves)) {
+      !in.Get(&d->word_block) || !in.Get(&count)) {
     return false;
   }
   if (stage > static_cast<uint32_t>(SweepStage::kDone)) return false;
   d->stage = static_cast<SweepStage>(stage);
-  // 20 bytes per move on the wire; bound before resizing.
-  if (num_moves > in.remaining() / 20) return false;
-  d->moves.resize(static_cast<size_t>(num_moves));
-  for (GridBlockDelta::Move& mv : d->moves) {
-    if (!in.Get(&mv.pos) || !in.Get(&mv.item) || !in.Get(&mv.from) ||
-        !in.Get(&mv.to)) {
-      return false;
-    }
+  // Bound every count by the bytes left before resizing.
+  if (count > in.remaining() / kTopicCountBytes) return false;
+  d->ck_net.resize(static_cast<size_t>(count));
+  for (GridBlockDelta::TopicCount& tc : d->ck_net) {
+    if (!in.Get(&tc.topic) || !in.Get(&tc.count)) return false;
   }
-  return in.GetVec(&d->proposals);
+  if (layout != nullptr) {
+    layout->header_bytes = offset();
+    layout->slices.clear();
+  }
+  // Decode over `d`'s existing slices, so a reused delta keeps their
+  // buffers.
+  size_t num_slices = 0;
+  while (!in.exhausted()) {
+    const size_t begin = offset();
+    if (num_slices == d->slices.size()) d->slices.emplace_back();
+    GridBlockDelta::Slice& slice = d->slices[num_slices++];
+    if (!in.Get(&slice.reader) || !in.Get(&count)) return false;
+    if (count > in.remaining() / kMoveBytes) return false;
+    slice.moves.resize(static_cast<size_t>(count));
+    for (GridBlockDelta::Move& mv : slice.moves) {
+      if (!in.Get(&mv.pos) || !in.Get(&mv.item) || !in.Get(&mv.from) ||
+          !in.Get(&mv.to)) {
+        return false;
+      }
+    }
+    if (!in.GetVec(&slice.proposals)) return false;
+    if (layout != nullptr) layout->slices.emplace_back(begin, offset());
+  }
+  d->slices.resize(num_slices);
+  return true;
+}
+
+/// A kMsgHello from a worker speaking this protocol version.
+bool DecodeHello(const FrameChannel::Message& msg, uint32_t* worker_id) {
+  PayloadReader in(msg.body);
+  uint32_t version = 0;
+  return msg.type == kMsgHello && in.Get(worker_id) && in.Get(&version) &&
+         version == kDistProtocolVersion;
 }
 
 /// kMsgAssign / kMsgRestore share a prefix: epoch, iteration, owner map.
@@ -189,7 +258,7 @@ std::vector<uint8_t> EncodeAssignment(uint64_t epoch, uint32_t iteration,
   out.Put(iteration);
   out.PutVec(owner);
   if (ckpt != nullptr) out.PutVec(*ckpt);
-  return out.bytes();
+  return out.Take();
 }
 
 bool DecodeAssignment(const std::vector<uint8_t>& body, uint64_t* epoch,
@@ -225,7 +294,20 @@ struct WorkerState {
   bool shutdown = false;
   bool failed = false;
   uint32_t barriers_done = 0;  ///< spans completed since process start
+  DistWorkerReport report;     ///< main-thread times, sent at shutdown
+
+  // Reused for every block, so their buffers are not faulted in afresh.
+  GridBlockDelta captured;
+  GridBlockDelta received;
+  PayloadWriter encoder;
 };
+
+/// Adds the µs since `*mark` to `*total` and moves the mark to now.
+void Charge(uint64_t* total, int64_t* mark) {
+  const int64_t now = NowUs();
+  *total += static_cast<uint64_t>(now - *mark);
+  *mark = now;
+}
 
 void ResetSpan(WorkerState& ws) {
   ws.ran.assign(ws.num_blocks, 0);
@@ -257,7 +339,6 @@ bool WorkerHandle(WorkerState& ws, const FrameChannel::Message& msg) {
       ws.epoch = epoch;
       ws.iteration = iteration;
       ws.owner = std::move(owner);
-      ws.sampler->SetLocalBlocks(OwnedMask(ws.owner, ws.worker_id));
       ws.have_assignment = true;
       // Stop draining: if our assign frame was delayed (dropped and
       // retransmitted), faster peers' first-span deltas may already be
@@ -291,8 +372,6 @@ bool WorkerHandle(WorkerState& ws, const FrameChannel::Message& msg) {
       ws.epoch = epoch;
       ws.iteration = iteration;
       ws.owner = std::move(owner);
-      // Ownership first: a sampler that honors the hint sees the new mask.
-      ws.sampler->SetLocalBlocks(OwnedMask(ws.owner, ws.worker_id));
       if (!ws.sampler->RestoreSweepState(ckpt, &error)) {
         ws.failed = true;
         return false;
@@ -305,19 +384,23 @@ bool WorkerHandle(WorkerState& ws, const FrameChannel::Message& msg) {
     }
     case kMsgBlockDelta: {
       uint64_t epoch = 0;
-      GridBlockDelta delta;
-      if (!DecodeDelta(msg.body, &epoch, &delta)) {
+      GridBlockDelta& delta = ws.received;
+      if (!DecodeDelta(msg.body, &epoch, &delta, nullptr)) {
         ws.failed = true;
         return false;
       }
       if (epoch != ws.epoch || ws.recovering) return true;  // stale epoch
       const uint32_t b = BlockOf(*ws.plan, delta.doc_block, delta.word_block);
-      if (b >= ws.num_blocks) {
+      // A worker is sent its own slice of a peer's block, or none when it
+      // reads none of the block's tokens next.
+      if (b >= ws.num_blocks || delta.slices.size() > 1 ||
+          (delta.slices.size() == 1 &&
+           delta.slices[0].reader != ws.worker_id)) {
         ws.failed = true;
         return false;
       }
       std::string error;
-      if (!ws.sampler->ApplyBlockDelta(delta, &error)) {
+      if (!ws.sampler->ApplyBlockDelta(delta, ws.owner, &error)) {
         ws.failed = true;
         return false;
       }
@@ -327,7 +410,8 @@ bool WorkerHandle(WorkerState& ws, const FrameChannel::Message& msg) {
       return ws.ran_count < ws.num_blocks;
     }
     case kMsgShutdown: {
-      ws.channel->Send(kMsgStats, EncodeStats(ws.channel->stats()));
+      ws.report.stats = ws.channel->stats();
+      ws.channel->Send(kMsgStats, EncodeStats(ws.report));
       ws.shutdown = true;
       return false;
     }
@@ -337,12 +421,15 @@ bool WorkerHandle(WorkerState& ws, const FrameChannel::Message& msg) {
 }
 
 /// Drains available messages; with `timeout_ms` > 0 waits for the first.
-/// Returns false when the channel is dead and drained.
+/// Returns false when the channel is dead and drained. Time blocked in
+/// Receive counts as idle, handling what arrives (decode, apply) as apply.
 bool WorkerPump(WorkerState& ws, uint32_t timeout_ms) {
   FrameChannel::Message msg;
   bool keep_going = true;
+  int64_t mark = NowUs();
   if (timeout_ms > 0) {
     const FrameChannel::RecvStatus st = ws.channel->Receive(&msg, timeout_ms);
+    Charge(&ws.report.idle_us, &mark);
     if (st == FrameChannel::RecvStatus::kClosed) return false;
     if (st == FrameChannel::RecvStatus::kTimeout) return true;
     keep_going = WorkerHandle(ws, msg);
@@ -350,6 +437,7 @@ bool WorkerPump(WorkerState& ws, uint32_t timeout_ms) {
   while (keep_going && !ws.failed && ws.channel->TryReceive(&msg)) {
     keep_going = WorkerHandle(ws, msg);
   }
+  Charge(&ws.report.apply_us, &mark);
   return true;
 }
 
@@ -367,7 +455,8 @@ void WorkerMain(WorkerState& ws) {
   ws.channel->Send(kMsgHello, [&] {
     PayloadWriter out;
     out.Put(ws.worker_id);
-    return out.bytes();
+    out.Put(kDistProtocolVersion);
+    return out.Take();
   }());
 
   while (!ws.have_assignment && !ws.shutdown && !ws.failed) {
@@ -400,15 +489,19 @@ void WorkerMain(WorkerState& ws) {
                            !ws.recovering && !ws.shutdown;
            ++b) {
         if (ws.owner[b] != ws.worker_id) continue;
-        GridBlockDelta delta;
+        int64_t mark = NowUs();
         if (!ws.sampler->RunBlockCaptured(b / ws.plan->num_word_blocks,
                                           b % ws.plan->num_word_blocks,
-                                          /*worker=*/0, &delta)) {
+                                          /*worker=*/0, ws.owner,
+                                          &ws.captured)) {
           ws.failed = true;
           break;
         }
+        Charge(&ws.report.compute_us, &mark);
         MarkRan(ws, b);
-        ws.channel->Send(kMsgBlockDelta, EncodeDelta(ws.epoch, delta));
+        EncodeDelta(ws.epoch, ws.captured, &ws.encoder);
+        ws.channel->Send(kMsgBlockDelta, ws.encoder.bytes());
+        Charge(&ws.report.encode_us, &mark);
         if (!first_delta_sent) {
           first_delta_sent = true;
           MaybeSelfKill(ws, /*mid_stage=*/true);
@@ -425,7 +518,9 @@ void WorkerMain(WorkerState& ws) {
       }
       if (ws.restored || ws.recovering || ws.shutdown || ws.failed) break;
       MaybeSelfKill(ws, /*mid_stage=*/false);
+      int64_t mark = NowUs();
       ws.sampler->EndStage();
+      Charge(&ws.report.apply_us, &mark);
       ++ws.barriers_done;
     }
     if (ws.restored || ws.recovering || ws.shutdown || ws.failed) continue;
@@ -458,12 +553,15 @@ struct Coordinator {
   std::vector<WorkerSlot> workers;
   uint64_t epoch = 0;
   uint32_t iteration = 0;
-  std::vector<uint32_t> owner;
+  std::vector<uint32_t> owner;  ///< block -> worker, also the reader map
+  uint32_t num_readers = 0;     ///< slices per delta: largest owner + 1
   bool sweep_open = false;
   SweepCheckpoint barrier_ckpt;  ///< state at the last stage barrier
 
   std::vector<char> ran;
   uint32_t ran_count = 0;
+  GridBlockDelta delta;  ///< decode target, reused for every block
+  DeltaLayout layout;
   /// Current span's totals for CoordinatorMetrics (metrics on only).
   int64_t span_relay_us = 0;
   int64_t span_apply_us = 0;
@@ -522,7 +620,7 @@ struct Coordinator {
     }
     ++epoch;
     ++result.recoveries;
-    owner = ReassignToSurvivors(weights, owner, live);
+    SetOwner(ReassignToSurvivors(weights, owner, live));
     // Rewind the coordinator replica to the barrier. The abort discards the
     // interrupted stage's staged state; the restore overwrites the rest
     // (injected proposal writes included), mirroring what survivors do.
@@ -547,6 +645,11 @@ struct Coordinator {
     return true;
   }
 
+  void SetOwner(std::vector<uint32_t> map) {
+    owner = std::move(map);
+    num_readers = *std::max_element(owner.begin(), owner.end()) + 1;
+  }
+
   void ResetSpan() {
     ran.assign(num_blocks, 0);
     ran_count = 0;
@@ -566,34 +669,59 @@ struct Coordinator {
         any = true;
         if (msg.type == kMsgStats || msg.type == kMsgHello) continue;
         if (msg.type != kMsgBlockDelta) continue;
-        const int64_t apply_start = metrics ? NowUs() : 0;
+        const int64_t decode_start = metrics ? NowUs() : 0;
         uint64_t delta_epoch = 0;
-        GridBlockDelta delta;
-        if (!DecodeDelta(msg.body, &delta_epoch, &delta)) {
+        if (!DecodeDelta(msg.body, &delta_epoch, &delta, &layout)) {
           Fail("malformed delta from worker " + std::to_string(w));
           return any;
         }
         if (delta_epoch != epoch) continue;  // pre-recovery straggler
         const uint32_t b = BlockOf(*plan, delta.doc_block, delta.word_block);
         if (b >= num_blocks || ran[b]) continue;  // duplicate: idempotent
+        // Slice o must be reader o's, and the replica needs all of them.
+        bool whole = delta.slices.size() == num_readers;
+        for (uint32_t o = 0; whole && o < num_readers; ++o) {
+          whole = delta.slices[o].reader == o;
+        }
+        if (!whole) {
+          Fail("delta from worker " + std::to_string(w) +
+               " lacks a reader's slice");
+          return any;
+        }
+        const int64_t relay_start = metrics ? NowUs() : 0;
+        // Forward first — the other workers wait on this frame at the span's
+        // end, the replica does not — each live worker its slice behind the
+        // block's header; one that reads none of the block gets the header
+        // alone. Every worker thus counts every block of the span, and FIFO
+        // guarantees it holds them all before any next-span frame. A delta
+        // the replica then rejects fails the run, whatever peers did with
+        // it.
+        const std::span<const uint8_t> body(msg.body);
+        const std::span<const uint8_t> header =
+            body.first(layout.header_bytes);
+        for (uint32_t o = 0; o < workers.size(); ++o) {
+          if (o == w || !workers[o].live) continue;
+          std::span<const uint8_t> slice;
+          if (o < layout.slices.size()) {
+            slice = body.subspan(
+                layout.slices[o].first,
+                layout.slices[o].second - layout.slices[o].first);
+          }
+          workers[o].channel->SendParts(kMsgBlockDelta, {header, slice});
+        }
+        const int64_t apply_start = metrics ? NowUs() : 0;
+        // Every slice is here, so ApplyBlockDelta also checks ck_net
+        // against the moves.
         std::string error;
-        if (!sampler->ApplyBlockDelta(delta, &error)) {
+        if (!sampler->ApplyBlockDelta(delta, owner, &error)) {
           Fail("delta rejected (worker " + std::to_string(w) + "): " + error);
           return any;
         }
         ran[b] = 1;
         ++ran_count;
-        const int64_t relay_start = metrics ? NowUs() : 0;
-        // Relay to every other live worker; FIFO guarantees each worker
-        // holds all of a span's deltas before any next-span frame.
-        for (uint32_t o = 0; o < workers.size(); ++o) {
-          if (o != w && workers[o].live) {
-            workers[o].channel->Send(kMsgBlockDelta, msg.body);
-          }
-        }
         if (metrics) {
-          span_apply_us += relay_start - apply_start;
-          span_relay_us += NowUs() - relay_start;
+          span_relay_us += apply_start - relay_start;
+          span_apply_us += relay_start - decode_start + NowUs() - apply_start;
         }
       }
     }
@@ -692,8 +820,8 @@ DistResult RunDistributedSweeps(GridSampler& sampler, const Corpus& corpus,
   coord.barrier_ckpt.iteration = 0;
 
   coord.weights = BlockTokenWeights(corpus, plan);
-  coord.owner = PartitionByTokens(coord.weights, config.num_workers,
-                                  PartitionStrategy::kGreedy);
+  coord.SetOwner(PartitionByTokens(coord.weights, config.num_workers,
+                                   PartitionStrategy::kGreedy));
   coord.result.initial_owner = coord.owner;
 
   // ---- spawn phase: sockets first, then every fork, then (only once the
@@ -826,8 +954,7 @@ DistResult RunDistributedSweeps(GridSampler& sampler, const Corpus& corpus,
       uint32_t id = 0;
       if (channel->Receive(&msg, config.connect_timeout_ms) !=
               FrameChannel::RecvStatus::kOk ||
-          msg.type != kMsgHello ||
-          !PayloadReader(msg.body).Get(&id) || id >= config.num_workers ||
+          !DecodeHello(msg, &id) || id >= config.num_workers ||
           coord.workers[id].channel != nullptr) {
         coord.Fail("worker handshake failed");
         break;
@@ -847,8 +974,7 @@ DistResult RunDistributedSweeps(GridSampler& sampler, const Corpus& corpus,
       uint32_t id = 0;
       if (coord.workers[w].channel->Receive(&msg, config.connect_timeout_ms) !=
               FrameChannel::RecvStatus::kOk ||
-          msg.type != kMsgHello || !PayloadReader(msg.body).Get(&id) ||
-          id != w) {
+          !DecodeHello(msg, &id) || id != w) {
         coord.Fail("worker " + std::to_string(w) + " handshake failed");
         break;
       }
@@ -864,9 +990,6 @@ DistResult RunDistributedSweeps(GridSampler& sampler, const Corpus& corpus,
     for (WorkerSlot& slot : coord.workers) {
       if (slot.live) slot.channel->Send(kMsgAssign, assign);
     }
-    // The coordinator replica owns no blocks: it only folds deltas at
-    // barriers.
-    sampler.SetLocalBlocks(std::vector<char>(coord.num_blocks, 0));
 
     // ---- main loop: sweeps -> spans -> delta exchange.
     while (coord.iteration < config.iterations &&
@@ -909,6 +1032,7 @@ DistResult RunDistributedSweeps(GridSampler& sampler, const Corpus& corpus,
   }
 
   // ---- shutdown: handshake stats out of live workers, then reap everyone.
+  coord.result.worker_reports.resize(coord.workers.size());
   for (uint32_t w = 0; w < coord.workers.size(); ++w) {
     WorkerSlot& slot = coord.workers[w];
     if (!slot.live) continue;
@@ -924,9 +1048,10 @@ DistResult RunDistributedSweeps(GridSampler& sampler, const Corpus& corpus,
           &msg, static_cast<uint32_t>(std::max<int64_t>(1, deadline - NowMs())));
       if (st != FrameChannel::RecvStatus::kOk) break;
       if (msg.type == kMsgStats) {
-        FrameChannel::Stats stats;
-        if (DecodeStats(msg.body, &stats)) {
-          AccumulateStats(&coord.result.worker_stats, stats);
+        DistWorkerReport& report = coord.result.worker_reports[w];
+        if (DecodeStats(msg.body, &report)) {
+          report.reported = true;
+          AccumulateStats(&coord.result.worker_stats, report.stats);
         }
         break;
       }
@@ -960,9 +1085,6 @@ DistResult RunDistributedSweeps(GridSampler& sampler, const Corpus& corpus,
   coord.result.block_owner = coord.owner;
   coord.result.final_epoch = coord.epoch;
   if (coord.result.error.empty()) coord.result.ok = true;
-  // The mask is sized for this grid; clear it so later single-process use
-  // of the sampler does not inherit it.
-  sampler.SetLocalBlocks({});
   return coord.result;
 }
 

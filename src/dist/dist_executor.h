@@ -22,15 +22,24 @@ namespace warplda {
 /// connected back by one FrameChannel (AF_UNIX socketpair by default,
 /// loopback TCP with real connect/accept edges when `use_tcp`). Grid blocks
 /// are assigned to workers greedy-LPT by token weight (dist/partitioner.h).
-/// Every process holds a full sampler replica (forked from the initialized
-/// coordinator, so replicas start bit-identical for free); each worker runs
-/// only its owned blocks per stage span, capturing every block's externally
-/// visible effect as a GridBlockDelta and streaming it to the coordinator as
-/// soon as the block finishes — communication overlaps the remaining blocks'
-/// compute on both ends. The coordinator applies each delta to its own
-/// replica and relays it to the other live workers; a stage's barrier is the
-/// data dependency itself (nobody can EndStage() before holding all blocks'
-/// deltas), so no extra barrier round-trips exist.
+/// Every process starts from a full sampler replica (forked from the
+/// initialized coordinator, so replicas start bit-identical for free); each
+/// worker runs only its owned blocks per stage span, capturing every
+/// block's externally visible effect as a GridBlockDelta and streaming it to
+/// the coordinator as soon as the block finishes — communication overlaps
+/// the remaining blocks' compute on both ends.
+///
+/// Ownership is per pass: the owner map is also the deltas' reader map, so
+/// a delta is cut into one slice per worker holding the moves and
+/// proposals of the tokens that worker reads in the next span. The
+/// coordinator applies every slice to its own replica, which stays whole
+/// (it alone captures barrier checkpoints), and forwards each other live
+/// worker only that worker's slice. A worker's z and proposals are
+/// therefore current exactly on the tokens its blocks read; c_k is global
+/// everywhere, since every slice carries the block's net c_k change. A
+/// stage's barrier is the data dependency itself (nobody can EndStage()
+/// before holding all blocks' deltas), so no extra barrier round-trips
+/// exist.
 ///
 /// Determinism: grid execution is exact (core/sweep_plan.h) — per-token RNG
 /// streams and delayed counts make a sweep's samples independent of where
@@ -99,6 +108,20 @@ struct WARP_IMMUTABLE_AFTER(RunDistributedSweeps) DistConfig {
   std::function<void(const std::vector<int>&)> on_workers_spawned;
 };
 
+/// What one worker reported in its shutdown handshake.
+struct DistWorkerReport {
+  bool reported = false;  ///< false: it died or never answered
+  FrameChannel::Stats stats;  ///< its end of its channel
+  /// Its main thread's µs, summed over the run: running and capturing its
+  /// blocks, encoding and sending their deltas, decoding and applying
+  /// peers' deltas (and its own barriers), and blocked with nothing
+  /// received.
+  uint64_t compute_us = 0;
+  uint64_t encode_us = 0;
+  uint64_t apply_us = 0;
+  uint64_t idle_us = 0;
+};
+
 /// Outcome of a distributed run. `ok == false` means the run could not
 /// complete (all workers dead, protocol corruption, spawn failure) and
 /// `error` says why; the sampler may then hold mid-sweep state.
@@ -117,6 +140,9 @@ struct DistResult {
   /// handshake; workers that died contribute nothing).
   FrameChannel::Stats coordinator_stats;
   FrameChannel::Stats worker_stats;
+  /// Per worker id, what each worker reported (its stats are the ones
+  /// summed into worker_stats).
+  std::vector<DistWorkerReport> worker_reports;
 
   std::vector<double> sweep_seconds;  ///< wall time per completed sweep
 };

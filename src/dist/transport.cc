@@ -41,6 +41,9 @@ constexpr uint32_t kCtlPing = 4;
 /// u32 ctl + u64 seq (+ u32 app type for data frames).
 constexpr size_t kChannelHeaderBytes = sizeof(uint32_t) + sizeof(uint64_t);
 
+/// Free space the io thread keeps at the end of rx_buffer_ for one read().
+constexpr size_t kReadChunk = 64 * 1024;
+
 /// Transport counters in the global registry, mirroring FrameChannel::Stats
 /// so the fault-matrix tests can assert the envelope (bounded retransmits,
 /// every injected corruption caught) from the obs seam.
@@ -121,19 +124,41 @@ void FrameChannel::Close() {
   }
 }
 
-bool FrameChannel::Send(uint32_t type, std::vector<uint8_t> body) {
+bool FrameChannel::SendParts(
+    uint32_t type, std::initializer_list<std::span<const uint8_t>> parts) {
+  // Frame header, channel header, body: one allocation, the body copied
+  // and checksummed here, outside the lock. Only the sequence number waits
+  // for the lock; its header's CRC is folded into the body's there.
+  size_t body_size = 0;
+  for (std::span<const uint8_t> part : parts) body_size += part.size();
+  constexpr size_t kDataHeaderBytes = kChannelHeaderBytes + sizeof(uint32_t);
+  constexpr size_t kBodyOffset = kFrameHeaderBytes + kDataHeaderBytes;
+  std::vector<uint8_t> wire;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    wire = TakeSpareLocked(&spare_wires_);
+  }
+  wire.resize(kBodyOffset + body_size);
+  size_t at = kBodyOffset;
+  for (std::span<const uint8_t> part : parts) {
+    if (!part.empty()) std::memcpy(wire.data() + at, part.data(), part.size());
+    at += part.size();
+  }
+  const uint32_t body_crc = Crc32(wire.data() + kBodyOffset, body_size);
   {
     std::unique_lock<std::mutex> lock(mutex_);
     if (dead_ || closing_) return false;
-    PayloadWriter payload;
-    payload.Put(kCtlData);
-    payload.Put(next_seq_);
-    payload.Put(type);
-    std::vector<uint8_t> bytes = payload.bytes();
-    bytes.insert(bytes.end(), body.begin(), body.end());
+    uint8_t* header = wire.data() + kFrameHeaderBytes;
+    std::memcpy(header, &kCtlData, sizeof(uint32_t));
+    std::memcpy(header + sizeof(uint32_t), &next_seq_, sizeof(uint64_t));
+    std::memcpy(header + kChannelHeaderBytes, &type, sizeof(uint32_t));
+    EncodeFrameHeader(
+        FrameKind::kDistMessage, kDataHeaderBytes + body_size,
+        Crc32Combine(Crc32(header, kDataHeaderBytes), body_crc, body_size),
+        wire.data());
     Inflight frame;
     frame.seq = next_seq_++;
-    frame.wire = EncodeFrame(FrameKind::kDistMessage, bytes);
+    frame.wire = std::move(wire);
     inflight_.push_back(std::move(frame));
   }
   if (wake_pipe_[1] >= 0) {
@@ -149,6 +174,7 @@ FrameChannel::RecvStatus FrameChannel::Receive(Message* out,
   rx_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
                   [&] { return !rx_queue_.empty() || dead_; });
   if (!rx_queue_.empty()) {
+    KeepSpareLocked(&spare_bodies_, std::move(out->body));
     *out = std::move(rx_queue_.front());
     rx_queue_.pop_front();
     return RecvStatus::kOk;
@@ -159,6 +185,7 @@ FrameChannel::RecvStatus FrameChannel::Receive(Message* out,
 bool FrameChannel::TryReceive(Message* out) {
   std::unique_lock<std::mutex> lock(mutex_);
   if (rx_queue_.empty()) return false;
+  KeepSpareLocked(&spare_bodies_, std::move(out->body));
   *out = std::move(rx_queue_.front());
   rx_queue_.pop_front();
   return true;
@@ -183,12 +210,33 @@ bool FrameChannel::DrainSends(uint32_t timeout_ms) {
   std::unique_lock<std::mutex> lock(mutex_);
   return drain_cv_.wait_for(
       lock, std::chrono::milliseconds(timeout_ms),
-      [&] { return dead_ || (inflight_.empty() && out_buffer_.empty()); });
+      [&] { return dead_ || (inflight_.empty() && !OutPendingLocked()); });
 }
 
 FrameChannel::Stats FrameChannel::stats() const {
   std::unique_lock<std::mutex> lock(mutex_);
   return stats_;
+}
+
+// Message buffers run to hundreds of KB. Fresh ones are fresh pages, and
+// faulting those in costs more than filling them, so a channel keeps a few
+// of the buffers it is done with: acked wire frames for the next Send, and
+// the bodies callers hand back by receiving into the same Message again.
+void FrameChannel::KeepSpareLocked(std::vector<std::vector<uint8_t>>* spares,
+                                   std::vector<uint8_t>&& buffer) {
+  if (buffer.capacity() > 0 && spares->size() < kMaxSpareBuffers) {
+    spares->push_back(std::move(buffer));
+  }
+}
+
+std::vector<uint8_t> FrameChannel::TakeSpareLocked(
+    std::vector<std::vector<uint8_t>>* spares) {
+  std::vector<uint8_t> buffer;
+  if (!spares->empty()) {
+    buffer = std::move(spares->back());
+    spares->pop_back();
+  }
+  return buffer;
 }
 
 void FrameChannel::MarkDeadLocked(const std::string& reason) {
@@ -213,34 +261,62 @@ bool FrameChannel::WriteWireLocked(const std::vector<uint8_t>& wire) {
   return true;
 }
 
-void FrameChannel::FlushWritesLocked() {
-  size_t done = 0;
-  while (done < out_buffer_.size()) {
+bool FrameChannel::FlushWrites() {
+  // Only this (the io) thread changes out_buffer_, so the socket writes
+  // read it without the lock, and Send / Receive callers never wait on a
+  // write syscall. The lock covers what other threads read: out_begin_
+  // (DrainSends), the stats and last_tx_ms_.
+  size_t begin = 0;
+  size_t end = 0;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (dead_) return false;
+    begin = out_begin_;
+    end = out_buffer_.size();
+  }
+  size_t done = begin;
+  std::string error;
+  while (done < end) {
     // MSG_NOSIGNAL: writing to a socket whose peer was SIGKILL'd must
     // surface as EPIPE (→ channel death), not take the process down.
-    const ssize_t n = ::send(fd_, out_buffer_.data() + done,
-                             out_buffer_.size() - done, MSG_NOSIGNAL);
+    const ssize_t n =
+        ::send(fd_, out_buffer_.data() + done, end - done, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      MarkDeadLocked(Errno("write failed"));
-      out_buffer_.clear();
-      return;
+      error = Errno("write failed");
+      break;
     }
     done += static_cast<size_t>(n);
-    stats_.bytes_sent += static_cast<uint64_t>(n);
   }
-  if (done > 0) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  stats_.bytes_sent += done - begin;
+  if (!error.empty()) {
+    MarkDeadLocked(error);
+    out_buffer_.clear();
+    out_begin_ = 0;
+    return false;
+  }
+  if (done == begin) return !dead_;
+  out_begin_ = done;
+  last_tx_ms_ = NowMs();
+  if (!OutPendingLocked()) {
+    out_buffer_.clear();
+    out_begin_ = 0;
+    if (inflight_.empty()) drain_cv_.notify_all();
+  } else if (out_begin_ >= out_buffer_.size() / 2) {
+    // Compact once the written prefix is at least half the buffer, so
+    // appends stay amortized O(1) per byte.
     out_buffer_.erase(out_buffer_.begin(),
-                      out_buffer_.begin() + static_cast<ptrdiff_t>(done));
-    last_tx_ms_ = NowMs();
-    if (out_buffer_.empty() && inflight_.empty()) drain_cv_.notify_all();
+                      out_buffer_.begin() + static_cast<ptrdiff_t>(out_begin_));
+    out_begin_ = 0;
   }
+  return !dead_;
 }
 
-void FrameChannel::HandleFrame(const std::vector<uint8_t>& payload) {
+void FrameChannel::HandleFrame(const uint8_t* payload, size_t size) {
   // Caller (IoLoop) holds mutex_ and has already validated the CRC.
-  PayloadReader in(payload);
+  PayloadReader in(payload, size);
   uint32_t ctl = 0;
   uint64_t seq = 0;
   if (!in.Get(&ctl) || !in.Get(&seq)) {
@@ -257,8 +333,8 @@ void FrameChannel::HandleFrame(const std::vector<uint8_t>& payload) {
       if (seq == delivered_seq_ + 1) {
         Message msg;
         msg.type = app_type;
-        msg.body.assign(payload.begin() + (kChannelHeaderBytes + 4),
-                        payload.end());
+        msg.body = TakeSpareLocked(&spare_bodies_);
+        msg.body.assign(payload + (kChannelHeaderBytes + 4), payload + size);
         rx_queue_.push_back(std::move(msg));
         delivered_seq_ = seq;
         last_nak_cum_ = ~0ULL;  // progress: a new gap deserves a new NAK
@@ -285,14 +361,16 @@ void FrameChannel::HandleFrame(const std::vector<uint8_t>& payload) {
     }
     case kCtlAck: {
       while (!inflight_.empty() && inflight_.front().seq <= seq) {
+        KeepSpareLocked(&spare_wires_, std::move(inflight_.front().wire));
         inflight_.pop_front();
       }
-      if (inflight_.empty() && out_buffer_.empty()) drain_cv_.notify_all();
+      if (inflight_.empty() && !OutPendingLocked()) drain_cv_.notify_all();
       break;
     }
     case kCtlNak: {
       ++stats_.naks_received;
       while (!inflight_.empty() && inflight_.front().seq <= seq) {
+        KeepSpareLocked(&spare_wires_, std::move(inflight_.front().wire));
         inflight_.pop_front();
       }
       // Everything after the peer's last in-order frame: resend now. The
@@ -317,7 +395,6 @@ void FrameChannel::HandleFrame(const std::vector<uint8_t>& payload) {
 }
 
 void FrameChannel::IoLoop() {
-  std::vector<uint8_t> read_buf(64 * 1024);
   while (true) {
     int64_t poll_deadline;
     {
@@ -406,14 +483,20 @@ void FrameChannel::IoLoop() {
       if (options_.keepalive_ms > 0 &&
           now - last_tx_ms_ >=
               static_cast<int64_t>(options_.keepalive_ms) &&
-          out_buffer_.empty()) {
+          !OutPendingLocked()) {
         SendControlLocked(kCtlPing, 0);
       }
 
-      FlushWritesLocked();
-      if (dead_) break;
+    }
+    if (!FlushWrites()) break;
 
+    struct pollfd fds[2];
+    fds[0].fd = fd_;
+    fds[0].events = POLLIN;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
       // Earliest future event bounds the poll timeout.
+      const int64_t now = NowMs();
       poll_deadline = now + 100;
       for (const Inflight& f : inflight_) {
         if (!f.sent_once && f.hold_until_ms != 0) {
@@ -429,14 +512,7 @@ void FrameChannel::IoLoop() {
             std::min(poll_deadline,
                      last_tx_ms_ + static_cast<int64_t>(options_.keepalive_ms));
       }
-    }
-
-    struct pollfd fds[2];
-    fds[0].fd = fd_;
-    fds[0].events = POLLIN;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (!out_buffer_.empty()) fds[0].events |= POLLOUT;
+      if (OutPendingLocked()) fds[0].events |= POLLOUT;
     }
     fds[1].fd = wake_pipe_[0];
     fds[1].events = POLLIN;
@@ -454,16 +530,31 @@ void FrameChannel::IoLoop() {
       }
     }
 
-    // Read everything available, then parse complete frames.
+    // Read everything available straight into rx_buffer_ (the io thread's
+    // alone, so no lock), then parse complete frames in place.
     bool peer_eof = false;
     bool read_error = false;
     std::string read_error_text;
-    std::vector<uint8_t> incoming;
+    size_t bytes_read = 0;
     while (true) {
-      const ssize_t n = ::read(fd_, read_buf.data(), read_buf.size());
+      if (rx_buffer_.size() - rx_end_ < kReadChunk) {
+        if (rx_begin_ > 0) {
+          // Slide the unparsed tail to the front before growing.
+          std::memmove(rx_buffer_.data(), rx_buffer_.data() + rx_begin_,
+                       rx_end_ - rx_begin_);
+          rx_end_ -= rx_begin_;
+          rx_begin_ = 0;
+        }
+        if (rx_buffer_.size() - rx_end_ < kReadChunk) {
+          rx_buffer_.resize(std::max(rx_end_ + kReadChunk,
+                                     2 * rx_buffer_.size()));
+        }
+      }
+      const ssize_t n = ::read(fd_, rx_buffer_.data() + rx_end_,
+                               rx_buffer_.size() - rx_end_);
       if (n > 0) {
-        incoming.insert(incoming.end(), read_buf.begin(),
-                        read_buf.begin() + n);
+        rx_end_ += static_cast<size_t>(n);
+        bytes_read += static_cast<size_t>(n);
         continue;
       }
       if (n == 0) {
@@ -477,41 +568,50 @@ void FrameChannel::IoLoop() {
       break;
     }
 
+    // Find and checksum the complete frames before taking the lock. A
+    // malformed header means framing is lost for good (only payload
+    // corruption is survivable — the CRC covers it); the channel is torn
+    // down once the frames before it are handled.
+    struct RxFrame {
+      const uint8_t* payload;
+      size_t size;
+      bool crc_ok;
+    };
+    std::vector<RxFrame> frames;
+    std::string framing_error;
+    size_t scan = rx_begin_;
+    while (rx_end_ - scan >= kFrameHeaderBytes) {
+      ParsedFrameHeader header;
+      if (!ParseFrameHeader(rx_buffer_.data() + scan, &header,
+                            &framing_error)) {
+        break;
+      }
+      if (header.kind != FrameKind::kDistMessage ||
+          header.payload_size > options_.max_payload_bytes) {
+        framing_error = "bad frame kind or oversized payload";
+        break;
+      }
+      const size_t payload_size = static_cast<size_t>(header.payload_size);
+      if (rx_end_ - scan < kFrameHeaderBytes + payload_size) break;  // partial
+      const uint8_t* payload = rx_buffer_.data() + scan + kFrameHeaderBytes;
+      frames.push_back({payload, payload_size,
+                        Crc32(payload, payload_size) == header.payload_crc});
+      scan += kFrameHeaderBytes + payload_size;
+    }
+    rx_begin_ = scan;
+
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      if (!incoming.empty()) {
-        stats_.bytes_received += incoming.size();
+      if (bytes_read > 0) {
+        stats_.bytes_received += bytes_read;
         last_rx_ms_ = NowMs();
-        rx_buffer_.insert(rx_buffer_.end(), incoming.begin(), incoming.end());
       }
-      // Parse complete frames out of the stream buffer. A malformed header
-      // means framing is lost for good (only payload corruption is
-      // survivable — the CRC covers it); tear the channel down.
-      size_t cursor = 0;
       bool delivered_or_dup = false;
       const uint64_t delivered_before = delivered_seq_;
       const uint64_t dups_before = stats_.dup_suppressed;
-      while (rx_buffer_.size() - cursor >= kFrameHeaderBytes && !dead_) {
-        ParsedFrameHeader header;
-        std::string header_error;
-        if (!ParseFrameHeader(rx_buffer_.data() + cursor, &header,
-                              &header_error)) {
-          MarkDeadLocked("lost framing: " + header_error);
-          break;
-        }
-        if (header.kind != FrameKind::kDistMessage ||
-            header.payload_size > options_.max_payload_bytes) {
-          MarkDeadLocked("lost framing: bad frame kind or oversized payload");
-          break;
-        }
-        const size_t frame_size =
-            kFrameHeaderBytes + static_cast<size_t>(header.payload_size);
-        if (rx_buffer_.size() - cursor < frame_size) break;  // partial frame
-        const uint8_t* payload_bytes =
-            rx_buffer_.data() + cursor + kFrameHeaderBytes;
-        const uint32_t crc =
-            Crc32(payload_bytes, static_cast<size_t>(header.payload_size));
-        if (crc != header.payload_crc) {
+      for (const RxFrame& frame : frames) {
+        if (dead_) break;
+        if (!frame.crc_ok) {
           // Reject-and-renegotiate: drop the frame, tell the peer where the
           // in-order stream ends so it retransmits from there.
           ++stats_.crc_rejects;
@@ -522,23 +622,23 @@ void FrameChannel::IoLoop() {
             SendControlLocked(kCtlNak, delivered_seq_);
           }
         } else {
-          const std::vector<uint8_t> payload(
-              payload_bytes, payload_bytes + header.payload_size);
-          HandleFrame(payload);
+          HandleFrame(frame.payload, frame.size);
         }
-        cursor += frame_size;
       }
-      if (cursor > 0) {
-        rx_buffer_.erase(rx_buffer_.begin(),
-                         rx_buffer_.begin() + static_cast<ptrdiff_t>(cursor));
+      if (!framing_error.empty() && !dead_) {
+        MarkDeadLocked("lost framing: " + framing_error);
       }
+      if (rx_begin_ == rx_end_) rx_begin_ = rx_end_ = 0;
       delivered_or_dup = delivered_seq_ != delivered_before ||
                          stats_.dup_suppressed != dups_before;
       if (delivered_or_dup && !dead_) {
         // One cumulative ack per parse batch (covers re-acking duplicates).
         SendControlLocked(kCtlAck, delivered_seq_);
       }
-      FlushWritesLocked();
+    }
+    if (!FlushWrites()) break;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
       if (peer_eof && !dead_) {
         MarkDeadLocked("EOF from peer");
       } else if (read_error && !dead_) {

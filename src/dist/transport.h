@@ -4,8 +4,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -99,8 +101,18 @@ class FrameChannel {
   FrameChannel& operator=(const FrameChannel&) = delete;
 
   /// Enqueues a data message. Returns false when the channel is dead (the
-  /// message will never be delivered). Never blocks on the socket.
-  bool Send(uint32_t type, std::vector<uint8_t> body);
+  /// message will never be delivered). Never blocks on the socket. The
+  /// wire frame is built in one allocation and checksummed outside the
+  /// channel lock.
+  bool Send(uint32_t type, std::span<const uint8_t> body) {
+    return SendParts(type, {body});
+  }
+
+  /// Send with the body given as consecutive byte ranges, joined only in
+  /// the wire frame (the executor forwards a delta's header and one slice
+  /// this way).
+  bool SendParts(uint32_t type,
+                 std::initializer_list<std::span<const uint8_t>> parts);
 
   /// Blocks up to `timeout_ms` for the next in-order message. kClosed means
   /// dead AND drained — messages delivered before death are still returned.
@@ -144,10 +156,21 @@ class FrameChannel {
 
   void IoLoop();
   void MarkDeadLocked(const std::string& reason);
-  void HandleFrame(const std::vector<uint8_t>& payload);
+  void HandleFrame(const uint8_t* payload, size_t size);
   void SendControlLocked(uint32_t ctl, uint64_t seq);
-  void FlushWritesLocked();
+  /// Hands queued wire bytes to the socket (io thread only; takes the
+  /// lock itself). Returns false once the channel is dead.
+  bool FlushWrites();
   bool WriteWireLocked(const std::vector<uint8_t>& wire);
+  /// Wire bytes queued but not yet handed to the socket.
+  bool OutPendingLocked() const { return out_begin_ < out_buffer_.size(); }
+  /// Spare buffer pools (see transport.cc): keep `buffer` if there is
+  /// room; take one, or an empty vector.
+  static void KeepSpareLocked(std::vector<std::vector<uint8_t>>* spares,
+                              std::vector<uint8_t>&& buffer);
+  static std::vector<uint8_t> TakeSpareLocked(
+      std::vector<std::vector<uint8_t>>* spares);
+  static constexpr size_t kMaxSpareBuffers = 4;
 
   /// Fixed at construction; Close() only tears down the descriptors.
   WARP_IMMUTABLE_AFTER(FrameChannel) Options options_;
@@ -164,11 +187,18 @@ class FrameChannel {
   // TX state (io thread + Send under mutex_).
   uint64_t next_seq_ = 1;
   std::deque<Inflight> inflight_;  ///< unacked, seq ascending
-  std::vector<uint8_t> out_buffer_;  ///< partially written wire bytes
+  /// Wire bytes not yet written are out_buffer_[out_begin_, size()).
+  std::vector<uint8_t> out_buffer_;
+  size_t out_begin_ = 0;
   int64_t last_tx_ms_ = 0;
+  std::vector<std::vector<uint8_t>> spare_wires_;   ///< acked frames' wires
+  std::vector<std::vector<uint8_t>> spare_bodies_;  ///< received bodies
 
-  // RX state.
-  std::vector<uint8_t> rx_buffer_;  ///< unparsed stream bytes
+  // RX state. rx_buffer_ is the io thread's alone: it reads into
+  // rx_buffer_[rx_end_, size()) and parses frames in place from rx_begin_.
+  std::vector<uint8_t> rx_buffer_;
+  size_t rx_begin_ = 0;
+  size_t rx_end_ = 0;
   uint64_t delivered_seq_ = 0;      ///< highest in-order data seq delivered
   /// Last cumulative seq we NAKed, or ~0 if delivery has advanced since.
   /// One gap produces one NAK — re-NAKing on every out-of-order arrival

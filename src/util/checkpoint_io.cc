@@ -276,20 +276,27 @@ bool ParseFrameHeader(const uint8_t* bytes, ParsedFrameHeader* header,
   return true;
 }
 
-std::vector<uint8_t> EncodeFrame(FrameKind kind,
-                                 const std::vector<uint8_t>& payload) {
+void EncodeFrameHeader(FrameKind kind, uint64_t payload_size,
+                       uint32_t payload_crc, uint8_t* out) {
   FrameHeader header;
   header.magic = kMagic;
   header.version = kFrameVersion;
   header.endian = kEndianTag;
   header.kind = static_cast<uint32_t>(kind);
   header.reserved = 0;
-  header.payload_size = payload.size();
-  header.payload_crc = Crc32(payload.data(), payload.size());
-  std::vector<uint8_t> wire(sizeof(header) + payload.size());
-  std::memcpy(wire.data(), &header, sizeof(header));
+  header.payload_size = payload_size;
+  header.payload_crc = payload_crc;
+  std::memcpy(out, &header, sizeof(header));
+}
+
+std::vector<uint8_t> EncodeFrame(FrameKind kind,
+                                 const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> wire(kFrameHeaderBytes + payload.size());
+  EncodeFrameHeader(kind, payload.size(),
+                    Crc32(payload.data(), payload.size()), wire.data());
   if (!payload.empty()) {
-    std::memcpy(wire.data() + sizeof(header), payload.data(), payload.size());
+    std::memcpy(wire.data() + kFrameHeaderBytes, payload.data(),
+                payload.size());
   }
   return wire;
 }

@@ -1,10 +1,12 @@
 #ifndef WARPLDA_UTIL_CHECKPOINT_IO_H_
 #define WARPLDA_UTIL_CHECKPOINT_IO_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace warplda {
@@ -54,28 +56,62 @@ inline constexpr size_t kFrameHeaderBytes = 36;
 
 /// Accumulates a payload in memory. Only trivially copyable scalar types may
 /// be written (they are memcpy'd in native byte order; the frame's endian tag
-/// guards cross-host reads).
+/// guards cross-host reads). Each Put / PutVec is one memcpy into spare
+/// capacity; Reserve() sizes that capacity up front when the payload's
+/// length is known, so nothing is reallocated or value-initialized per
+/// field.
 class PayloadWriter {
  public:
+  /// Makes room for `n` more bytes.
+  void Reserve(size_t n) {
+    if (bytes_.size() - size_ < n) bytes_.resize(size_ + n);
+  }
+
   template <typename T>
   void Put(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto* p = reinterpret_cast<const uint8_t*>(&v);
-    bytes_.insert(bytes_.end(), p, p + sizeof(T));
+    __builtin_memcpy(Grow(sizeof(T)), &v, sizeof(T));
   }
 
   template <typename T>
   void PutVec(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     Put(static_cast<uint64_t>(v.size()));
-    const auto* p = reinterpret_cast<const uint8_t*>(v.data());
-    bytes_.insert(bytes_.end(), p, p + v.size() * sizeof(T));
+    if (!v.empty()) {  // data() of an empty vector may be null
+      __builtin_memcpy(Grow(v.size() * sizeof(T)), v.data(),
+                       v.size() * sizeof(T));
+    }
   }
 
-  const std::vector<uint8_t>& bytes() const { return bytes_; }
+  /// Empties the payload, keeping the buffer for the next one.
+  void Clear() { size_ = 0; }
+
+  /// The payload written so far.
+  const std::vector<uint8_t>& bytes() {
+    bytes_.resize(size_);
+    return bytes_;
+  }
+
+  /// Moves the payload out; the writer is left empty.
+  std::vector<uint8_t> Take() {
+    bytes_.resize(size_);
+    size_ = 0;
+    return std::move(bytes_);
+  }
 
  private:
-  std::vector<uint8_t> bytes_;
+  /// The next `n` bytes of the payload, growing the buffer geometrically.
+  uint8_t* Grow(size_t n) {
+    if (bytes_.size() - size_ < n) {
+      bytes_.resize(std::max(size_ + n, 2 * bytes_.size()));
+    }
+    uint8_t* out = bytes_.data() + size_;
+    size_ += n;
+    return out;
+  }
+
+  std::vector<uint8_t> bytes_;  ///< [0, size_) written, the rest spare
+  size_t size_ = 0;
 };
 
 /// Bounded cursor over a validated payload. Every Get checks the remaining
@@ -159,6 +195,11 @@ struct ParsedFrameHeader {
 /// be torn down, so callers treat it as fatal, not retryable.
 bool ParseFrameHeader(const uint8_t* bytes, ParsedFrameHeader* header,
                       std::string* error);
+
+/// Writes the kFrameHeaderBytes header of a frame whose payload has
+/// `payload_size` bytes and CRC-32 `payload_crc` to `out`.
+void EncodeFrameHeader(FrameKind kind, uint64_t payload_size,
+                       uint32_t payload_crc, uint8_t* out);
 
 /// Serializes a complete frame (header + payload) into one contiguous wire
 /// image — what WriteFrameFd sends and what fault-injection tests mutate.

@@ -14,4 +14,9 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
       crc32_z(seed, static_cast<const Bytef*>(data), size));
 }
 
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, size_t size_b) {
+  return static_cast<uint32_t>(
+      crc32_combine(crc_a, crc_b, static_cast<z_off_t>(size_b)));
+}
+
 }  // namespace warplda

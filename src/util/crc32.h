@@ -14,6 +14,11 @@ namespace warplda {
 /// bit-rotted payloads before any field is trusted.
 uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 
+/// The CRC-32 of a+b from crc_a = Crc32(a) and crc_b = Crc32(b), where b
+/// has `size_b` bytes (zlib's crc32_combine): a sender can checksum a body
+/// before it knows the header that precedes it.
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, size_t size_b);
+
 }  // namespace warplda
 
 #endif  // WARPLDA_UTIL_CRC32_H_

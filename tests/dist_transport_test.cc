@@ -440,6 +440,31 @@ TEST(DistExecutorTest, CoordinatorTimeVisibleInObsMetrics) {
             2u * config.iterations);
 }
 
+// Per-pass ownership: the coordinator receives every block's whole delta,
+// but forwards each worker only the slice it reads next, so no worker
+// takes in more than half what the coordinator does.
+TEST(DistExecutorTest, WorkersReceiveOnlyTheirSlices) {
+  const uint32_t iterations = 2;
+  Corpus corpus = DistTestCorpus();
+  DistConfig config;
+  config.num_workers = 3;
+  config.iterations = iterations;
+  DistRun run = RunDist(corpus, config);
+  ASSERT_TRUE(run.result.ok) << run.result.error;
+  EXPECT_EQ(run.assignments, ReferenceAssignments(corpus, iterations));
+  ASSERT_EQ(run.result.worker_reports.size(), 3u);
+  const uint64_t coordinator = run.result.coordinator_stats.bytes_received;
+  for (uint32_t w = 0; w < 3; ++w) {
+    const DistWorkerReport& report = run.result.worker_reports[w];
+    ASSERT_TRUE(report.reported) << "worker " << w;
+    EXPECT_GT(report.stats.bytes_received, 0u) << "worker " << w;
+    EXPECT_LE(report.stats.bytes_received * 2, coordinator)
+        << "worker " << w << " received " << report.stats.bytes_received
+        << " bytes, the coordinator " << coordinator;
+    EXPECT_GT(report.compute_us, 0u) << "worker " << w;
+  }
+}
+
 TEST(DistExecutorTest, KillWorkerAtEveryBarrierStaysBitIdentical) {
   const uint32_t iterations = 2;
   Corpus corpus = DistTestCorpus();

@@ -379,14 +379,14 @@ TEST(BarrierRunnerTest, PooledAndInlineBarriersMatchIterate) {
   }
 }
 
-// Owned blocks run locally and the rest arrive as deltas; pooled and
-// inline barriers must still agree with a sampler that ran every block.
-// Local blocks commit z in place and report those moves in
-// RunBlockCaptured's delta; injected moves are committed at the barrier.
-// The plans cover one, a row, a column and a grid of blocks. Each plan
-// runs with the owned set and its complement, so the one block of the
-// trivial plan is both injected and run locally.
-TEST(BarrierRunnerTest, PooledBarrierMatchesInlineUnderLocalBlockFilter) {
+// Owned blocks run locally and the rest arrive as deltas cut by a reader
+// map, every slice applied; pooled and inline barriers must still agree
+// with a sampler that ran every block. Local blocks commit z in place and
+// report those moves in RunBlockCaptured's delta; injected moves are
+// committed at the barrier. The plans cover one, a row, a column and a
+// grid of blocks. Each plan runs with the owned set and its complement, so
+// the one block of the trivial plan is both injected and run locally.
+TEST(BarrierRunnerTest, PooledBarrierMatchesInlineWithEverySliceInjected) {
   Corpus corpus = BarrierCorpus();
   LdaConfig config = BarrierConfig();
   struct NamedPlan {
@@ -408,18 +408,18 @@ TEST(BarrierRunnerTest, PooledBarrierMatchesInlineUnderLocalBlockFilter) {
       const SweepPlan& plan = np.plan;
       const uint32_t num_blocks = plan.num_doc_blocks * plan.num_word_blocks;
       std::vector<char> owned(num_blocks, 0);
+      std::vector<uint32_t> readers(num_blocks, 0);
       for (uint32_t b = 0; b < num_blocks; ++b) {
         owned[b] = (b % 3 == 1) != invert;
+        readers[b] = b % 3;
       }
 
       WarpLdaSampler source;
       source.Init(corpus, config);
       WarpLdaSampler pooled;
       pooled.Init(corpus, config);
-      pooled.SetLocalBlocks(owned);
       WarpLdaSampler inlined;
       inlined.Init(corpus, config);
-      inlined.SetLocalBlocks(owned);
       pooled.ReserveWorkers(executor.num_threads());
 
       for (int sweep = 0; sweep < 2; ++sweep) {
@@ -432,7 +432,7 @@ TEST(BarrierRunnerTest, PooledBarrierMatchesInlineUnderLocalBlockFilter) {
           for (uint32_t b = 0; b < num_blocks; ++b) {
             ASSERT_TRUE(source.RunBlockCaptured(b / plan.num_word_blocks,
                                                 b % plan.num_word_blocks, 0,
-                                                &deltas[b]));
+                                                readers, &deltas[b]));
           }
           executor.Run(num_blocks, [&](uint32_t worker, uint32_t b) {
             if (owned[b]) {
@@ -446,8 +446,10 @@ TEST(BarrierRunnerTest, PooledBarrierMatchesInlineUnderLocalBlockFilter) {
               inlined.RunBlock(b / plan.num_word_blocks,
                                b % plan.num_word_blocks);
             } else {
-              ASSERT_TRUE(pooled.ApplyBlockDelta(deltas[b], &error)) << error;
-              ASSERT_TRUE(inlined.ApplyBlockDelta(deltas[b], &error)) << error;
+              ASSERT_TRUE(pooled.ApplyBlockDelta(deltas[b], readers, &error))
+                  << error;
+              ASSERT_TRUE(inlined.ApplyBlockDelta(deltas[b], readers, &error))
+                  << error;
             }
           }
           source.EndStage();
@@ -463,6 +465,126 @@ TEST(BarrierRunnerTest, PooledBarrierMatchesInlineUnderLocalBlockFilter) {
             << "sweep " << sweep;
         ASSERT_EQ(pooled.topic_counts(), source.topic_counts());
         ASSERT_EQ(inlined.topic_counts(), source.topic_counts());
+      }
+    }
+  }
+}
+
+/// Storage (CSC) position of every token, in corpus (row-major) order:
+/// columns by word id, each sorted by document, ties in insertion order.
+std::vector<uint64_t> CscPositions(const Corpus& corpus) {
+  std::vector<uint64_t> next(corpus.num_words() + 1, 0);
+  for (DocId d = 0; d < corpus.num_docs(); ++d) {
+    for (WordId w : corpus.doc_tokens(d)) ++next[w + 1];
+  }
+  std::partial_sum(next.begin(), next.end(), next.begin());
+  std::vector<uint64_t> pos;
+  for (DocId d = 0; d < corpus.num_docs(); ++d) {
+    for (WordId w : corpus.doc_tokens(d)) pos.push_back(next[w]++);
+  }
+  return pos;
+}
+
+// Per-pass ownership, in one process: each reader sampler runs only its
+// own blocks and applies only its slices of its peers' blocks. At every
+// barrier it must match a sampler that ran everything on every token it
+// reads in the next span — z and proposals — and on all of c_k.
+TEST(BarrierRunnerTest, ReaderSlicesKeepEveryTokenReadNextCurrent) {
+  Corpus corpus = BarrierCorpus();
+  LdaConfig config = BarrierConfig();
+  const uint32_t m = config.mh_steps;
+  const std::vector<uint64_t> csc = CscPositions(corpus);
+  struct NamedPlan {
+    const char* name;
+    SweepPlan plan;
+  };
+  const NamedPlan plans[] = {
+      {"1x4", MakeSweepPlan(corpus, 1, 4, PartitionStrategy::kGreedy)},
+      {"4x1", MakeSweepPlan(corpus, 4, 1, PartitionStrategy::kGreedy)},
+      {"6x6", MakeSweepPlan(corpus, 6, 6, PartitionStrategy::kGreedy)},
+  };
+  for (const NamedPlan& np : plans) {
+    for (uint32_t num_readers : {2u, 3u, 4u}) {
+      SCOPED_TRACE(std::string("plan ") + np.name + ", " +
+                   std::to_string(num_readers) + " readers");
+      const SweepPlan& plan = np.plan;
+      const uint32_t num_blocks = plan.num_doc_blocks * plan.num_word_blocks;
+      std::vector<uint32_t> owner(num_blocks);
+      for (uint32_t b = 0; b < num_blocks; ++b) owner[b] = b % num_readers;
+
+      WarpLdaSampler full;
+      full.Init(corpus, config);
+      std::vector<WarpLdaSampler> readers(num_readers);
+      for (WarpLdaSampler& r : readers) r.Init(corpus, config);
+
+      for (int sweep = 0; sweep < 2; ++sweep) {
+        full.BeginSweep(plan);
+        for (WarpLdaSampler& r : readers) r.BeginSweep(plan);
+        while (full.sweep_stage() != SweepStage::kDone) {
+          for (uint32_t b = 0; b < num_blocks; ++b) {
+            const uint32_t db = b / plan.num_word_blocks;
+            const uint32_t wb = b % plan.num_word_blocks;
+            full.RunBlock(db, wb);
+            GridBlockDelta delta;
+            ASSERT_TRUE(
+                readers[owner[b]].RunBlockCaptured(db, wb, 0, owner, &delta));
+            ASSERT_EQ(delta.slices.size(), num_readers);
+            for (uint32_t q = 0; q < num_readers; ++q) {
+              if (q == owner[b]) continue;
+              GridBlockDelta mine = delta;
+              mine.slices = {delta.slices[q]};
+              std::string error;
+              ASSERT_TRUE(readers[q].ApplyBlockDelta(mine, owner, &error))
+                  << error;
+            }
+          }
+          full.EndStage();
+          for (WarpLdaSampler& r : readers) r.EndStage();
+
+          // Who reads each token next: the owner of the block holding its
+          // row (doc span next) or its column (word span next).
+          const SweepStage next = full.sweep_stage();
+          const bool word_next =
+              next == SweepStage::kDone || next < SweepStage::kDocAccept;
+          std::vector<uint32_t> item_owner(
+              word_next ? corpus.num_words() : corpus.num_docs());
+          for (uint32_t b = 0; b < num_blocks; ++b) {
+            const auto [lo, hi] = full.BlockItems(b, word_next);
+            for (uint32_t item = lo; item < hi; ++item) {
+              item_owner[item] = owner[b];
+            }
+          }
+          SweepCheckpoint want;
+          ASSERT_TRUE(full.CaptureSweepState(&want));
+          for (uint32_t q = 0; q < num_readers; ++q) {
+            SweepCheckpoint got;
+            ASSERT_TRUE(readers[q].CaptureSweepState(&got));
+            ASSERT_EQ(readers[q].topic_counts(), full.topic_counts())
+                << "reader " << q << ", sweep " << sweep;
+            ASSERT_EQ(got.ck_fixed, want.ck_fixed);
+            uint64_t checked = 0;
+            uint64_t t = 0;
+            for (DocId d = 0; d < corpus.num_docs(); ++d) {
+              for (WordId w : corpus.doc_tokens(d)) {
+                const uint64_t pos = csc[t++];
+                if (item_owner[word_next ? w : d] != q) continue;
+                ++checked;
+                ASSERT_EQ(got.assignments[pos], want.assignments[pos])
+                    << "reader " << q << ", token " << t - 1;
+                for (uint32_t j = 0; j < m; ++j) {
+                  ASSERT_EQ(got.proposals[pos * m + j],
+                            want.proposals[pos * m + j])
+                      << "reader " << q << ", token " << t - 1;
+                }
+              }
+            }
+            if (std::count(owner.begin(), owner.end(), q) > 0) {
+              EXPECT_GT(checked, 0u) << "reader " << q;
+            }
+          }
+        }
+        full.EndSweep();
+        for (WarpLdaSampler& r : readers) r.EndSweep();
       }
     }
   }
@@ -513,21 +635,99 @@ TEST(BarrierRunnerTest, DeltaMovesOutsideTheirBlockAreRejected) {
   source.BeginSweep(plan);
   target.BeginSweep(plan);
   GridBlockDelta own, other;
-  ASSERT_TRUE(source.RunBlockCaptured(0, 0, 0, &own));
-  ASSERT_TRUE(source.RunBlockCaptured(0, 1, 0, &other));
-  ASSERT_FALSE(own.moves.empty());
-  ASSERT_FALSE(other.moves.empty());
+  ASSERT_TRUE(source.RunBlockCaptured(0, 0, 0, {}, &own));
+  ASSERT_TRUE(source.RunBlockCaptured(0, 1, 0, {}, &other));
+  ASSERT_EQ(own.slices.size(), 1u);
+  ASSERT_FALSE(own.slices[0].moves.empty());
+  ASSERT_FALSE(other.slices[0].moves.empty());
 
   std::string error;
   GridBlockDelta foreign = own;
-  foreign.moves = other.moves;  // valid z values, wrong block
-  EXPECT_FALSE(target.ApplyBlockDelta(foreign, &error));
+  foreign.slices[0].moves = other.slices[0].moves;  // valid z, wrong block
+  EXPECT_FALSE(target.ApplyBlockDelta(foreign, {}, &error));
   EXPECT_NE(error.find("token order"), std::string::npos) << error;
   GridBlockDelta retagged = own;
-  retagged.moves[0].item ^= 1;
-  EXPECT_FALSE(target.ApplyBlockDelta(retagged, &error));
+  retagged.slices[0].moves[0].item ^= 1;
+  EXPECT_FALSE(target.ApplyBlockDelta(retagged, {}, &error));
   EXPECT_NE(error.find("column or row"), std::string::npos) << error;
-  EXPECT_TRUE(target.ApplyBlockDelta(own, &error)) << error;
+  EXPECT_TRUE(target.ApplyBlockDelta(own, {}, &error)) << error;
+}
+
+// Malformed slices are rejected and leave the sampler untouched: after the
+// rejections, the well-formed deltas still bring the target to the
+// source's state.
+TEST(BarrierRunnerTest, SlicesThatDoNotFitAreRejectedUntouched) {
+  Corpus corpus = BarrierCorpus();
+  LdaConfig config = BarrierConfig();
+  const SweepPlan plan =
+      MakeSweepPlan(corpus, 4, 4, PartitionStrategy::kGreedy);
+  const uint32_t num_blocks = plan.num_doc_blocks * plan.num_word_blocks;
+  std::vector<uint32_t> readers(num_blocks);
+  for (uint32_t b = 0; b < num_blocks; ++b) readers[b] = b % 3;
+  WarpLdaSampler source;
+  source.Init(corpus, config);
+  WarpLdaSampler target;
+  target.Init(corpus, config);
+  source.BeginSweep(plan);
+  target.BeginSweep(plan);
+  std::vector<GridBlockDelta> deltas(num_blocks);
+  for (uint32_t b = 0; b < num_blocks; ++b) {
+    ASSERT_TRUE(source.RunBlockCaptured(b / plan.num_word_blocks,
+                                        b % plan.num_word_blocks, 0, readers,
+                                        &deltas[b]));
+  }
+  // A block whose first two readers both have moves.
+  uint32_t pick = num_blocks;
+  for (uint32_t b = 0; b < num_blocks && pick == num_blocks; ++b) {
+    if (!deltas[b].slices[0].moves.empty() &&
+        !deltas[b].slices[1].moves.empty()) {
+      pick = b;
+    }
+  }
+  ASSERT_LT(pick, num_blocks);
+  const GridBlockDelta& good = deltas[pick];
+  ASSERT_FALSE(good.ck_net.empty());
+
+  struct Bad {
+    const char* what;
+    GridBlockDelta delta;
+    const char* error;
+  };
+  std::vector<Bad> bad;
+  bad.push_back({"short proposals", good, "proposal count"});
+  bad.back().delta.slices[1].proposals.pop_back();
+  bad.push_back({"move of another reader's token", good, "token order"});
+  bad.back().delta.slices[1].moves.push_back(good.slices[0].moves.back());
+  bad.push_back({"ck_net off balance", good, "sum to 0"});
+  bad.back().delta.ck_net[0].count += 1;
+  // Moving one unit between two topics keeps the sum at zero (a nonempty
+  // ck_net has at least two entries); only the moves show it is wrong.
+  bad.push_back({"ck_net disagreeing with the moves", good, "disagrees"});
+  bad.back().delta.ck_net[0].count += 1;
+  bad.back().delta.ck_net[1].count -= 1;
+  for (const Bad& b : bad) {
+    SweepCheckpoint before, after;
+    ASSERT_TRUE(target.CaptureSweepState(&before));
+    std::string error;
+    EXPECT_FALSE(target.ApplyBlockDelta(b.delta, readers, &error)) << b.what;
+    EXPECT_NE(error.find(b.error), std::string::npos)
+        << b.what << ": " << error;
+    ASSERT_TRUE(target.CaptureSweepState(&after)) << b.what;
+    EXPECT_EQ(after.assignments, before.assignments) << b.what;
+    EXPECT_EQ(after.proposals, before.proposals) << b.what;
+  }
+  for (const GridBlockDelta& delta : deltas) {
+    std::string error;
+    ASSERT_TRUE(target.ApplyBlockDelta(delta, readers, &error)) << error;
+  }
+  source.EndStage();
+  target.EndStage();
+  EXPECT_EQ(target.Assignments(), source.Assignments());
+  EXPECT_EQ(target.topic_counts(), source.topic_counts());
+  SweepCheckpoint want, got;
+  ASSERT_TRUE(source.CaptureSweepState(&want));
+  ASSERT_TRUE(target.CaptureSweepState(&got));
+  EXPECT_EQ(got.proposals, want.proposals);
 }
 
 // After an aborted sweep, the next grid sweep still equals Iterate() from
