@@ -1,12 +1,16 @@
 // Command-line LDA workbench: the "download a dataset and go" entry point a
 // downstream user reaches for first. Trains any of the six samplers on a UCI
-// bag-of-words dataset (or a synthetic stand-in), with checkpoint/resume,
-// model export, topic printing, and held-out evaluation.
+// bag-of-words dataset (or a synthetic stand-in), with checkpoint/resume
+// (WarpLDA only), model export, topic printing, and held-out evaluation.
 //
 //   ./lda_tool --docword docword.nytimes.txt --vocab vocab.nytimes.txt
 //              --sampler warplda --k 1000 --iters 100
 //              --model model.bin --checkpoint run.ckpt
 //   ./lda_tool --resume run.ckpt --docword ... --iters 50   # continue
+//
+// The checkpoint is WarpLDA's between-sweeps SweepCheckpoint, so a resumed
+// run continues bit-identically: 100 iterations in one go and 60 + 40 across
+// a checkpoint write the same model.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -122,14 +126,29 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", factory_error.c_str());
     return 1;
   }
+  // Checkpoints hold a grid sampler's sweep state; the baselines have none.
+  auto* grid = dynamic_cast<warplda::GridSampler*>(sampler.get());
+  if (grid == nullptr && (!checkpoint_path.empty() || !resume_path.empty())) {
+    std::fprintf(stderr,
+                 "--checkpoint and --resume need --sampler warplda (%s does "
+                 "not checkpoint)\n",
+                 sampler->name().c_str());
+    return 1;
+  }
   warplda::LdaConfig config =
       warplda::LdaConfig::PaperDefaults(static_cast<uint32_t>(k));
   config.mh_steps = static_cast<uint32_t>(mh_steps);
   uint32_t start_iteration = 0;
   if (!resume_path.empty()) {
-    warplda::TrainingCheckpoint checkpoint;
-    if (!warplda::LoadCheckpoint(resume_path, &checkpoint, &error) ||
-        !warplda::RestoreSampler(*sampler, corpus, checkpoint, &error)) {
+    // The checkpoint's config carries the priors in effect when it was
+    // written, so Init with it and restore the sweep state on top.
+    warplda::SweepCheckpoint checkpoint;
+    if (!warplda::LoadSweepCheckpoint(resume_path, &checkpoint, &error)) {
+      std::fprintf(stderr, "resume failed: %s\n", error.c_str());
+      return 1;
+    }
+    sampler->Init(corpus, checkpoint.config);
+    if (!grid->RestoreSweepState(checkpoint, &error)) {
       std::fprintf(stderr, "resume failed: %s\n", error.c_str());
       return 1;
     }
@@ -212,12 +231,14 @@ int main(int argc, char** argv) {
     std::printf("model written to %s\n", model_path.c_str());
   }
   if (!checkpoint_path.empty()) {
-    warplda::TrainingCheckpoint checkpoint;
-    checkpoint.config = config;
+    warplda::SweepCheckpoint checkpoint;
+    if (!grid->CaptureSweepState(&checkpoint)) {
+      std::fprintf(stderr, "checkpoint capture failed\n");
+      return 1;
+    }
     checkpoint.iteration =
         start_iteration + static_cast<uint32_t>(iterations);
-    checkpoint.assignments = sampler->Assignments();
-    if (!warplda::SaveCheckpoint(checkpoint, checkpoint_path, &error)) {
+    if (!warplda::SaveSweepCheckpoint(checkpoint, checkpoint_path, &error)) {
       std::fprintf(stderr, "checkpoint save failed: %s\n", error.c_str());
       return 1;
     }

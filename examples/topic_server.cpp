@@ -5,21 +5,22 @@
 // Scenario 1 (train-then-serve): train WarpLDA offline, publish one snapshot
 // to a ModelStore, and answer a burst of requests from a worker pool.
 //
-// Scenario 2 (train-while-serve): a StreamingWarpLda keeps learning on a
-// background thread and hot-publishes its running estimate every few
-// mini-batches while the server answers requests without interruption — the
-// RCU snapshot swap means zero downtime and no torn reads. Republishes go
+// Scenario 2 (train-while-serve): a WarpLdaSampler keeps training on a
+// background thread and hot-publishes its current model every few sweeps
+// while the server answers requests without interruption — the RCU
+// snapshot swap means zero downtime and no torn reads. Republishes go
 // through the incremental path: the trainer exports its changed-word set
 // and ModelStore::PublishDelta rebuilds only those rows, sharing the rest
 // with the previous snapshot. With --ckpt-dir set, every publish is also
 // made durable: the store checkpoints the model chain (one base + small
 // per-publish deltas — the on-disk mirror of the delta publish) and the
-// streaming trainer persists its online state, both crash-safely.
+// trainer writes its between-sweeps SweepCheckpoint, both crash-safely.
 //
 // Scenario 3 (recover, --ckpt-dir only): simulates the restart after a
 // crash — a fresh ModelStore restores the delta chain and serves
-// immediately at the checkpointed version, and a fresh StreamingWarpLda
-// reloads its state and keeps learning where the dead process stopped.
+// immediately at the checkpointed version, and a fresh WarpLdaSampler
+// restores the sweep checkpoint and keeps training where the dead process
+// stopped, on the same trajectory it would have followed.
 //
 //   ./topic_server [--k 20] [--workers 4] [--requests 2000] [--batch 8]
 //                  [--ckpt-dir DIR] [--metrics-every SEC]
@@ -38,7 +39,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/streaming.h"
+#include "core/checkpoint.h"
 #include "core/trainer.h"
 #include "core/warp_lda.h"
 #include "corpus/synthetic.h"
@@ -196,29 +197,33 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------- 2. train while serving ---
-  std::printf("\n[2] train-while-serve (streaming trainer hot-publishes)\n");
-  warplda::serve::ModelStore live_store;
-  warplda::StreamingOptions stream_options;
-  stream_options.num_topics = static_cast<uint32_t>(k);
-  stream_options.batch_size = 128;
-  warplda::StreamingWarpLda streaming(synth.vocab_size, stream_options);
+  std::printf("\n[2] train-while-serve (the trainer hot-publishes)\n");
+  // A few sweeps move most words' rows, so the default store would
+  // compact nearly every republish into a full rebuild; lifting the delta
+  // cap keeps each one a delta, and the chain on disk a base plus deltas.
+  warplda::serve::ModelStoreOptions live_options;
+  live_options.max_delta_fraction = 1.0;
+  warplda::serve::ModelStore live_store(live_options);
+  warplda::WarpLdaSampler live;
+  live.Init(data.corpus, config);
+  constexpr int kSweepsPerPublish = 5;
+  const std::string sweep_ckpt = ckpt_dir + "/sweep.ckpt";
 
-  // Bootstrap snapshot from the first mini-batches so the server never
-  // waits, then keep learning and publishing in the background. After the
+  // Bootstrap snapshot from the first sweeps so the server never waits,
+  // then keep training and publishing in the background. After the
   // bootstrap, every republish is incremental: the trainer reports which
-  // words' rows actually changed and PublishDelta rebuilds only those
-  // (falling back to a compacting full rebuild when almost everything
-  // changed, as in the early epochs here). nullptr: the bootstrap publish
-  // is full anyway, it only needs to advance the delta tracking.
-  streaming.ProcessCorpus(data.corpus, 1);
-  live_store.Publish(streaming.ExportSharedModel(nullptr));
+  // words' rows actually changed and PublishDelta rebuilds only those.
+  // nullptr: the bootstrap publish is full anyway, it only needs to
+  // advance the delta tracking.
+  for (int i = 0; i < kSweepsPerPublish; ++i) live.Iterate();
+  live_store.Publish(live.ExportSharedModel(nullptr));
 
   std::atomic<bool> training_done{false};
   std::thread trainer([&] {
     std::vector<warplda::WordId> delta;
     for (int epoch = 0; epoch < 3; ++epoch) {
-      streaming.ProcessCorpus(data.corpus, 1);
-      auto model = streaming.ExportSharedModel(&delta);
+      for (int i = 0; i < kSweepsPerPublish; ++i) live.Iterate();
+      auto model = live.ExportSharedModel(&delta);
       auto published = live_store.PublishDelta(model, delta);
       // arena_chain() == 1 means the store chose the compacting full
       // rebuild (e.g. an oversized delta); > 1 means rows were shared.
@@ -230,11 +235,14 @@ int main(int argc, char** argv) {
       if (!ckpt_dir.empty()) {
         // Durability rides along with every publish: the model chain on
         // disk (first call a full base, then per-publish deltas) and the
-        // trainer's online state, each written atomically — a kill between
-        // any two lines here loses at most one publish.
-        std::string error;
-        if (!live_store.CheckpointTo(ckpt_dir, &error) ||
-            !streaming.SaveState(ckpt_dir + "/streaming.state", &error)) {
+        // trainer's between-sweeps state, each written atomically — a kill
+        // between any two lines here loses at most one publish.
+        warplda::SweepCheckpoint checkpoint;
+        const bool captured = live.CaptureSweepState(&checkpoint);
+        checkpoint.iteration = (epoch + 2) * kSweepsPerPublish;
+        std::string error = "sweep state capture failed";
+        if (!captured || !live_store.CheckpointTo(ckpt_dir, &error) ||
+            !warplda::SaveSweepCheckpoint(checkpoint, sweep_ckpt, &error)) {
           std::printf("  checkpoint failed: %s\n", error.c_str());
         }
       }
@@ -296,13 +304,15 @@ int main(int argc, char** argv) {
       PrintStats("serve (restored)", server.Stats());
     }
 
-    warplda::StreamingWarpLda recovered_trainer(synth.vocab_size,
-                                                stream_options);
-    if (!recovered_trainer.LoadState(ckpt_dir + "/streaming.state", &error)) {
+    warplda::SweepCheckpoint checkpoint;
+    warplda::WarpLdaSampler recovered_trainer;
+    recovered_trainer.Init(data.corpus, config);
+    if (!warplda::LoadSweepCheckpoint(sweep_ckpt, &checkpoint, &error) ||
+        !recovered_trainer.RestoreSweepState(checkpoint, &error)) {
       std::printf("trainer restore failed: %s\n", error.c_str());
       return 1;
     }
-    recovered_trainer.ProcessCorpus(data.corpus, 1);
+    for (int i = 0; i < kSweepsPerPublish; ++i) recovered_trainer.Iterate();
     // First post-restore export reports every word as changed (the delta
     // base died with the old process), so this publish compacts to a full
     // rebuild — subsequent ones are incremental again.
@@ -310,9 +320,9 @@ int main(int argc, char** argv) {
     auto model = recovered_trainer.ExportSharedModel(&delta);
     recovered_store.PublishDelta(model, delta);
     std::printf(
-        "streaming trainer resumed at batch %llu and published v%llu — "
+        "trainer resumed after sweep %u and published v%llu — "
         "training continues where the dead process stopped\n",
-        static_cast<unsigned long long>(recovered_trainer.batches_seen()),
+        checkpoint.iteration,
         static_cast<unsigned long long>(recovered_store.version()));
   }
   return 0;

@@ -35,17 +35,6 @@ void AliasLdaSampler::SetPriors(double alpha, double beta) {
   RebuildStaleTables();
 }
 
-void AliasLdaSampler::SetAssignments(const std::vector<TopicId>& assignments) {
-  z_ = assignments;
-  std::fill(ck_.begin(), ck_.end(), 0);
-  for (auto& row : cw_) row.Clear();
-  for (TokenIdx t = 0; t < corpus_->num_tokens(); ++t) {
-    cw_[corpus_->token_word(t)].Inc(z_[t]);
-    ++ck_[z_[t]];
-  }
-  RebuildStaleTables();
-}
-
 void AliasLdaSampler::RebuildStaleTables() {
   const uint32_t k_topics = config_.num_topics;
   const double alpha = config_.alpha;

@@ -29,17 +29,6 @@ void CgsSampler::SetPriors(double alpha, double beta) {
   config_.beta = beta;
 }
 
-void CgsSampler::SetAssignments(const std::vector<TopicId>& assignments) {
-  const uint32_t k = config_.num_topics;
-  z_ = assignments;
-  std::fill(cw_.begin(), cw_.end(), 0);
-  std::fill(ck_.begin(), ck_.end(), 0);
-  for (TokenIdx t = 0; t < corpus_->num_tokens(); ++t) {
-    ++cw_[static_cast<size_t>(corpus_->token_word(t)) * k + z_[t]];
-    ++ck_[z_[t]];
-  }
-}
-
 void CgsSampler::Iterate() {
   const uint32_t k_topics = config_.num_topics;
   const double alpha = config_.alpha;

@@ -39,16 +39,6 @@ void FPlusLdaSampler::SetPriors(double alpha, double beta) {
   beta_bar_ = beta * corpus_->num_words();
 }
 
-void FPlusLdaSampler::SetAssignments(const std::vector<TopicId>& assignments) {
-  z_ = assignments;
-  std::fill(ck_.begin(), ck_.end(), 0);
-  for (auto& row : cd_) row.Clear();
-  for (TokenIdx t = 0; t < corpus_->num_tokens(); ++t) {
-    cd_[token_doc_[t]].Inc(z_[t]);
-    ++ck_[z_[t]];
-  }
-}
-
 void FPlusLdaSampler::RefreshLeaf(TopicId k) {
   dense_tree_.Update(
       k, config_.alpha * (cw_row_[k] + config_.beta) / (ck_[k] + beta_bar_));

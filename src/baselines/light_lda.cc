@@ -45,17 +45,6 @@ void LightLdaSampler::SetPriors(double alpha, double beta) {
   RebuildProposalTables();
 }
 
-void LightLdaSampler::SetAssignments(const std::vector<TopicId>& assignments) {
-  z_ = assignments;
-  std::fill(ck_.begin(), ck_.end(), 0);
-  for (auto& row : cw_) row.Clear();
-  for (TokenIdx t = 0; t < corpus_->num_tokens(); ++t) {
-    cw_[corpus_->token_word(t)].Inc(z_[t]);
-    ++ck_[z_[t]];
-  }
-  RebuildProposalTables();
-}
-
 void LightLdaSampler::RebuildProposalTables() {
   const uint32_t k_topics = config_.num_topics;
   const double beta = config_.beta;

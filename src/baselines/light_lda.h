@@ -42,7 +42,6 @@ class LightLdaSampler : public Sampler {
   void Init(const Corpus& corpus, const LdaConfig& config) override;
   void Iterate() override;
   std::vector<TopicId> Assignments() const override { return z_; }
-  void SetAssignments(const std::vector<TopicId>& assignments) override;
   void SetPriors(double alpha, double beta) override;
   std::string name() const override;
 

@@ -67,11 +67,6 @@ class Sampler {
   /// Current topic assignments, document-major (parallel to corpus tokens).
   virtual std::vector<TopicId> Assignments() const = 0;
 
-  /// Replaces the topic assignments (document-major, same length as the
-  /// corpus token stream) and rebuilds all derived counts. Init() must have
-  /// been called first. Used to resume training from a checkpoint.
-  virtual void SetAssignments(const std::vector<TopicId>& assignments) = 0;
-
   /// Updates the Dirichlet priors between iterations (hyper-parameter
   /// optimization). Derived caches are refreshed; assignments are kept.
   virtual void SetPriors(double alpha, double beta) = 0;

@@ -34,17 +34,6 @@ void SparseLdaSampler::SetPriors(double alpha, double beta) {
   RebuildSmoothing();
 }
 
-void SparseLdaSampler::SetAssignments(const std::vector<TopicId>& assignments) {
-  z_ = assignments;
-  std::fill(ck_.begin(), ck_.end(), 0);
-  for (auto& row : cw_) row.Clear();
-  for (TokenIdx t = 0; t < corpus_->num_tokens(); ++t) {
-    cw_[corpus_->token_word(t)].Inc(z_[t]);
-    ++ck_[z_[t]];
-  }
-  RebuildSmoothing();
-}
-
 void SparseLdaSampler::RebuildSmoothing() {
   s_bucket_ = 0.0;
   for (uint32_t k = 0; k < config_.num_topics; ++k) {

@@ -98,39 +98,6 @@ bool TopicsInRange(const std::vector<TopicId>& topics, uint32_t num_topics) {
 
 }  // namespace
 
-bool SaveCheckpoint(const TrainingCheckpoint& checkpoint,
-                    const std::string& path, std::string* error) {
-  PayloadWriter out;
-  PutConfig(out, checkpoint.config);
-  out.Put(checkpoint.iteration);
-  out.PutVec(checkpoint.assignments);
-  return WriteFrame(path, FrameKind::kTrainingCheckpoint, out.bytes(), error);
-}
-
-bool LoadCheckpoint(const std::string& path, TrainingCheckpoint* checkpoint,
-                    std::string* error) {
-  std::vector<uint8_t> payload;
-  if (!ReadFrame(path, FrameKind::kTrainingCheckpoint, &payload, error)) {
-    return false;
-  }
-  PayloadReader in(payload);
-  if (!GetConfig(in, &checkpoint->config, path, error)) return false;
-  if (!in.Get(&checkpoint->iteration) ||
-      // GetVec bounds the stored count against the remaining payload before
-      // resizing, so a corrupt count cannot provoke a huge allocation.
-      !in.GetVec(&checkpoint->assignments)) {
-    return Fail(error, path + ": truncated assignments");
-  }
-  if (!in.exhausted()) {
-    return Fail(error, path + ": trailing bytes after assignments");
-  }
-  if (!TopicsInRange(checkpoint->assignments,
-                     checkpoint->config.num_topics)) {
-    return Fail(error, path + ": assignment out of range");
-  }
-  return true;
-}
-
 void EncodeSweepCheckpointPayload(const SweepCheckpoint& checkpoint,
                                   std::vector<uint8_t>* payload) {
   PayloadWriter out;
@@ -267,7 +234,8 @@ AsyncCheckpointWriter::~AsyncCheckpointWriter() {
   writer_.join();
 }
 
-void AsyncCheckpointWriter::Enqueue(Item item) {
+void AsyncCheckpointWriter::Submit(SweepCheckpoint checkpoint,
+                                   std::string path, Completion done) {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     const bool metrics = obs::MetricsEnabled();
@@ -279,29 +247,10 @@ void AsyncCheckpointWriter::Enqueue(Item item) {
                         "Trainer wait for checkpoint-writer queue room")
           ->Observe(static_cast<double>(NowUs() - wait_start));
     }
-    queue_.push_back(std::move(item));
+    queue_.push_back(
+        {std::move(checkpoint), std::move(path), std::move(done)});
   }
   cv_work_.notify_one();
-}
-
-void AsyncCheckpointWriter::Submit(SweepCheckpoint checkpoint,
-                                   std::string path, Completion done) {
-  Item item;
-  item.is_sweep = true;
-  item.sweep = std::move(checkpoint);
-  item.path = std::move(path);
-  item.done = std::move(done);
-  Enqueue(std::move(item));
-}
-
-void AsyncCheckpointWriter::Submit(TrainingCheckpoint checkpoint,
-                                   std::string path, Completion done) {
-  Item item;
-  item.is_sweep = false;
-  item.training = std::move(checkpoint);
-  item.path = std::move(path);
-  item.done = std::move(done);
-  Enqueue(std::move(item));
 }
 
 void AsyncCheckpointWriter::WriterLoop() {
@@ -321,9 +270,7 @@ void AsyncCheckpointWriter::WriterLoop() {
     const bool metrics = obs::MetricsEnabled();
     const int64_t save_start = metrics ? NowUs() : 0;
     std::string err;
-    const bool saved =
-        item.is_sweep ? SaveSweepCheckpoint(item.sweep, item.path, &err)
-                      : SaveCheckpoint(item.training, item.path, &err);
+    const bool saved = SaveSweepCheckpoint(item.checkpoint, item.path, &err);
     if (metrics) {
       if (save_us == nullptr) {
         save_us = obs::MetricsRegistry::Global().GetHistogram(
@@ -374,20 +321,6 @@ bool AsyncCheckpointWriter::ok(std::string* error) const {
     if (error != nullptr) *error = first_error_;
     return false;
   }
-  return true;
-}
-
-bool RestoreSampler(Sampler& sampler, const Corpus& corpus,
-                    const TrainingCheckpoint& checkpoint,
-                    std::string* error) {
-  if (checkpoint.assignments.size() != corpus.num_tokens()) {
-    return Fail(error,
-                "checkpoint token count does not match the corpus (" +
-                    std::to_string(checkpoint.assignments.size()) + " vs " +
-                    std::to_string(corpus.num_tokens()) + ")");
-  }
-  sampler.Init(corpus, checkpoint.config);
-  sampler.SetAssignments(checkpoint.assignments);
   return true;
 }
 

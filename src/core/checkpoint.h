@@ -11,7 +11,6 @@
 
 #include "baselines/sampler.h"
 #include "core/sweep_plan.h"
-#include "corpus/corpus.h"
 
 namespace warplda {
 
@@ -27,25 +26,16 @@ namespace warplda {
 /// checked against the remaining payload before memory is sized, priors must
 /// be finite and positive, mh_steps nonzero, and every topic id in range.
 ///
-/// Three artifact families build on the frame:
-///  * TrainingCheckpoint — between-iterations state of any Sampler
-///    (Save/LoadCheckpoint, RestoreSampler).
-///  * SweepCheckpoint — the mid-sweep state of a grid-execution run,
-///    captured at a stage barrier (GridSampler::CaptureSweepState via
-///    ParallelExecutor's barrier hook) so a restored run resumes
-///    bit-identical to an uninterrupted one (Save/LoadSweepCheckpoint,
-///    GridSampler::RestoreSweepState).
+/// Two artifact families build on the frame:
+///  * SweepCheckpoint — the training state of a grid-execution run,
+///    captured between sweeps or at a stage barrier
+///    (GridSampler::CaptureSweepState, from ParallelExecutor's barrier hook
+///    mid-sweep) so a restored run resumes bit-identical to an
+///    uninterrupted one (Save/LoadSweepCheckpoint,
+///    GridSampler::RestoreSweepState). The only training checkpoint: the
+///    baseline samplers do not checkpoint.
 ///  * serving model chains — serve/ModelStore::CheckpointTo/RestoreFrom
 ///    persist the published model once plus small per-publish deltas.
-
-/// Training checkpoint: everything needed to resume a run — the sampler
-/// configuration, the iteration counter, and the full topic-assignment
-/// state (document-major). Counts are derived, not stored.
-struct TrainingCheckpoint {
-  LdaConfig config;
-  uint32_t iteration = 0;
-  std::vector<TopicId> assignments;
-};
 
 /// Mid-sweep state of a grid-execution training run, captured at a stage
 /// barrier — the instant EndStage() has applied a stage's staged writes and
@@ -69,7 +59,7 @@ struct SweepCheckpoint {
   uint64_t base_word = 0;    ///< word-phase per-token stream base
   uint64_t base_doc = 0;     ///< doc-phase per-token stream base
   /// Topic assignments in the sampler's internal CSC (word-major) entry
-  /// order — NOT document-major like TrainingCheckpoint::assignments.
+  /// order — NOT document-major like Sampler::Assignments().
   std::vector<TopicId> assignments;
   /// Pending MH proposals, mh_steps per token, CSC entry order.
   std::vector<TopicId> proposals;
@@ -77,16 +67,9 @@ struct SweepCheckpoint {
   std::vector<int64_t> ck_fixed;
 };
 
-/// Binary serialization (frame kind kTrainingCheckpoint). Returns false and
+/// Binary serialization (frame kind kSweepCheckpoint). Returns false and
 /// fills *error on failure; Save leaves any existing file at `path` intact
 /// when it fails.
-bool SaveCheckpoint(const TrainingCheckpoint& checkpoint,
-                    const std::string& path, std::string* error);
-bool LoadCheckpoint(const std::string& path, TrainingCheckpoint* checkpoint,
-                    std::string* error);
-
-/// Binary serialization of a mid-sweep checkpoint (frame kind
-/// kSweepCheckpoint). Same atomicity and validation contract.
 bool SaveSweepCheckpoint(const SweepCheckpoint& checkpoint,
                          const std::string& path, std::string* error);
 bool LoadSweepCheckpoint(const std::string& path, SweepCheckpoint* checkpoint,
@@ -104,12 +87,6 @@ bool DecodeSweepCheckpointPayload(const std::vector<uint8_t>& payload,
                                   const std::string& context,
                                   SweepCheckpoint* checkpoint,
                                   std::string* error);
-
-/// Restores a sampler from a checkpoint: Init() with the stored config,
-/// then SetAssignments. The corpus must be the one the checkpoint was
-/// trained on (token count is validated).
-bool RestoreSampler(Sampler& sampler, const Corpus& corpus,
-                    const TrainingCheckpoint& checkpoint, std::string* error);
 
 /// Background checkpoint writer: moves the serialize + write + fsync of
 /// checkpoint saves off the training thread onto one dedicated writer
@@ -151,8 +128,6 @@ class AsyncCheckpointWriter {
   /// thread once the file is durable.
   void Submit(SweepCheckpoint checkpoint, std::string path,
               Completion done = nullptr);
-  void Submit(TrainingCheckpoint checkpoint, std::string path,
-              Completion done = nullptr);
 
   /// Blocks until every submitted checkpoint is durable (or failed). Returns
   /// false and fills `*error` (when non-null) if any write has failed.
@@ -163,15 +138,12 @@ class AsyncCheckpointWriter {
 
  private:
   struct Item {
-    bool is_sweep = false;
-    SweepCheckpoint sweep;
-    TrainingCheckpoint training;
+    SweepCheckpoint checkpoint;
     std::string path;
     Completion done;
   };
 
   void WriterLoop();
-  void Enqueue(Item item);
 
   size_t max_pending_;
   mutable std::mutex mutex_;

@@ -68,10 +68,11 @@ TrainResult Train(Sampler& sampler, const Corpus& corpus,
   GridSampler* grid = dynamic_cast<GridSampler*>(&sampler);
   if (grid == nullptr && (!options.sweep_plan.trivial() ||
                           options.sweep_threads > 1 ||
+                          !options.checkpoint_dir.empty() ||
                           options.checkpoint_stages)) {
     throw std::invalid_argument(
-        "Train: sweep_plan, sweep_threads and checkpoint_stages require a "
-        "sampler implementing GridSampler");
+        "Train: sweep_plan, sweep_threads, checkpoint_dir and "
+        "checkpoint_stages require a sampler implementing GridSampler");
   }
   TrainResult result;
   MetricsScope metrics_scope(options.metrics);
@@ -85,7 +86,6 @@ TrainResult Train(Sampler& sampler, const Corpus& corpus,
   // ------------------------------------------------------------ durability
   const bool durable = !options.checkpoint_dir.empty();
   const std::string sweep_path = options.checkpoint_dir + "/sweep.ckpt";
-  const std::string train_path = options.checkpoint_dir + "/train.ckpt";
   std::unique_ptr<AsyncCheckpointWriter> ckpt_writer;
   if (durable) {
     std::string err;
@@ -110,34 +110,25 @@ TrainResult Train(Sampler& sampler, const Corpus& corpus,
                     "thread (the only part the barrier pays for)")
               : nullptr;
 
-  // Iteration-boundary checkpoint: for a GridSampler a between-sweeps
-  // SweepCheckpoint (pending proposals + RNG epoch travel along, so the
-  // resumed trajectory is bit-identical); otherwise — or when the grid
-  // sampler does not support capture — a TrainingCheckpoint.
+  // Iteration-boundary checkpoint: a between-sweeps SweepCheckpoint
+  // (pending proposals + RNG epoch travel along, so the resumed trajectory
+  // is bit-identical).
   auto save_iteration_checkpoint = [&](uint32_t completed) {
     throw_if_save_failed();
     obs::TraceSpan span("checkpoint-capture", "ckpt");
     const bool obs_on = obs::MetricsEnabled();
     const int64_t capture_start = obs_on ? NowUs() : 0;
-    auto completion = [hook = options.checkpoint_hook, completed] {
-      if (hook) hook(completed, SweepStage::kWordAccept);
-    };
-    SweepCheckpoint sweep_ckpt;
-    if (grid != nullptr && grid->CaptureSweepState(&sweep_ckpt)) {
-      sweep_ckpt.iteration = completed;
-      if (obs_on) capture_us->Observe(NowUs() - capture_start);
-      ckpt_writer->Submit(std::move(sweep_ckpt), sweep_path,
-                          std::move(completion));
-    } else {
-      TrainingCheckpoint ckpt;
-      ckpt.config = config;
-      ckpt.config.alpha = alpha;  // current priors, not the initial ones
-      ckpt.config.beta = beta;
-      ckpt.iteration = completed;
-      ckpt.assignments = sampler.Assignments();
-      if (obs_on) capture_us->Observe(NowUs() - capture_start);
-      ckpt_writer->Submit(std::move(ckpt), train_path, std::move(completion));
+    SweepCheckpoint ckpt;
+    if (!grid->CaptureSweepState(&ckpt)) {
+      throw std::runtime_error(
+          "Train: the sampler cannot capture its sweep state");
     }
+    ckpt.iteration = completed;
+    if (obs_on) capture_us->Observe(NowUs() - capture_start);
+    ckpt_writer->Submit(std::move(ckpt), sweep_path,
+                        [hook = options.checkpoint_hook, completed] {
+                          if (hook) hook(completed, SweepStage::kWordAccept);
+                        });
   };
 
   // Mid-sweep checkpoints at every stage barrier (checkpoint_stages): the
@@ -170,7 +161,7 @@ TrainResult Train(Sampler& sampler, const Corpus& corpus,
   SweepPlan restored_plan;
   if (options.resume && durable) {
     std::string err;
-    if (grid != nullptr && FileExists(sweep_path)) {
+    if (FileExists(sweep_path)) {
       SweepCheckpoint ckpt;
       if (!LoadSweepCheckpoint(sweep_path, &ckpt, &err)) {
         throw std::runtime_error("Train: cannot resume: " + err);
@@ -183,39 +174,6 @@ TrainResult Train(Sampler& sampler, const Corpus& corpus,
       start_iter = ckpt.iteration + 1;
       finish_restored_sweep = ckpt.next_stage != SweepStage::kWordAccept;
       restored_plan = ckpt.plan;
-    } else if (FileExists(train_path)) {
-      TrainingCheckpoint ckpt;
-      if (!LoadCheckpoint(train_path, &ckpt, &err)) {
-        throw std::runtime_error("Train: cannot resume: " + err);
-      }
-      if (ckpt.config.num_topics != config.num_topics) {
-        throw std::runtime_error(
-            "Train: cannot resume: checkpoint has " +
-            std::to_string(ckpt.config.num_topics) + " topics, run has " +
-            std::to_string(config.num_topics));
-      }
-      if (ckpt.assignments.size() != corpus.num_tokens()) {
-        throw std::runtime_error(
-            "Train: cannot resume: checkpoint token count " +
-            std::to_string(ckpt.assignments.size()) +
-            " does not match the corpus (" +
-            std::to_string(corpus.num_tokens()) + ")");
-      }
-      if (ckpt.config.alpha_vector != config.alpha_vector) {
-        throw std::runtime_error(
-            "Train: cannot resume: checkpoint asymmetric-prior vector does "
-            "not match the run's");
-      }
-      sampler.SetAssignments(ckpt.assignments);
-      alpha = ckpt.config.alpha;
-      beta = ckpt.config.beta;
-      // Only push drifted (hyper-optimized) priors into the sampler:
-      // SetPriors is symmetric-only, so calling it with the Init values
-      // would clobber an asymmetric prior's ᾱ for no gain.
-      if (alpha != config.alpha || beta != config.beta) {
-        sampler.SetPriors(alpha, beta);
-      }
-      start_iter = ckpt.iteration + 1;
     }
     // No checkpoint on disk: fall through to a fresh run, so the same
     // command line serves the first launch and every restart.

@@ -31,23 +31,19 @@ struct TrainOptions {
   /// sweep. Plan and thread count change wall-clock only: every plan samples
   /// identically. Any other sampler runs Iterate(), and Train throws
   /// std::invalid_argument when it is given a non-trivial plan,
-  /// sweep_threads > 1 or checkpoint_stages.
+  /// sweep_threads > 1, checkpoint_dir or checkpoint_stages.
   SweepPlan sweep_plan;
   uint32_t sweep_threads = 1;  ///< executor size, calling thread included
 
-  /// Durability (core/checkpoint.h). When non-empty, Train() writes
-  /// crash-safe checkpoints into this directory (created if missing):
+  /// Durability (core/checkpoint.h), GridSampler only. When non-empty,
+  /// Train() writes crash-safe SweepCheckpoints to "sweep.ckpt" in this
+  /// directory (created if missing):
   ///  * every `checkpoint_every` iterations (0 disables the cadence), and
-  ///    always after the final iteration, a full checkpoint — for a
-  ///    GridSampler a between-sweeps SweepCheckpoint ("sweep.ckpt",
-  ///    preserving the pending proposals and RNG stream epoch so the resumed
-  ///    run is bit-identical to an uninterrupted one), for any other sampler
-  ///    a TrainingCheckpoint ("train.ckpt", resuming the exact assignments;
-  ///    the continued trajectory is statistically equivalent, not
-  ///    bit-identical);
-  ///  * with `checkpoint_stages` set (GridSampler only), additionally at
-  ///    every stage barrier of every sweep, so a kill loses at most one
-  ///    stage of work.
+  ///    always after the final iteration, a between-sweeps checkpoint
+  ///    (the pending proposals and RNG stream epoch travel along, so the
+  ///    resumed run is bit-identical to an uninterrupted one);
+  ///  * with `checkpoint_stages` set, additionally at every stage barrier
+  ///    of every sweep, so a kill loses at most one stage of work.
   /// All writes are atomic (temp + fsync + rename): a kill at any instant
   /// leaves the previous complete checkpoint or the new one, never a torn
   /// file. A failed write throws std::runtime_error — durability failures

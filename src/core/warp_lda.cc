@@ -1,6 +1,7 @@
 #include "core/warp_lda.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "core/checkpoint.h"
@@ -101,7 +102,17 @@ std::shared_ptr<const TopicModel> WarpLdaSampler::ExportSharedModel() const {
 
 std::shared_ptr<const TopicModel> WarpLdaSampler::ExportSharedModel(
     std::vector<WordId>* changed_words) {
-  return TrackExportDelta(ExportSharedModel(), &last_export_, changed_words);
+  std::shared_ptr<const TopicModel> model = ExportSharedModel();
+  if (changed_words != nullptr) {
+    if (last_export_ == nullptr) {
+      changed_words->resize(model->num_words());
+      std::iota(changed_words->begin(), changed_words->end(), 0);
+    } else {
+      *changed_words = model->ChangedWords(*last_export_);
+    }
+  }
+  last_export_ = model;
+  return model;
 }
 
 void WarpLdaSampler::SetAssignments(const std::vector<TopicId>& assignments) {
@@ -291,11 +302,6 @@ void WarpLdaSampler::Iterate() { RunSweep(SweepPlan::Trivial()); }
 // contiguous sub-run of each column they touch (columns are sorted by row
 // id). The plan's item maps do not steer the ranges; only its block counts
 // do.
-//
-// Earlier builds split items across blocks on most plans and so also
-// stopped at the word-propose and doc-propose barriers. A checkpoint taken
-// there restores into a propose-only span (SpanLength 1), which counts the
-// item from the committed z where it needs counts.
 
 void WarpLdaSampler::ReserveWorkers(uint32_t num_workers) {
   if (corpus_ == nullptr) {
@@ -346,7 +352,7 @@ void WarpLdaSampler::BeginSweep(const SweepPlan& plan,
   grid_.base_doc = StreamBase(phase_epoch_);
   grid_.stage = SweepStage::kWordAccept;
   grid_.open = true;
-  EnterSpan(SweepStage::kWordAccept);
+  EnterSpan();
 }
 
 namespace {
@@ -406,17 +412,9 @@ std::pair<uint32_t, uint32_t> WarpLdaSampler::BlockItems(
   return {bounds[block], bounds[block + 1]};
 }
 
-int WarpLdaSampler::SpanLength(SweepStage s) {
-  return s == SweepStage::kWordAccept || s == SweepStage::kDocAccept ? 2 : 1;
-}
-
-void WarpLdaSampler::EnterSpan(SweepStage begin) {
-  // An accept stage reads the c_k snapshot of its pass boundary. A
-  // propose-only span (restore path) refreshes nothing: its checkpoint
-  // carries the snapshot the capturing run held there.
-  if (begin == SweepStage::kWordAccept || begin == SweepStage::kDocAccept) {
-    ck_fixed_ = ck_live_;
-  }
+void WarpLdaSampler::EnterSpan() {
+  // A span's accept stage reads the c_k snapshot of its pass boundary.
+  ck_fixed_ = ck_live_;
 }
 
 void WarpLdaSampler::RunBlock(uint32_t doc_block, uint32_t word_block,
@@ -452,21 +450,10 @@ void WarpLdaSampler::RunBlockInto(uint32_t doc_block, uint32_t word_block,
   }
   ran = 1;
   ThreadScratch& scratch = scratch_[worker];
-  switch (grid_.stage) {
-    case SweepStage::kWordAccept:
-      RunWordPart(block, scratch, committed);
-      break;
-    case SweepStage::kWordPropose:
-      RunWordProposePart(block, scratch);
-      break;
-    case SweepStage::kDocAccept:
-      RunDocPart(block, scratch, committed);
-      break;
-    case SweepStage::kDocPropose:
-      RunDocProposePart(block);
-      break;
-    case SweepStage::kDone:
-      break;  // unreachable, checked above
+  if (grid_.stage == SweepStage::kWordAccept) {
+    RunWordPart(block, scratch, committed);
+  } else {
+    RunDocPart(block, scratch, committed);
   }
 }
 
@@ -520,23 +507,6 @@ void WarpLdaSampler::RunWordPart(size_t block, ThreadScratch& s,
   }
 }
 
-void WarpLdaSampler::RunWordProposePart(size_t block, ThreadScratch& s) {
-  // The word pass's propose half alone: z already holds the post-acceptance
-  // column, so its counts are the ones RunWordPart would have patched to.
-  const uint32_t k_topics = config_.num_topics;
-  const double beta = config_.beta;
-  const auto [lo, hi] = BlockItems(block, /*word_axis=*/true);
-  for (WordId w = lo; w < hi; ++w) {
-    const std::span<TopicId> z = matrix_.col_data(w);
-    if (z.empty()) continue;
-    BuildCounts(s.counts, z);
-    BuildAliasInto(s, s.counts, s.alias);
-    const double lw = static_cast<double>(z.size());
-    DrawWordProposals(ItemPositions(w, /*word_axis=*/true), s.alias,
-                      lw / (lw + beta * k_topics));
-  }
-}
-
 void WarpLdaSampler::RunDocPart(size_t block, ThreadScratch& s,
                                 std::vector<StagedMove>* committed) {
   // RunWordPart's scheme per row: count on the fly, accept, commit in
@@ -562,14 +532,6 @@ void WarpLdaSampler::RunDocPart(size_t block, ThreadScratch& s,
     }
     DrawDocProposals(grid_.base_doc, positions, row);
     TraceScopeEnd();
-  }
-}
-
-void WarpLdaSampler::RunDocProposePart(size_t block) {
-  const auto [lo, hi] = BlockItems(block, /*word_axis=*/false);
-  for (DocId d = lo; d < hi; ++d) {
-    DrawDocProposals(grid_.base_doc, ItemPositions(d, /*word_axis=*/false),
-                     matrix_.row(d));
   }
 }
 
@@ -629,11 +591,10 @@ void WarpLdaSampler::EndStage(const TaskRunner& run) {
         std::to_string(grid_.block_ran.size()) + " blocks not run");
   }
   ApplyStagedMoves(run);
-  const SweepStage begin = grid_.stage;
-  grid_.stage = static_cast<SweepStage>(static_cast<int>(begin) +
-                                        SpanLength(begin));
+  grid_.stage = grid_.stage == SweepStage::kWordAccept ? SweepStage::kDocAccept
+                                                       : SweepStage::kDone;
   std::fill(grid_.block_ran.begin(), grid_.block_ran.end(), 0);
-  if (grid_.stage != SweepStage::kDone) EnterSpan(grid_.stage);
+  if (grid_.stage != SweepStage::kDone) EnterSpan();
   FlushScratchMetrics();  // workers are quiescent at the barrier
 }
 
@@ -747,6 +708,13 @@ bool WarpLdaSampler::RestoreSweepState(const SweepCheckpoint& state,
   }
   for (TopicId z : state.proposals) {
     if (z >= config_.num_topics) return fail("proposal out of range");
+  }
+  if (state.next_stage == SweepStage::kWordPropose ||
+      state.next_stage == SweepStage::kDocPropose) {
+    return fail(std::string("checkpoint stops at the ") +
+                ToString(state.next_stage) +
+                " barrier; it predates whole-item blocks, whose sweeps stop "
+                "only at doc-accept");
   }
   const bool mid_sweep = state.next_stage != SweepStage::kWordAccept;
   if (mid_sweep) {
@@ -1035,9 +1003,6 @@ bool WarpLdaSampler::ApplyBlockDelta(const GridBlockDelta& delta,
         (si > 0 && slice.reader <= delta.slices[si - 1].reader)) {
       return fail("delta slice reader " + std::to_string(slice.reader) +
                   " out of range or out of order");
-    }
-    if (SpanLength(delta.stage) == 1 && !slice.moves.empty()) {
-      return fail("delta stages moves in a pure propose span");
     }
     const size_t g = block * num_readers + slice.reader;
     const uint32_t* tokens = index->tokens[axis].data();

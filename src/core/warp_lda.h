@@ -60,17 +60,20 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   void Init(const Corpus& corpus, const LdaConfig& config) override;
   void Iterate() override;
   std::vector<TopicId> Assignments() const override;
-  void SetAssignments(const std::vector<TopicId>& assignments) override;
+  /// Replaces the topic assignments (document-major, parallel to the
+  /// corpus tokens), recounts c_k and redraws the pending doc proposals
+  /// from them, as Init() does. Init() must come first; not during an open
+  /// sweep.
+  void SetAssignments(const std::vector<TopicId>& assignments);
   void SetPriors(double alpha, double beta) override;
   std::string name() const override { return "WarpLDA"; }
 
   /// GridSampler: block-wise sweep execution (see core/sweep_plan.h for the
   /// protocol). Produces the same samples as Iterate() for any plan, any
   /// block schedule and any worker count. An accept stage and the propose
-  /// stage after it run as one span (see SpanLength): sweep_stage() names
-  /// the *first* stage of the current span, RunBlock executes every stage
-  /// of the span for that block, and EndStage() advances past the whole
-  /// span.
+  /// stage after it run as one span: sweep_stage() names the span's accept
+  /// stage (kWordAccept or kDocAccept), RunBlock executes both stages for
+  /// that block, and EndStage() advances past the whole span.
   using GridSampler::BeginSweep;
   using GridSampler::EndStage;
   void BeginSweep(const SweepPlan& plan, const TaskRunner& run) override;
@@ -101,9 +104,9 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// thread count may finish a restored sweep bit-identically to the
   /// uninterrupted run, and a checkpoint taken at any stage barrier restores:
   /// both stream bases are minted at BeginSweep, so the bytes do not depend
-  /// on which barriers the capturing run's plan had. Checkpoints written by
-  /// builds whose plans also stopped at the word-propose or doc-propose
-  /// barrier resume through a propose-only span.
+  /// on which plan the capturing run had. Checkpoints written at a
+  /// word-propose or doc-propose barrier (by builds that split items across
+  /// blocks) are rejected.
   bool CaptureSweepState(SweepCheckpoint* out) const override;
   bool RestoreSweepState(const SweepCheckpoint& state,
                          std::string* error) override;
@@ -138,7 +141,6 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// into a TopicModel ready for serve::ModelStore::Publish(). Safe to call
   /// between Iterate() calls while a server keeps answering from earlier
   /// snapshots (train-while-serve). Init() must have been called.
-  /// Same name and contract as StreamingWarpLda::ExportSharedModel().
   std::shared_ptr<const TopicModel> ExportSharedModel() const;
 
   /// As above, and additionally reports which words' sparse rows differ
@@ -324,13 +326,9 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// The CSC positions of column `item` (word axis) or row `item`.
   TokenPositions ItemPositions(uint32_t item, bool word_axis) const;
 
-  /// Length (1 or 2) of the span entered at `s`: an accept stage runs with
-  /// its propose stage; a propose stage alone is a span only when a
-  /// checkpoint restored the sweep at its barrier.
-  static int SpanLength(SweepStage s);
-  /// Barrier-side preparation for the span entered at `begin`: the c_k
-  /// snapshot its accept stage reads.
-  void EnterSpan(SweepStage begin);
+  /// Barrier-side preparation for the next span: the c_k snapshot its
+  /// accept stage reads.
+  void EnterSpan();
 
   /// Barrier task bodies. Each writes only its own word block's z positions
   /// or its own topics of ck_live_ and the ck-delta partitions, so tasks may
@@ -366,15 +364,12 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// Block bodies, one per span. Concurrency-safe across distinct blocks:
   /// each reads and writes only its own items' z and proposal slots, reads
   /// shared *immutable* span state, and puts count updates into the
-  /// worker's ck-delta partition. The accept spans commit their items' z in
-  /// place and report those moves to `committed` when it is non-null; the
-  /// propose-only spans run only on a sweep restored at their barrier.
+  /// worker's ck-delta partition. Each commits its items' z in place and
+  /// reports those moves to `committed` when it is non-null.
   void RunWordPart(size_t block, ThreadScratch& s,
                    std::vector<StagedMove>* committed);
-  void RunWordProposePart(size_t block, ThreadScratch& s);
   void RunDocPart(size_t block, ThreadScratch& s,
                   std::vector<StagedMove>* committed);
-  void RunDocProposePart(size_t block);
   /// Commits every block's injected moves to z, then folds the per-worker
   /// ck-delta partitions into ck_live_, as tasks on `run`.
   void ApplyStagedMoves(const TaskRunner& run);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <numeric>
 
 #include "util/hash_count.h"
 
@@ -167,22 +166,6 @@ bool TopicModel::Load(const std::string& path, std::string* error) {
 bool TopicModel::operator==(const TopicModel& other) const {
   return num_topics_ == other.num_topics_ && alpha_ == other.alpha_ &&
          beta_ == other.beta_ && rows_ == other.rows_ && ck_ == other.ck_;
-}
-
-std::shared_ptr<const TopicModel> TrackExportDelta(
-    std::shared_ptr<const TopicModel> model,
-    std::shared_ptr<const TopicModel>* last_export,
-    std::vector<WordId>* changed_words) {
-  if (changed_words != nullptr) {
-    if (*last_export == nullptr) {
-      changed_words->resize(model->num_words());
-      std::iota(changed_words->begin(), changed_words->end(), 0);
-    } else {
-      *changed_words = model->ChangedWords(**last_export);
-    }
-  }
-  *last_export = model;
-  return model;
 }
 
 }  // namespace warplda

@@ -2,7 +2,6 @@
 #define WARPLDA_EVAL_TOPIC_MODEL_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -81,17 +80,6 @@ class TopicModel {
   std::vector<std::vector<std::pair<TopicId, int32_t>>> rows_;  // per word
   std::vector<int64_t> ck_;
 };
-
-/// Shared body of the trainers' ExportSharedModel(changed_words) overloads:
-/// fills `changed_words` (when non-null) with `model`'s diff against
-/// `*last_export` — every word on the first export — then advances
-/// `*last_export` to `model` and returns it. Keeping this in one place
-/// keeps WarpLdaSampler's and StreamingWarpLda's delta contracts in
-/// lockstep.
-std::shared_ptr<const TopicModel> TrackExportDelta(
-    std::shared_ptr<const TopicModel> model,
-    std::shared_ptr<const TopicModel>* last_export,
-    std::vector<WordId>* changed_words);
 
 }  // namespace warplda
 

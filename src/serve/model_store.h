@@ -255,15 +255,15 @@ struct ModelStoreOptions {
 /// snapshot — so its cost is O(Δnnz + K + V·(pointer copy)) instead of the
 /// full O(nnz + K) rebuild, and the transient two-snapshots-resident window
 /// of a hot swap costs Δ, not 2× the model. Trainers obtain the changed set
-/// from WarpLdaSampler/StreamingWarpLda::ExportSharedModel(&changed).
+/// from WarpLdaSampler::ExportSharedModel(&changed).
 ///
 /// The swap itself is a shared_ptr exchange under a micro-lock rather than
 /// std::atomic<shared_ptr> (whose libstdc++ lock-bit implementation is
 /// opaque to ThreadSanitizer). Readers touch the lock once per micro-batch,
 /// never per request, so it is invisible in serving profiles.
 ///
-/// This is the bridge between training and serving: a WarpLdaSampler or
-/// StreamingWarpLda running on another thread can ExportSharedModel() and
+/// This is the bridge between training and serving: a WarpLdaSampler
+/// running on another thread can ExportSharedModel() between sweeps and
 /// Publish()/PublishDelta() mid-training while an InferenceServer keeps
 /// answering from the store.
 class ModelStore {

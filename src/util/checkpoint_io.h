@@ -12,8 +12,8 @@
 namespace warplda {
 
 /// Crash-safe framed file format shared by every durable artifact in the
-/// library (training checkpoints, in-flight sweep checkpoints, serving model
-/// chains, streaming trainer state). One file is:
+/// library (training sweep checkpoints, serving model chains, dist protocol
+/// messages). One file is:
 ///
 ///   offset  size  field
 ///   ------  ----  --------------------------------------------------------
@@ -40,13 +40,14 @@ namespace warplda {
 
 /// What a frame's payload encodes. Stored in the header so a file of one
 /// kind handed to another loader fails loudly instead of mis-parsing.
+/// Numbers are never reused: 1 (a per-sampler training checkpoint) and 5
+/// (an online trainer's state) belonged to retired formats, and a file of
+/// either kind is rejected as the wrong kind.
 enum class FrameKind : uint32_t {
-  kTrainingCheckpoint = 1,  ///< core/checkpoint.h TrainingCheckpoint
-  kSweepCheckpoint = 2,     ///< core/checkpoint.h SweepCheckpoint
-  kModelBase = 3,           ///< serve/model_store.h full model checkpoint
-  kModelDelta = 4,          ///< serve/model_store.h changed-rows delta
-  kStreamingState = 5,      ///< core/streaming.h online trainer state
-  kDistMessage = 6,         ///< dist/transport.h socket protocol message
+  kSweepCheckpoint = 2,  ///< core/checkpoint.h SweepCheckpoint
+  kModelBase = 3,        ///< serve/model_store.h full model checkpoint
+  kModelDelta = 4,       ///< serve/model_store.h changed-rows delta
+  kDistMessage = 6,      ///< dist/transport.h socket protocol message
 };
 
 inline constexpr uint32_t kFrameVersion = 2;
@@ -184,7 +185,7 @@ bool ReadFrame(const std::string& path, FrameKind expected_kind,
 /// size policy are the caller's (streams accept any registered kind and
 /// bound the size themselves).
 struct ParsedFrameHeader {
-  FrameKind kind = FrameKind::kTrainingCheckpoint;
+  FrameKind kind = FrameKind::kSweepCheckpoint;
   uint64_t payload_size = 0;
   uint32_t payload_crc = 0;
 };

@@ -1,7 +1,6 @@
 #ifndef WARPLDA_UTIL_RNG_H_
 #define WARPLDA_UTIL_RNG_H_
 
-#include <array>
 #include <cstdint>
 
 namespace warplda {
@@ -74,22 +73,6 @@ class Rng {
 
   /// Returns true with probability p (p outside [0,1] clamps naturally).
   bool NextBernoulli(double p) { return NextDouble() < p; }
-
-  /// Raw 256-bit state, for checkpointing a generator mid-stream (e.g.
-  /// StreamingWarpLda::SaveState): restoring via SetState continues the
-  /// exact sequence. An all-zero state is invalid for xoshiro; SetState
-  /// falls back to re-seeding in that case instead of producing a stuck
-  /// generator (all-zero is also what a zeroed checkpoint field decodes to).
-  std::array<uint64_t, 4> State() const {
-    return {state_[0], state_[1], state_[2], state_[3]};
-  }
-  void SetState(const std::array<uint64_t, 4>& state) {
-    if (state[0] == 0 && state[1] == 0 && state[2] == 0 && state[3] == 0) {
-      Seed(0);
-      return;
-    }
-    for (int i = 0; i < 4; ++i) state_[i] = state[i];
-  }
 
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }

@@ -261,6 +261,11 @@ TEST(ParallelSweepTest, TrainerGridOptionsRequireGridSampler) {
   stages.checkpoint_stages = true;
   EXPECT_THROW(Train(*sampler, corpus, config, stages),
                std::invalid_argument);
+  // The baselines do not checkpoint at all.
+  TrainOptions durable = base;
+  durable.checkpoint_dir = testing::TempDir() + "/cgs_durable";
+  EXPECT_THROW(Train(*sampler, corpus, config, durable),
+               std::invalid_argument);
 }
 
 TEST(ParallelSweepTest, WorkerReservationIsEnforced) {
@@ -705,6 +710,9 @@ TEST(BarrierRunnerTest, SlicesThatDoNotFitAreRejectedUntouched) {
   bad.push_back({"ck_net disagreeing with the moves", good, "disagrees"});
   bad.back().delta.ck_net[0].count += 1;
   bad.back().delta.ck_net[1].count -= 1;
+  // No sweep stops at a propose barrier, so no delta is cut there.
+  bad.push_back({"delta at a propose stage", good, "word-propose"});
+  bad.back().delta.stage = SweepStage::kWordPropose;
   for (const Bad& b : bad) {
     SweepCheckpoint before, after;
     ASSERT_TRUE(target.CaptureSweepState(&before));

@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "core/inference.h"
-#include "core/streaming.h"
 #include "core/trainer.h"
 #include "core/warp_lda.h"
 #include "corpus/corpus.h"
@@ -401,35 +400,6 @@ TEST(TrainerDeltaExportTest, WarpLdaSamplerChangedWordsDriveDeltaPublish) {
     auto snapshot = store.PublishDelta(model, changed);
     ExpectSnapshotsBitIdentical(*snapshot, ModelSnapshot(model, 1));
   }
-}
-
-TEST(TrainerDeltaExportTest, StreamingChangedWordsDriveDeltaPublish) {
-  SyntheticConfig synth;
-  synth.num_docs = 200;
-  synth.vocab_size = 200;
-  synth.num_topics = 4;
-  synth.mean_doc_length = 20;
-  synth.seed = 19;
-  SyntheticCorpus data = GenerateLdaCorpus(synth);
-
-  StreamingOptions options;
-  options.num_topics = 4;
-  options.batch_size = 64;
-  StreamingWarpLda streaming(synth.vocab_size, options);
-  streaming.ProcessCorpus(data.corpus, 1);
-
-  ModelStore store;
-  std::vector<WordId> changed;
-  auto model = streaming.ExportSharedModel(&changed);
-  EXPECT_EQ(changed.size(), model->num_words());
-  store.PublishDelta(model, changed);
-
-  streaming.ProcessCorpus(data.corpus, 1);
-  auto previous = model;
-  model = streaming.ExportSharedModel(&changed);
-  EXPECT_EQ(changed, model->ChangedWords(*previous));
-  auto snapshot = store.PublishDelta(model, changed);
-  ExpectSnapshotsBitIdentical(*snapshot, ModelSnapshot(model, 1));
 }
 
 }  // namespace

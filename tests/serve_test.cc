@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "core/inference.h"
-#include "core/streaming.h"
 #include "core/trainer.h"
 #include "core/warp_lda.h"
 #include "corpus/synthetic.h"
@@ -338,45 +337,6 @@ TEST(InferenceServerTest, SubmitAfterShutdownFails) {
   server.Shutdown();
   auto future = server.Submit({0, 1, 2}, 1);
   EXPECT_THROW(future.get(), std::runtime_error);
-}
-
-// Streaming round trip: train StreamingWarpLda online, hot-publish its
-// exported model, and serve against it.
-TEST(ServeRoundTripTest, StreamingExportModelServesCoherently) {
-  SyntheticConfig synth;
-  synth.num_docs = 400;
-  synth.vocab_size = 500;
-  synth.num_topics = 5;
-  synth.mean_doc_length = 40;
-  synth.seed = 9;
-  SyntheticCorpus data = GenerateLdaCorpus(synth);
-
-  StreamingOptions stream_options;
-  stream_options.num_topics = 5;
-  stream_options.batch_size = 100;
-  StreamingWarpLda streaming(synth.vocab_size, stream_options);
-  streaming.ProcessCorpus(data.corpus, /*epochs=*/3);
-
-  ModelStore store;
-  auto snapshot = store.Publish(streaming.ExportSharedModel());
-  EXPECT_EQ(snapshot->num_topics(), 5u);
-  EXPECT_EQ(snapshot->num_words(), synth.vocab_size);
-
-  ServerOptions options;
-  options.num_workers = 4;
-  InferenceServer server(store, options);
-  std::vector<std::future<InferenceResult>> futures;
-  const DocId probe_docs = std::min<DocId>(data.corpus.num_docs(), 64);
-  for (DocId d = 0; d < probe_docs; ++d) {
-    auto tokens = data.corpus.doc_tokens(d);
-    futures.push_back(
-        server.Submit(std::vector<WordId>(tokens.begin(), tokens.end()), d));
-  }
-  for (auto& future : futures) {
-    InferenceResult result = future.get();
-    ExpectValidTheta(result.theta, 5);
-    EXPECT_EQ(result.model_version, 1u);
-  }
 }
 
 // Train-then-serve round trip through WarpLdaSampler::ExportModel, and the
