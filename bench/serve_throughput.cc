@@ -1,8 +1,7 @@
 // Serving throughput and memory of the concurrent inference subsystem:
 // QPS as a function of worker-thread count and of micro-batch size, plus
-// snapshot footprint (dense V×K φ̂ vs the tiered sparse layout) and publish
-// latency (full rebuild vs incremental PublishDelta), on a synthetic
-// NYTimes-shaped corpus. The worker sweep is the serving analogue of the
+// snapshot footprint and publish latency (dense V×K φ̂ vs the tiered sparse
+// layout), on a synthetic NYTimes-shaped corpus. The worker sweep is the serving analogue of the
 // paper's Fig 9 scalability study; the batch sweep shows the cache-warmth
 // payoff of grouping requests against one snapshot; the footprint section
 // tracks the O(V·K) → O(K + nnz) memory claim of the sparse snapshots.
@@ -52,8 +51,8 @@ RunResult RunLoad(const warplda::serve::ModelStore& store,
   return RunResult{load.size() / seconds, stats.p50_micros, stats.p99_micros};
 }
 
-// Dense vs tiered-sparse snapshot footprint and full vs delta publish
-// latency at serving-realistic K. Also spot-checks the bit-identity
+// Dense vs tiered-sparse snapshot footprint and publish latency at
+// serving-realistic K. Also spot-checks the bit-identity
 // contract end to end on a few documents.
 void RunSnapshotSection(const warplda::Corpus& corpus, uint32_t footprint_k,
                         warplda::bench::BenchJson& json) {
@@ -88,21 +87,9 @@ void RunSnapshotSection(const warplda::Corpus& corpus, uint32_t footprint_k,
   const double dense_ms = dense_watch.Millis();
 
   ModelStore sparse_store;  // tiered sparse is the default layout
-  warplda::Stopwatch full_watch;
+  warplda::Stopwatch sparse_watch;
   auto sparse_snapshot = sparse_store.Publish(model);
-  const double full_ms = full_watch.Millis();
-
-  // Steady-state republish: the same model with ~1% of the vocabulary
-  // listed as changed. Publish latency depends only on how many rows are
-  // rebuilt (plus the O(K) tier and the pointer-table copy), so this times
-  // the delta path realistically without needing genuinely moved counts.
-  std::vector<warplda::WordId> small_delta;
-  for (warplda::WordId w = 0; w < model->num_words(); w += 100) {
-    small_delta.push_back(w);
-  }
-  warplda::Stopwatch delta_watch;
-  auto delta_snapshot = sparse_store.PublishDelta(model, small_delta);
-  const double delta_ms = delta_watch.Millis();
+  const double sparse_ms = sparse_watch.Millis();
 
   const size_t dense_bytes = dense_snapshot->ApproxBytes();
   const size_t sparse_bytes = sparse_snapshot->ApproxBytes();
@@ -110,17 +97,13 @@ void RunSnapshotSection(const warplda::Corpus& corpus, uint32_t footprint_k,
   std::printf("%-28s %12zu %12.1f\n", "dense VxK snapshot", dense_bytes,
               dense_ms);
   std::printf("%-28s %12zu %12.1f\n", "sparse tiered snapshot", sparse_bytes,
-              full_ms);
-  std::printf("%-28s %12zu %12.2f\n", "delta publish (1% words)",
-              delta_snapshot->ApproxBytes(), delta_ms);
-  std::printf("footprint reduction: %.1fx   delta publish speedup: %.1fx\n",
-              static_cast<double>(dense_bytes) / sparse_bytes,
-              full_ms / delta_ms);
+              sparse_ms);
+  std::printf("footprint reduction: %.1fx\n",
+              static_cast<double>(dense_bytes) / sparse_bytes);
 
-  // Bit-identity spot check across the three snapshots.
+  // Bit-identity spot check across the two layouts.
   SharedInferenceEngine dense_engine(dense_snapshot);
   SharedInferenceEngine sparse_engine(sparse_snapshot);
-  SharedInferenceEngine delta_engine(delta_snapshot);
   bool identical = true;
   for (warplda::DocId d = 0; d < std::min<warplda::DocId>(corpus.num_docs(), 8);
        ++d) {
@@ -128,12 +111,11 @@ void RunSnapshotSection(const warplda::Corpus& corpus, uint32_t footprint_k,
     std::vector<warplda::WordId> doc(tokens.begin(), tokens.end());
     const auto a = dense_engine.InferTheta(doc, d);
     const auto b = sparse_engine.InferTheta(doc, d);
-    const auto c = delta_engine.InferTheta(doc, d);
     for (size_t i = 0; i < a.size(); ++i) {
-      identical = identical && a[i] == b[i] && a[i] == c[i];
+      identical = identical && a[i] == b[i];
     }
   }
-  std::printf("dense/sparse/delta inference bit-identical: %s\n",
+  std::printf("dense/sparse inference bit-identical: %s\n",
               identical ? "yes" : "NO — regression!");
   std::printf("peak RSS: %.1f MB (VmHWM)\n",
               warplda::bench::PeakRssBytes() / (1024.0 * 1024.0));
@@ -149,17 +131,9 @@ void RunSnapshotSection(const warplda::Corpus& corpus, uint32_t footprint_k,
       .Str("layout", "sparse_full")
       .Int("k", footprint_k)
       .Bytes("snapshot_bytes", sparse_bytes)
-      .Num("publish_ms", full_ms)
+      .Num("publish_ms", sparse_ms)
       .Num("footprint_reduction", static_cast<double>(dense_bytes) /
-                                      sparse_bytes);
-  json.AddRow()
-      .Str("sweep", "snapshot")
-      .Str("layout", "sparse_delta")
-      .Int("k", footprint_k)
-      .Int("changed_words", static_cast<int64_t>(small_delta.size()))
-      .Bytes("snapshot_bytes", delta_snapshot->ApproxBytes())
-      .Num("publish_ms", delta_ms)
-      .Num("delta_speedup", full_ms / delta_ms)
+                                      sparse_bytes)
       .Str("bit_identical", identical ? "yes" : "no");
 }
 

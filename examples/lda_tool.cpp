@@ -62,7 +62,9 @@ int main(int argc, char** argv) {
       .Int("min-df", &min_df, "drop words in fewer documents than this")
       .Int("top-words", &top_words, "top words to print per topic")
       .Int("optimize-hyper", &optimize_hyper,
-           "re-estimate priors every N iterations (0 = off)")
+           "re-estimate priors after every iteration whose absolute number "
+           "is a multiple of N, the run's final iteration included, so a "
+           "resumed run matches an unsplit one (0 = off)")
       .Double("heldout", &heldout_fraction,
               "hold out this fraction of docs for perplexity")
       .Double("scale", &synth_scale, "synthetic corpus scale if no docword")
@@ -167,7 +169,7 @@ int main(int argc, char** argv) {
     warplda::Stopwatch watch;
     sampler->Iterate();
     sampling_seconds += watch.Seconds();
-    if (optimize_hyper > 0 && i % optimize_hyper == 0 && i != iterations) {
+    if (optimize_hyper > 0 && (start_iteration + i) % optimize_hyper == 0) {
       auto assignments = sampler->Assignments();
       config.alpha = warplda::EstimateSymmetricAlpha(
           corpus, assignments, config.num_topics, config.alpha);

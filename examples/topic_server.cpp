@@ -8,17 +8,14 @@
 // Scenario 2 (train-while-serve): a WarpLdaSampler keeps training on a
 // background thread and hot-publishes its current model every few sweeps
 // while the server answers requests without interruption — the RCU
-// snapshot swap means zero downtime and no torn reads. Republishes go
-// through the incremental path: the trainer exports its changed-word set
-// and ModelStore::PublishDelta rebuilds only those rows, sharing the rest
-// with the previous snapshot. With --ckpt-dir set, every publish is also
-// made durable: the store checkpoints the model chain (one base + small
-// per-publish deltas — the on-disk mirror of the delta publish) and the
-// trainer writes its between-sweeps SweepCheckpoint, both crash-safely.
+// snapshot swap means zero downtime and no torn reads. With --ckpt-dir set,
+// every publish is also made durable: the store rewrites its one model file
+// (DIR/model.ckpt) and the trainer writes its between-sweeps
+// SweepCheckpoint (DIR/sweep.ckpt), both crash-safely.
 //
 // Scenario 3 (recover, --ckpt-dir only): simulates the restart after a
-// crash — a fresh ModelStore restores the delta chain and serves
-// immediately at the checkpointed version, and a fresh WarpLdaSampler
+// crash — a fresh ModelStore restores model.ckpt and serves immediately at
+// the checkpointed version, and a fresh WarpLdaSampler
 // restores the sweep checkpoint and keeps training where the dead process
 // stopped, on the same trajectory it would have followed.
 //
@@ -198,43 +195,28 @@ int main(int argc, char** argv) {
 
   // ------------------------------------------- 2. train while serving ---
   std::printf("\n[2] train-while-serve (the trainer hot-publishes)\n");
-  // A few sweeps move most words' rows, so the default store would
-  // compact nearly every republish into a full rebuild; lifting the delta
-  // cap keeps each one a delta, and the chain on disk a base plus deltas.
-  warplda::serve::ModelStoreOptions live_options;
-  live_options.max_delta_fraction = 1.0;
-  warplda::serve::ModelStore live_store(live_options);
+  warplda::serve::ModelStore live_store;
   warplda::WarpLdaSampler live;
   live.Init(data.corpus, config);
   constexpr int kSweepsPerPublish = 5;
   const std::string sweep_ckpt = ckpt_dir + "/sweep.ckpt";
 
   // Bootstrap snapshot from the first sweeps so the server never waits,
-  // then keep training and publishing in the background. After the
-  // bootstrap, every republish is incremental: the trainer reports which
-  // words' rows actually changed and PublishDelta rebuilds only those.
-  // nullptr: the bootstrap publish is full anyway, it only needs to
-  // advance the delta tracking.
+  // then keep training and publishing in the background.
   for (int i = 0; i < kSweepsPerPublish; ++i) live.Iterate();
-  live_store.Publish(live.ExportSharedModel(nullptr));
+  live_store.Publish(live.ExportSharedModel());
 
   std::atomic<bool> training_done{false};
   std::thread trainer([&] {
-    std::vector<warplda::WordId> delta;
     for (int epoch = 0; epoch < 3; ++epoch) {
       for (int i = 0; i < kSweepsPerPublish; ++i) live.Iterate();
-      auto model = live.ExportSharedModel(&delta);
-      auto published = live_store.PublishDelta(model, delta);
-      // arena_chain() == 1 means the store chose the compacting full
-      // rebuild (e.g. an oversized delta); > 1 means rows were shared.
-      std::printf("  epoch %d: %zu/%u words changed — %s\n", epoch + 1,
-                  delta.size(), static_cast<unsigned>(model->num_words()),
-                  published->arena_chain() > 1
-                      ? "delta-published (unchanged rows shared)"
-                      : "full rebuild (compacted)");
+      warplda::Stopwatch epoch_watch;
+      auto published = live_store.Publish(live.ExportSharedModel());
+      std::printf("  epoch %d: published v%llu in %.1fms\n", epoch + 1,
+                  static_cast<unsigned long long>(published->version()),
+                  epoch_watch.Millis());
       if (!ckpt_dir.empty()) {
-        // Durability rides along with every publish: the model chain on
-        // disk (first call a full base, then per-publish deltas) and the
+        // Durability rides along with every publish: the model file and the
         // trainer's between-sweeps state, each written atomically — a kill
         // between any two lines here loses at most one publish.
         warplda::SweepCheckpoint checkpoint;
@@ -292,7 +274,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf(
-        "restored serving snapshot v%llu from the base+delta chain\n",
+        "restored serving snapshot v%llu from model.ckpt\n",
         static_cast<unsigned long long>(recovered_store.version()));
     {
       warplda::serve::InferenceServer server(recovered_store, server_options);
@@ -313,12 +295,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (int i = 0; i < kSweepsPerPublish; ++i) recovered_trainer.Iterate();
-    // First post-restore export reports every word as changed (the delta
-    // base died with the old process), so this publish compacts to a full
-    // rebuild — subsequent ones are incremental again.
-    std::vector<warplda::WordId> delta;
-    auto model = recovered_trainer.ExportSharedModel(&delta);
-    recovered_store.PublishDelta(model, delta);
+    recovered_store.Publish(recovered_trainer.ExportSharedModel());
     std::printf(
         "trainer resumed after sweep %u and published v%llu — "
         "training continues where the dead process stopped\n",

@@ -34,8 +34,8 @@ namespace warplda {
 ///    uninterrupted one (Save/LoadSweepCheckpoint,
 ///    GridSampler::RestoreSweepState). The only training checkpoint: the
 ///    baseline samplers do not checkpoint.
-///  * serving model chains — serve/ModelStore::CheckpointTo/RestoreFrom
-///    persist the published model once plus small per-publish deltas.
+///  * serving model checkpoints — serve/ModelStore::CheckpointTo/RestoreFrom
+///    persist the published model as one file, rewritten whole each time.
 
 /// Mid-sweep state of a grid-execution training run, captured at a stage
 /// barrier — the instant EndStage() has applied a stage's staged writes and

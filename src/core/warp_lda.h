@@ -145,10 +145,11 @@ class WarpLdaSampler : public Sampler, public GridSampler {
 
   /// As above, and additionally reports which words' sparse rows differ
   /// from the model returned by the previous call to this overload (every
-  /// word on the first call) — exactly the changed-word set
-  /// serve::ModelStore::PublishDelta needs, so the trainer→server publish
-  /// loop can republish incrementally. Tracks the last export internally;
-  /// `changed_words` may be null to only advance that tracking.
+  /// word on the first call). Kept only because bench/warpbench/serving.cc
+  /// reports the changed share (store.changed_word_share); delete it, with
+  /// last_export_ and TopicModel::ChangedWords, when that benchmark is next
+  /// redefined. Tracks the last export internally; `changed_words` may be
+  /// null to only advance that tracking.
   std::shared_ptr<const TopicModel> ExportSharedModel(
       std::vector<WordId>* changed_words);
 
@@ -380,7 +381,7 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   double beta_bar_ = 0.0;
 
   /// Model returned by the last ExportSharedModel(changed_words) call; the
-  /// diff base for incremental publishing.
+  /// diff base for the changed-word report.
   std::shared_ptr<const TopicModel> last_export_;
 
   /// z in CSC order. Shared-read during grid stages; a block commits its

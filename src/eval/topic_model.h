@@ -23,8 +23,7 @@ class TopicModel {
              uint32_t num_topics, double alpha, double beta);
 
   /// Assembles a model directly from its components — the checkpoint-restore
-  /// path (serve::ModelStore::RestoreFrom replays delta rows onto a base)
-  /// and tests. `rows` must hold per-word (topic, count > 0) pairs in
+  /// path (serve::ModelStore::RestoreFrom) and tests. `rows` must hold per-word (topic, count > 0) pairs in
   /// ascending topic order (the class invariant the sparse serving snapshot
   /// binary-searches on) and `ck` the K global topic counts.
   TopicModel(uint32_t num_topics, double alpha, double beta,
@@ -52,11 +51,11 @@ class TopicModel {
   /// Smoothed topic-word probability φ̂_wk = (C_wk + β)/(C_k + β̄), Eq. (4).
   double Phi(WordId w, TopicId k) const;
 
-  /// Words whose sparse rows differ from `base`'s — the changed-word set an
-  /// incremental publish (serve::ModelStore::PublishDelta) must rebuild.
-  /// Words with id >= base.num_words() count as changed; words that exist
-  /// only in `base` are not reported (the publish layer falls back to a full
-  /// rebuild on vocabulary shrinkage). Sorted ascending; O(total nnz).
+  /// Words whose sparse rows differ from `base`'s — what
+  /// WarpLdaSampler::ExportSharedModel(&changed) reports, from which
+  /// bench/warpbench/serving.cc derives store.changed_word_share. Words with
+  /// id >= base.num_words() count as changed; words that exist only in
+  /// `base` are not reported. Sorted ascending; O(total nnz).
   std::vector<WordId> ChangedWords(const TopicModel& base) const;
 
   /// Top `n` words of topic k by count (ties broken by word id).

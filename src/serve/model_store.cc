@@ -1,12 +1,8 @@
 #include "serve/model_store.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
-#include <map>
-#include <numeric>
+#include <string>
 #include <utility>
 
 #include "core/mh_sweep.h"
@@ -25,28 +21,12 @@ int64_t NowUs() {
 }  // namespace
 
 ModelStore::ModelStore(const ModelStoreOptions& options) : options_(options) {
-  auto& registry = obs::MetricsRegistry::Global();
-  publish_reg_ = registry.RegisterHistogram(
-      "store_publish_us", "Full snapshot prebuild + swap time", &publish_us_);
-  publish_delta_reg_ = registry.RegisterHistogram(
-      "store_publish_delta_us",
-      "Incremental (delta) snapshot prebuild + swap time", &publish_delta_us_);
-  arena_chain_reg_ = registry.RegisterGauge(
-      "store_arena_chain",
-      "Correction-arena chain length of the newest published snapshot",
-      &arena_chain_);
-  ckpt_bytes_reg_ = registry.RegisterGauge(
-      "store_ckpt_chain_bytes",
-      "Bytes of model-*.base/.delta checkpoint files on disk",
-      &ckpt_chain_bytes_);
-  ckpt_files_reg_ = registry.RegisterGauge(
-      "store_ckpt_chain_files",
-      "Count of model-*.base/.delta checkpoint files on disk",
-      &ckpt_chain_files_);
+  publish_reg_ = obs::MetricsRegistry::Global().RegisterHistogram(
+      "store_publish_us", "Snapshot prebuild + swap time", &publish_us_);
 }
 
-size_t ModelSnapshot::CorrectionArena::MemoryBytes() const {
-  size_t bytes = sizeof(*this) + topics.capacity() * sizeof(TopicId) +
+size_t ModelSnapshot::CorrectionArena::HeapBytes() const {
+  size_t bytes = topics.capacity() * sizeof(TopicId) +
                  values.capacity() * sizeof(double) +
                  alias.capacity() * sizeof(AliasTable);
   for (const AliasTable& table : alias) bytes += table.HeapBytes();
@@ -74,40 +54,7 @@ ModelSnapshot::ModelSnapshot(std::shared_ptr<const TopicModel> model,
     }
     return;
   }
-  spans_.assign(num_words_, Span());
-  word_alias_ptr_.assign(num_words_, nullptr);
-  word_count_prob_.assign(num_words_, 0.0);
-  std::vector<WordId> all_words(num_words_);
-  std::iota(all_words.begin(), all_words.end(), 0);
-  BuildArenaRows(all_words);
-}
-
-ModelSnapshot::ModelSnapshot(std::shared_ptr<const TopicModel> model,
-                             const ModelSnapshot& base,
-                             std::span<const WordId> changed_words,
-                             uint64_t version)
-    : model_(std::move(model)),
-      version_(version),
-      layout_(SnapshotLayout::kSparseTiered),
-      num_topics_(model_->num_topics()),
-      num_words_(model_->num_words()) {
-  // The O(K) tier is always fresh; everything per-word starts as a shared
-  // reference to the base snapshot's state and only the changed rows are
-  // repointed at the new arena below.
-  BuildTopicTier();
-  spans_ = base.spans_;
-  arenas_ = base.arenas_;
-  word_alias_ptr_ = base.word_alias_ptr_;
-  word_count_prob_ = base.word_count_prob_;
-
-  std::vector<WordId> rebuilt(changed_words.begin(), changed_words.end());
-  std::sort(rebuilt.begin(), rebuilt.end());
-  rebuilt.erase(std::unique(rebuilt.begin(), rebuilt.end()), rebuilt.end());
-  rebuilt.erase(
-      std::partition_point(rebuilt.begin(), rebuilt.end(),
-                           [this](WordId w) { return w < num_words_; }),
-      rebuilt.end());
-  BuildArenaRows(rebuilt);
+  BuildArenaRows();
 }
 
 void ModelSnapshot::BuildTopicTier() {
@@ -127,42 +74,37 @@ void ModelSnapshot::BuildTopicTier() {
   }
 }
 
-void ModelSnapshot::BuildArenaRows(std::span<const WordId> words) {
-  // An empty delta (republish with nothing changed) shares everything with
-  // the base and must not grow the arena chain.
-  if (words.empty() && !arenas_.empty()) return;
-  auto arena = std::make_shared<CorrectionArena>();
+void ModelSnapshot::BuildArenaRows() {
   size_t total_nnz = 0;
-  for (WordId w : words) total_nnz += model_->word_topics(w).size();
-  arena->topics.reserve(total_nnz);
-  arena->values.reserve(total_nnz);
-  arena->alias.resize(words.size());
+  for (WordId w = 0; w < num_words_; ++w) {
+    total_nnz += model_->word_topics(w).size();
+  }
+  arena_.topics.reserve(total_nnz);
+  arena_.values.reserve(total_nnz);
+  arena_.alias.resize(num_words_);
+  word_count_prob_.assign(num_words_, 0.0);
 
   const double beta = model_->beta();
-  std::vector<size_t> offsets;
-  offsets.reserve(words.size());
-  for (size_t i = 0; i < words.size(); ++i) {
-    const WordId w = words[i];
-    offsets.push_back(arena->topics.size());
+  std::vector<size_t> offsets(num_words_ + 1, 0);
+  for (WordId w = 0; w < num_words_; ++w) {
     // TopicModel rows are sorted by topic, which is what FindTopic requires.
     for (const auto& [k, c] : model_->word_topics(w)) {
-      arena->topics.push_back(k);
-      arena->values.push_back(c + beta);  // same sum FillPhiRow forms
+      arena_.topics.push_back(k);
+      arena_.values.push_back(c + beta);  // same sum FillPhiRow forms
     }
-    word_count_prob_[w] = BuildWordProposal(*model_, w, &arena->alias[i]);
+    offsets[w + 1] = arena_.topics.size();
+    word_count_prob_[w] = BuildWordProposal(*model_, w, &arena_.alias[w]);
   }
 
   // Pointers are taken only now, when no arena vector can move again.
-  for (size_t i = 0; i < words.size(); ++i) {
-    const WordId w = words[i];
-    const size_t begin = offsets[i];
-    const size_t end =
-        i + 1 < words.size() ? offsets[i + 1] : arena->topics.size();
-    spans_[w] = Span{arena->topics.data() + begin, arena->values.data() + begin,
-                     static_cast<uint32_t>(end - begin)};
-    word_alias_ptr_[w] = &arena->alias[i];
+  spans_.resize(num_words_);
+  word_alias_ptr_.resize(num_words_);
+  for (WordId w = 0; w < num_words_; ++w) {
+    spans_[w] = Span{arena_.topics.data() + offsets[w],
+                     arena_.values.data() + offsets[w],
+                     static_cast<uint32_t>(offsets[w + 1] - offsets[w])};
+    word_alias_ptr_[w] = &arena_.alias[w];
   }
-  arenas_.push_back(std::move(arena));
 }
 
 size_t ModelSnapshot::ApproxBytes() const {
@@ -171,25 +113,9 @@ size_t ModelSnapshot::ApproxBytes() const {
                  spans_.capacity() * sizeof(Span) +
                  word_alias_ptr_.capacity() * sizeof(const AliasTable*) +
                  word_count_prob_.capacity() * sizeof(double);
-  for (const auto& arena : arenas_) bytes += arena->MemoryBytes();
+  bytes += arena_.HeapBytes();
   if (layout_ == SnapshotLayout::kDense) bytes += dense_.MemoryBytes();
   return bytes;
-}
-
-bool ModelStore::Swap(const std::shared_ptr<ModelSnapshot>& snapshot,
-                      const ModelSnapshot* expected_base) {
-  // The version is stamped at swap time — while the publisher still holds
-  // the only reference — so the last swap to land carries the highest
-  // version even when publishers race, and version() never runs ahead of
-  // Current().
-  std::lock_guard<std::mutex> lock(swap_mutex_);
-  if (expected_base != nullptr && current_.get() != expected_base) {
-    return false;
-  }
-  snapshot->version_ = version_.load(std::memory_order_relaxed) + 1;
-  current_ = snapshot;
-  version_.fetch_add(1, std::memory_order_release);
-  return true;
 }
 
 std::shared_ptr<const ModelSnapshot> ModelStore::Publish(
@@ -200,40 +126,18 @@ std::shared_ptr<const ModelSnapshot> ModelStore::Publish(
   auto snapshot = std::make_shared<ModelSnapshot>(std::move(model),
                                                   /*version=*/0,
                                                   options_.layout);
-  Swap(snapshot, /*expected_base=*/nullptr);
-  publish_us_.Observe(static_cast<double>(NowUs() - start));
-  arena_chain_.Set(static_cast<double>(snapshot->arena_chain()));
-  return snapshot;
-}
-
-std::shared_ptr<const ModelSnapshot> ModelStore::PublishDelta(
-    std::shared_ptr<const TopicModel> model,
-    std::span<const WordId> changed_words) {
-  const std::shared_ptr<const ModelSnapshot> base = Current();
-  const bool delta_applicable =
-      base != nullptr && options_.layout == SnapshotLayout::kSparseTiered &&
-      base->layout() == SnapshotLayout::kSparseTiered &&
-      base->num_words() == model->num_words() &&
-      base->num_topics() == model->num_topics() &&
-      base->beta() == model->beta() &&
-      base->arena_chain() < options_.max_arena_chain &&
-      // changed_words.size() may overcount (duplicates are allowed) — fine
-      // for a heuristic whose only effect is choosing the compacting path.
-      static_cast<double>(changed_words.size()) <=
-          options_.max_delta_fraction * model->num_words();
-  if (!delta_applicable) return Publish(std::move(model));
-
-  const int64_t start = NowUs();
-  auto snapshot = std::make_shared<ModelSnapshot>(model, *base, changed_words);
-  if (Swap(snapshot, base.get())) {
-    publish_delta_us_.Observe(static_cast<double>(NowUs() - start));
-    arena_chain_.Set(static_cast<double>(snapshot->arena_chain()));
-    return snapshot;
+  {
+    // The version is stamped at swap time — while the publisher still holds
+    // the only reference — so the last swap to land carries the highest
+    // version even when publishers race, and version() never runs ahead of
+    // Current().
+    std::lock_guard<std::mutex> lock(swap_mutex_);
+    snapshot->version_ = version_.load(std::memory_order_relaxed) + 1;
+    current_ = snapshot;
+    version_.fetch_add(1, std::memory_order_release);
   }
-  // A concurrent publisher swapped the base out mid-build: the rows shared
-  // from `base` may not match the published lineage anymore, so fall back
-  // to a full rebuild against the authoritative model.
-  return Publish(std::move(model));
+  publish_us_.Observe(static_cast<double>(NowUs() - start));
+  return snapshot;
 }
 
 // ------------------------------------------------------- durable snapshots
@@ -247,15 +151,12 @@ bool Fail(std::string* error, const std::string& message) {
   return false;
 }
 
-std::string ChainFileName(uint64_t version, bool full) {
-  char name[64];
-  std::snprintf(name, sizeof(name), "model-%020llu.%s",
-                static_cast<unsigned long long>(version),
-                full ? "base" : "delta");
-  return name;
+/// The one model checkpoint file in a CheckpointTo/RestoreFrom directory.
+std::string ModelFilePath(const std::string& dir) {
+  return dir + "/model.ckpt";
 }
 
-/// Shared scalar prefix of base and delta payloads.
+/// Scalar prefix of the model payload.
 void PutModelHeader(PayloadWriter& out, const TopicModel& model,
                     uint64_t version) {
   out.Put(model.num_topics());
@@ -341,282 +242,82 @@ bool ModelStore::CheckpointTo(const std::string& dir, std::string* error) {
   // Read the snapshot under ckpt_mutex_ (Current() takes swap_mutex_
   // briefly; the two are never held nested the other way): two racing
   // CheckpointTo calls then serialize on a consistent view, and the stale
-  // one below becomes a no-op instead of writing an out-of-order delta
-  // that would break the on-disk chain for every future restore.
+  // one below becomes a no-op instead of overwriting the newer file.
   const auto snapshot = Current();
   if (snapshot == nullptr) {
     return Fail(error, "ModelStore::CheckpointTo: nothing published yet");
   }
-  const std::shared_ptr<const TopicModel> model = snapshot->model_ptr();
+  const TopicModel& model = snapshot->model();
   const uint64_t version = snapshot->version();
-
+  if (dir == ckpt_dir_ && version <= ckpt_version_) return true;
   if (!EnsureDirectory(dir, error)) return false;
-  if (dir != ckpt_dir_) {
-    // New target directory: the delta base (if any) lives elsewhere, so the
-    // first write here must be a full base.
-    ckpt_dir_ = dir;
-    ckpt_model_.reset();
-    ckpt_version_ = 0;
-    ckpt_chain_ = 0;
-  }
-  if (ckpt_model_ != nullptr && version <= ckpt_version_) return true;
-
-  bool full = ckpt_model_ == nullptr ||
-              ckpt_chain_ >= options_.max_arena_chain ||
-              model->num_topics() != ckpt_model_->num_topics() ||
-              model->num_words() < ckpt_model_->num_words() ||
-              model->beta() != ckpt_model_->beta();
-  std::vector<WordId> changed;
-  if (!full) {
-    changed = model->ChangedWords(*ckpt_model_);
-    // Same heuristic as PublishDelta: a near-vocabulary-sized delta is not
-    // meaningfully smaller than a base but leaves a long chain to replay.
-    if (static_cast<double>(changed.size()) >
-        options_.max_delta_fraction * model->num_words()) {
-      full = true;
-    }
-  }
 
   PayloadWriter out;
-  PutModelHeader(out, *model, version);
-  if (full) {
-    out.PutVec(model->topic_counts());
-    for (WordId w = 0; w < model->num_words(); ++w) {
-      PutRow(out, model->word_topics(w));
-    }
-  } else {
-    out.Put(ckpt_version_);  // predecessor in the chain
-    out.PutVec(model->topic_counts());
-    out.Put(static_cast<uint64_t>(changed.size()));
-    for (WordId w : changed) {
-      out.Put(w);
-      PutRow(out, model->word_topics(w));
-    }
+  PutModelHeader(out, model, version);
+  out.PutVec(model.topic_counts());
+  for (WordId w = 0; w < model.num_words(); ++w) {
+    PutRow(out, model.word_topics(w));
   }
-  const std::string path = dir + "/" + ChainFileName(version, full);
-  if (!WriteFrame(path, full ? FrameKind::kModelBase : FrameKind::kModelDelta,
-                  out.bytes(), error)) {
+  if (!WriteFrame(ModelFilePath(dir), FrameKind::kModelBase, out.bytes(),
+                  error)) {
     return false;
   }
-  ckpt_model_ = model;
+  ckpt_dir_ = dir;
   ckpt_version_ = version;
-  ckpt_chain_ = full ? 1 : ckpt_chain_ + 1;
-  PruneChainLocked();
   return true;
 }
 
-void ModelStore::PruneChainLocked() {
-  struct ChainFile {
-    uint64_t version = 0;
-    bool full = false;
-    std::string path;
-    uint64_t bytes = 0;
-  };
-  std::vector<ChainFile> files;
-  uint64_t newest_base = 0;
-  bool have_base = false;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(ckpt_dir_, ec)) {
-    const std::string name = entry.path().filename().string();
-    unsigned long long v = 0;
-    char kind[8] = {0};
-    if (std::sscanf(name.c_str(), "model-%20llu.%5s", &v, kind) != 2) continue;
-    const bool full = std::string(kind) == "base";
-    if (!full && std::string(kind) != "delta") continue;
-    std::error_code size_ec;
-    const uint64_t bytes = entry.file_size(size_ec);
-    files.push_back(ChainFile{v, full, entry.path().string(),
-                              size_ec ? 0 : static_cast<uint64_t>(bytes)});
-    if (full && (!have_base || v > newest_base)) {
-      newest_base = v;
-      have_base = true;
-    }
-  }
-  if (!ec) {
-    std::sort(files.begin(), files.end(),
-              [](const ChainFile& a, const ChainFile& b) {
-                return a.version < b.version;
-              });
-    const uint32_t cap = options_.checkpoint.max_chain_len;
-    if (cap > 0 && have_base) {
-      // Superseded = anything a restore would skip: bases older than the
-      // newest base, and deltas at or before it. Delete oldest-first until
-      // the cap is met; the active chain itself is never touched even when
-      // it alone exceeds the cap.
-      for (auto it = files.begin();
-           it != files.end() && files.size() > cap;) {
-        const bool active =
-            it->version > newest_base || (it->full && it->version == newest_base);
-        if (active) break;  // sorted ascending: the rest is active too
-        std::error_code rm_ec;
-        std::filesystem::remove(it->path, rm_ec);
-        if (rm_ec) {
-          ++it;  // best-effort: leave it, count it, move on
-        } else {
-          it = files.erase(it);
-        }
-      }
-    }
-  }
-  uint64_t total_bytes = 0;
-  for (const ChainFile& f : files) total_bytes += f.bytes;
-  ckpt_chain_bytes_.Set(static_cast<double>(total_bytes));
-  ckpt_chain_files_.Set(static_cast<double>(files.size()));
-}
-
 bool ModelStore::RestoreFrom(const std::string& dir, std::string* error) {
-  // Discover the chain: the newest base plus every delta past it, in
-  // version order (versions are zero-padded in the names, but we order by
-  // the parsed number, not the string).
-  uint64_t base_version = 0;
-  bool have_base = false;
-  std::map<uint64_t, std::string> deltas;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    unsigned long long v = 0;
-    char kind[8] = {0};
-    if (std::sscanf(name.c_str(), "model-%20llu.%5s", &v, kind) != 2) {
-      continue;
-    }
-    if (std::string(kind) == "base") {
-      if (!have_base || v > base_version) base_version = v;
-      have_base = true;
-    } else if (std::string(kind) == "delta") {
-      deltas[v] = entry.path().string();
-    }
-  }
-  if (ec) {
-    return Fail(error, "cannot read checkpoint directory " + dir + ": " +
-                           ec.message());
-  }
-  if (!have_base) {
-    return Fail(error, "no model base checkpoint in " + dir);
-  }
-
-  // Load and validate the base.
-  const std::string base_path = dir + "/" + ChainFileName(base_version, true);
+  const std::string path = ModelFilePath(dir);
   std::vector<uint8_t> payload;
-  if (!ReadFrame(base_path, FrameKind::kModelBase, &payload, error)) {
-    return false;
-  }
+  if (!ReadFrame(path, FrameKind::kModelBase, &payload, error)) return false;
   PayloadReader in(payload);
   ModelHeader header;
   std::vector<int64_t> ck;
-  if (!GetModelHeader(in, &header, base_path, error) ||
-      !GetTopicCounts(in, header.num_topics, &ck, base_path, error)) {
+  if (!GetModelHeader(in, &header, path, error) ||
+      !GetTopicCounts(in, header.num_topics, &ck, path, error)) {
     return false;
-  }
-  if (header.version != base_version) {
-    return Fail(error, base_path + ": stored version disagrees with name");
   }
   // Bound the row-table allocation before sizing it: every word costs at
   // least a 4-byte length field, so num_words can't exceed remaining/4.
   if (header.num_words > in.remaining() / 4) {
-    return Fail(error, base_path + ": word count " +
+    return Fail(error, path + ": word count " +
                            std::to_string(header.num_words) +
                            " exceeds what the payload can hold");
   }
   std::vector<std::vector<std::pair<TopicId, int32_t>>> rows(header.num_words);
   for (WordId w = 0; w < header.num_words; ++w) {
     if (!GetRow(in, header.num_topics, &rows[w])) {
-      return Fail(error, base_path + ": corrupt row for word " +
-                             std::to_string(w));
+      return Fail(error, path + ": corrupt row for word " + std::to_string(w));
     }
   }
   if (!in.exhausted()) {
-    return Fail(error, base_path + ": trailing bytes");
-  }
-
-  // Replay the delta chain on top.
-  uint64_t version = base_version;
-  double alpha = header.alpha;
-  double beta = header.beta;
-  uint32_t chain = 1;
-  for (const auto& [delta_version, delta_path] : deltas) {
-    if (delta_version <= base_version) continue;  // superseded by the base
-    if (!ReadFrame(delta_path, FrameKind::kModelDelta, &payload, error)) {
-      return false;
-    }
-    PayloadReader din(payload);
-    ModelHeader dh;
-    uint64_t prev_version = 0;
-    if (!GetModelHeader(din, &dh, delta_path, error)) return false;
-    if (!din.Get(&prev_version)) {
-      return Fail(error, delta_path + ": truncated predecessor version");
-    }
-    if (dh.version != delta_version) {
-      return Fail(error, delta_path + ": stored version disagrees with name");
-    }
-    if (prev_version != version) {
-      return Fail(error, delta_path + ": broken chain (expects base v" +
-                             std::to_string(prev_version) + ", have v" +
-                             std::to_string(version) + ")");
-    }
-    if (dh.num_topics != header.num_topics) {
-      return Fail(error, delta_path + ": topic count changed mid-chain");
-    }
-    if (dh.num_words < rows.size()) {
-      return Fail(error, delta_path + ": vocabulary shrank mid-chain");
-    }
-    if (!GetTopicCounts(din, dh.num_topics, &ck, delta_path, error)) {
-      return false;
-    }
-    uint64_t changed_count = 0;
-    if (!din.Get(&changed_count)) {
-      return Fail(error, delta_path + ": truncated changed-word count");
-    }
-    // Every vocabulary-growth word must appear in the delta with at least a
-    // word id and a row length (8 bytes) — bounds the resize below.
-    if (dh.num_words - rows.size() > din.remaining() / 8) {
-      return Fail(error, delta_path + ": grown word count exceeds what the "
-                                      "payload can hold");
-    }
-    rows.resize(dh.num_words);
-    for (uint64_t i = 0; i < changed_count; ++i) {
-      WordId w = 0;
-      if (!din.Get(&w) || w >= rows.size()) {
-        return Fail(error, delta_path + ": changed word id out of range");
-      }
-      if (!GetRow(din, dh.num_topics, &rows[w])) {
-        return Fail(error, delta_path + ": corrupt row for word " +
-                               std::to_string(w));
-      }
-    }
-    if (!din.exhausted()) {
-      return Fail(error, delta_path + ": trailing bytes");
-    }
-    version = delta_version;
-    alpha = dh.alpha;
-    beta = dh.beta;
-    ++chain;
+    return Fail(error, path + ": trailing bytes");
   }
 
   auto model = std::make_shared<const TopicModel>(
-      header.num_topics, alpha, beta, std::move(rows), std::move(ck));
+      header.num_topics, header.alpha, header.beta, std::move(rows),
+      std::move(ck));
   auto snapshot =
-      std::make_shared<ModelSnapshot>(model, version, options_.layout);
+      std::make_shared<ModelSnapshot>(model, header.version, options_.layout);
   {
     std::lock_guard<std::mutex> lock(swap_mutex_);
-    if (version_.load(std::memory_order_relaxed) >= version) {
+    if (version_.load(std::memory_order_relaxed) >= header.version) {
       return Fail(error,
                   "ModelStore::RestoreFrom: store already published v" +
                       std::to_string(version_.load()) +
                       ", refusing to go back to checkpointed v" +
-                      std::to_string(version));
+                      std::to_string(header.version));
     }
     current_ = snapshot;
-    version_.store(version, std::memory_order_release);
+    version_.store(header.version, std::memory_order_release);
   }
   {
-    // Prime the delta bookkeeping so the next CheckpointTo(dir) extends the
-    // restored chain instead of rewriting a base.
+    // The file already holds this version: a CheckpointTo(dir) before the
+    // next publish has nothing to write.
     std::lock_guard<std::mutex> lock(ckpt_mutex_);
     ckpt_dir_ = dir;
-    ckpt_model_ = model;
-    ckpt_version_ = version;
-    ckpt_chain_ = chain;
-    PruneChainLocked();  // prune files the replay skipped; prime the gauges
+    ckpt_version_ = header.version;
   }
   return true;
 }

@@ -21,9 +21,7 @@ namespace warplda::serve {
 enum class SnapshotLayout {
   /// Tiered sparse (default): one shared per-topic β-floor row — O(K) —
   /// plus per-word corrections in a flat CSR-style arena, O(total nnz).
-  /// Snapshot memory is O(K + nnz) instead of O(V·K), and an incremental
-  /// publish (PublishDelta) can share unchanged words' spans with the
-  /// previous snapshot.
+  /// Snapshot memory is O(K + nnz) instead of O(V·K).
   kSparseTiered,
   /// Dense V×K φ̂ (the original eager-prebuild layout). Kept as the
   /// bit-identity reference for the sparse path and for tiny-vocabulary
@@ -55,10 +53,9 @@ enum class SnapshotLayout {
 ///    floor at all.
 ///  * kDense — the flat V×K φ̂ arena (DensePhiTable), O(1) array reads.
 ///
-/// Construction cost is O(K + nnz) for the sparse layout (O(V·K) dense);
-/// the delta constructor drops that to O(K + V + Δnnz) by sharing unchanged
-/// words' spans and alias tables with the previous snapshot via the arena
-/// shared_ptrs.
+/// Construction cost is O(K + nnz) for the sparse layout (O(V·K) dense).
+/// Spans and alias pointers point into the snapshot's own arena, so a
+/// snapshot is neither copyable nor movable; share it through a shared_ptr.
 class ModelSnapshot {
  public:
   /// Builds the snapshot from `model` (kept alive via the shared_ptr).
@@ -67,21 +64,8 @@ class ModelSnapshot {
   explicit ModelSnapshot(std::shared_ptr<const TopicModel> model,
                          uint64_t version = 0,
                          SnapshotLayout layout = SnapshotLayout::kSparseTiered);
-
-  /// Incremental (delta) build: words not listed in `changed_words` reuse
-  /// `base`'s correction spans, alias tables, and count-branch
-  /// probabilities — shared, not copied, via the arena shared_ptrs — and
-  /// only the listed rows are rebuilt from `model`, into one fresh arena
-  /// appended to the chain. The per-topic tier (floor, denominators) is
-  /// always rebuilt: it is O(K). `base` must use the sparse layout and
-  /// agree with `model` on num_words/num_topics/β; the caller
-  /// (ModelStore::PublishDelta) enforces this and guarantees that every
-  /// word outside `changed_words` has an identical sparse row in `model`
-  /// and in base.model(). Out-of-range ids in `changed_words` are ignored;
-  /// duplicates are fine.
-  ModelSnapshot(std::shared_ptr<const TopicModel> model,
-                const ModelSnapshot& base,
-                std::span<const WordId> changed_words, uint64_t version = 0);
+  ModelSnapshot(const ModelSnapshot&) = delete;
+  ModelSnapshot& operator=(const ModelSnapshot&) = delete;
 
   const TopicModel& model() const { return *model_; }
   const std::shared_ptr<const TopicModel>& model_ptr() const { return model_; }
@@ -122,14 +106,13 @@ class ModelSnapshot {
   /// branch) rather than the uniform β branch.
   double word_count_prob(WordId w) const { return word_count_prob_[w]; }
 
-  /// Number of correction arenas this snapshot references: 1 after a full
-  /// build, +1 per delta build on top. ModelStore compacts (full rebuild)
-  /// when the chain exceeds its max_arena_chain option.
-  size_t arena_chain() const { return arenas_.size(); }
+  /// Always 1: every snapshot owns exactly one correction arena. Kept only
+  /// because bench/warpbench/serving.cc derives store.full_share from it;
+  /// delete it when that benchmark is next redefined.
+  size_t arena_chain() const { return 1; }
 
   /// Approximate heap footprint of the serving state, in bytes: φ̂ storage
-  /// (arena or dense), span/alias/probability tables, and alias bins.
-  /// Arenas shared with other snapshots are counted in full here — this is
+  /// (arena or dense), span/alias/probability tables, and alias bins —
   /// "bytes kept alive by holding this snapshot", the number that matters
   /// for the two-snapshots-during-hot-swap window. Excludes the TopicModel.
   size_t ApproxBytes() const;
@@ -137,18 +120,16 @@ class ModelSnapshot {
  private:
   friend class ModelStore;  // stamps version_ pre-swap, before any reader
 
-  /// One publish's freshly built correction rows, immutable once the
-  /// snapshot constructor returns. Snapshots reference spans by raw pointer
-  /// and keep the owning arena alive through arenas_; a delta snapshot
-  /// therefore shares its base's rows without copying a byte of them.
+  /// Every word's correction rows, back to back, immutable once the
+  /// snapshot constructor returns. spans_ and word_alias_ptr_ point into it.
   struct CorrectionArena {
     std::vector<TopicId> topics;  // concatenated per-word ascending topics
     std::vector<double> values;   // parallel to topics: C_wk + β
-    std::vector<AliasTable> alias;  // one per word (re)built in this arena
-    size_t MemoryBytes() const;
+    std::vector<AliasTable> alias;  // one per word
+    size_t HeapBytes() const;
   };
 
-  /// Word w's correction run inside some arena (SoA view).
+  /// Word w's correction run inside the arena (SoA view).
   struct Span {
     const TopicId* topics = nullptr;
     const double* values = nullptr;
@@ -183,9 +164,9 @@ class ModelSnapshot {
   /// Rebuilds the O(K) per-topic tier: C_k+β̄ (both layouts) and the shared
   /// β-floor row (sparse layout).
   void BuildTopicTier();
-  /// Appends the listed words' correction rows + alias tables to a fresh
-  /// arena and points spans_/word_alias_ptr_/word_count_prob_ at it.
-  void BuildArenaRows(std::span<const WordId> words);
+  /// Fills the arena with every word's correction row + alias table and
+  /// points spans_/word_alias_ptr_/word_count_prob_ at it.
+  void BuildArenaRows();
 
   std::shared_ptr<const TopicModel> model_;
   uint64_t version_ = 0;
@@ -197,8 +178,8 @@ class ModelSnapshot {
 
   // Sparse tier state.
   std::vector<double> floor_;  // shared β-floor row: β/(C_k+β̄) per topic
-  std::vector<Span> spans_;    // per word: correction run in some arena
-  std::vector<std::shared_ptr<const CorrectionArena>> arenas_;
+  std::vector<Span> spans_;    // per word: correction run in arena_
+  CorrectionArena arena_;
 
   // Per-word proposal state, valid for both layouts (dense points into
   // dense_'s alias storage).
@@ -208,36 +189,9 @@ class ModelSnapshot {
   DensePhiTable dense_;  // kDense only
 };
 
-/// Durable-checkpoint retention policy (ModelStore::CheckpointTo).
-struct CheckpointOptions {
-  /// When > 0, CheckpointTo prunes superseded chain files after each
-  /// successful write: files older than the active chain (the newest base
-  /// plus its deltas) are deleted oldest-first until at most this many
-  /// model-*.base/.delta files remain in the directory. The active chain is
-  /// never pruned, even when it alone exceeds the cap — restorability wins
-  /// over the byte budget. 0 (default) keeps every file forever, the
-  /// pre-retention behavior.
-  uint32_t max_chain_len = 0;
-};
-
 /// Tuning knobs for ModelStore.
 struct ModelStoreOptions {
   SnapshotLayout layout = SnapshotLayout::kSparseTiered;
-  /// Every PublishDelta appends one arena to the snapshot's chain while the
-  /// superseded rows in older arenas stay alive (they are shared storage).
-  /// Once the chain reaches this length, the next PublishDelta compacts by
-  /// doing a full rebuild into a single arena, bounding the shared_ptr
-  /// fan-out and — together with max_delta_fraction, which caps how much
-  /// superseded data any one delta can strand — the garbage fraction.
-  uint32_t max_arena_chain = 16;
-  /// A delta listing more than this fraction of the vocabulary is not
-  /// meaningfully cheaper than a full rebuild, but would strand a
-  /// near-model-sized generation of superseded rows in the chain; such
-  /// publishes fall back to a full (compacting) Publish instead. 1.0
-  /// disables the fallback.
-  double max_delta_fraction = 0.25;
-  /// On-disk retention for CheckpointTo's chain files.
-  CheckpointOptions checkpoint;
 };
 
 /// Publishes immutable model snapshots to concurrent readers RCU-style.
@@ -249,14 +203,6 @@ struct ModelStoreOptions {
 /// invalidates an in-flight request, and the old snapshot is freed when the
 /// last reader drops it.
 ///
-/// PublishDelta() is the steady-state republish path: given the new model
-/// and the set of words whose rows changed since the previous publish, it
-/// rebuilds only those rows — everything else is shared with the previous
-/// snapshot — so its cost is O(Δnnz + K + V·(pointer copy)) instead of the
-/// full O(nnz + K) rebuild, and the transient two-snapshots-resident window
-/// of a hot swap costs Δ, not 2× the model. Trainers obtain the changed set
-/// from WarpLdaSampler::ExportSharedModel(&changed).
-///
 /// The swap itself is a shared_ptr exchange under a micro-lock rather than
 /// std::atomic<shared_ptr> (whose libstdc++ lock-bit implementation is
 /// opaque to ThreadSanitizer). Readers touch the lock once per micro-batch,
@@ -264,8 +210,8 @@ struct ModelStoreOptions {
 ///
 /// This is the bridge between training and serving: a WarpLdaSampler
 /// running on another thread can ExportSharedModel() between sweeps and
-/// Publish()/PublishDelta() mid-training while an InferenceServer keeps
-/// answering from the store.
+/// Publish() mid-training while an InferenceServer keeps answering from the
+/// store.
 class ModelStore {
  public:
   ModelStore() : ModelStore(ModelStoreOptions{}) {}
@@ -287,49 +233,30 @@ class ModelStore {
     return Publish(std::make_shared<const TopicModel>(std::move(model)));
   }
 
-  /// Incremental publish: like Publish(model), but rebuilds only
-  /// `changed_words`, sharing every other word's serving state with the
-  /// current snapshot. The caller guarantees that words outside
-  /// `changed_words` have identical sparse rows in `model` and in the
-  /// currently published model — ExportSharedModel(&changed) on the
-  /// trainers produces exactly this pair.
-  ///
-  /// Falls back to a full Publish (same return contract) whenever a delta
-  /// is not applicable: no current snapshot, dense layout, model shape or β
-  /// mismatch, arena chain at max_arena_chain (compaction), an oversized
-  /// delta (more than max_delta_fraction of the vocabulary), or a
-  /// concurrent publisher swapped the base out mid-build. Intended for a
-  /// single publisher; racing delta publishers are safe but degrade to
-  /// full rebuilds.
+  /// Same as Publish(model); `changed_words` is ignored. Kept only because
+  /// bench/warpbench/serving.cc calls it; delete it when that benchmark is
+  /// next redefined.
   std::shared_ptr<const ModelSnapshot> PublishDelta(
       std::shared_ptr<const TopicModel> model,
-      std::span<const WordId> changed_words);
+      std::span<const WordId> /*changed_words*/) {
+    return Publish(std::move(model));
+  }
 
-  /// Delta-aware durability (core/checkpoint.h frame format, atomic
-  /// temp+fsync+rename writes). Persists the currently published model into
-  /// `dir`: the first call (per store, per directory) writes the full model
-  /// as `model-<version>.base`; each later call writes only the rows that
-  /// changed since the previous checkpoint as `model-<version>.delta`
-  /// chained onto it — the on-disk mirror of PublishDelta's arena sharing,
-  /// so steady-state checkpoints cost O(Δnnz + K) bytes, not O(nnz). The
-  /// same compaction policy as the in-memory chain applies: a fresh base is
-  /// written when the chain reaches max_arena_chain, when the delta would
-  /// exceed max_delta_fraction of the vocabulary, or when the model shape
-  /// changed. Calling again at an unchanged version is a no-op. Returns
-  /// false and fills *error when nothing is published or a write fails (the
-  /// previous checkpoint files stay intact).
+  /// Durability (util/checkpoint_io.h frame format, atomic
+  /// temp+fsync+rename write): persists the currently published model,
+  /// whole, as `dir/model.ckpt`, replacing the previous file. A call at a
+  /// version no newer than the one this store last wrote to `dir` is a
+  /// no-op, so a stale call can never overwrite a newer file. Returns false
+  /// and fills *error when nothing is published or the write fails (the
+  /// previous file stays intact).
   bool CheckpointTo(const std::string& dir, std::string* error);
 
-  /// Restores the newest checkpointed model from `dir`: loads the highest-
-  /// version base file, replays every subsequent delta in version order
-  /// (validating chain continuity via each delta's recorded predecessor),
-  /// rebuilds the live snapshot, and publishes it with the checkpointed
-  /// version — store.version() continues where the checkpointing process
-  /// left off. Also primes the delta-checkpoint state, so a restored
-  /// trainer's next CheckpointTo(dir) extends the existing chain. Fails
-  /// (false + *error) on a missing/corrupt/broken chain or when this store
-  /// has already published at or past the checkpointed version; the store
-  /// is left unchanged on failure.
+  /// Restores the model in `dir/model.ckpt`, rebuilds the live snapshot,
+  /// and publishes it with the checkpointed version — store.version()
+  /// continues where the checkpointing process left off. Fails (false +
+  /// *error) on a missing or corrupt file or when this store has already
+  /// published at or past the checkpointed version; the store is left
+  /// unchanged on failure.
   bool RestoreFrom(const std::string& dir, std::string* error);
 
   /// The latest published snapshot, or nullptr before the first Publish().
@@ -343,51 +270,26 @@ class ModelStore {
     return version_.load(std::memory_order_acquire);
   }
 
-  const ModelStoreOptions& options() const { return options_; }
-
  private:
-  /// Stamps the version and swaps `snapshot` in. If `expected_base` is
-  /// non-null the swap only happens while it is still current; returns
-  /// false otherwise (the delta was built against a superseded base).
-  bool Swap(const std::shared_ptr<ModelSnapshot>& snapshot,
-            const ModelSnapshot* expected_base);
-
   ModelStoreOptions options_;
   std::atomic<uint64_t> version_{0};
   mutable std::mutex swap_mutex_;
   std::shared_ptr<const ModelSnapshot> current_;
 
-  /// Delta-checkpoint bookkeeping (guarded by ckpt_mutex_; lock order is
+  /// Checkpoint bookkeeping (guarded by ckpt_mutex_; lock order is
   /// ckpt_mutex_ → swap_mutex_ — CheckpointTo reads Current() while holding
-  /// ckpt_mutex_, and nothing acquires them in the reverse order): the last
-  /// model written to ckpt_dir_, its version, and the current on-disk chain
-  /// length (1 = base only).
+  /// ckpt_mutex_, and nothing acquires them in the reverse order): the
+  /// directory last written to or restored from, and the version there.
   mutable std::mutex ckpt_mutex_;
   std::string ckpt_dir_;
-  std::shared_ptr<const TopicModel> ckpt_model_;
   uint64_t ckpt_version_ = 0;
-  uint32_t ckpt_chain_ = 0;
 
-  /// Deletes superseded chain files in ckpt_dir_ per options_.checkpoint and
-  /// refreshes the chain gauges. Called under ckpt_mutex_ after a successful
-  /// write or restore; prune failures are ignored (retention is best-effort,
-  /// the chain itself is already durable).
-  void PruneChainLocked();
-
-  /// Serving-side instruments, registered for the store's lifetime (names
-  /// store_*, auto-suffixed when several stores coexist). Recorded
-  /// unconditionally, like the InferenceServer's — publish latency and chain
-  /// depth are serving health signals, not training hot-path cost.
+  /// Publish latency, registered for the store's lifetime as
+  /// store_publish_us (auto-suffixed when several stores coexist). Recorded
+  /// unconditionally, like the InferenceServer's instruments — it is a
+  /// serving health signal, not training hot-path cost.
   obs::Histogram publish_us_;
-  obs::Histogram publish_delta_us_;
-  obs::Gauge arena_chain_;       ///< arena chain length of the newest publish
-  obs::Gauge ckpt_chain_bytes_;  ///< bytes of model-* files in ckpt_dir_
-  obs::Gauge ckpt_chain_files_;  ///< count of model-* files in ckpt_dir_
   obs::MetricsRegistry::Registration publish_reg_;
-  obs::MetricsRegistry::Registration publish_delta_reg_;
-  obs::MetricsRegistry::Registration arena_chain_reg_;
-  obs::MetricsRegistry::Registration ckpt_bytes_reg_;
-  obs::MetricsRegistry::Registration ckpt_files_reg_;
 };
 
 }  // namespace warplda::serve

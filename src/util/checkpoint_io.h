@@ -12,8 +12,8 @@
 namespace warplda {
 
 /// Crash-safe framed file format shared by every durable artifact in the
-/// library (training sweep checkpoints, serving model chains, dist protocol
-/// messages). One file is:
+/// library (training sweep checkpoints, serving model checkpoints, dist
+/// protocol messages). One file is:
 ///
 ///   offset  size  field
 ///   ------  ----  --------------------------------------------------------
@@ -40,13 +40,13 @@ namespace warplda {
 
 /// What a frame's payload encodes. Stored in the header so a file of one
 /// kind handed to another loader fails loudly instead of mis-parsing.
-/// Numbers are never reused: 1 (a per-sampler training checkpoint) and 5
-/// (an online trainer's state) belonged to retired formats, and a file of
-/// either kind is rejected as the wrong kind.
+/// Numbers are never reused: 1 (a per-sampler training checkpoint), 4 (a
+/// serving model's changed-rows delta) and 5 (an online trainer's state)
+/// belonged to retired formats, and a file of any of them is rejected as the
+/// wrong kind.
 enum class FrameKind : uint32_t {
   kSweepCheckpoint = 2,  ///< core/checkpoint.h SweepCheckpoint
-  kModelBase = 3,        ///< serve/model_store.h full model checkpoint
-  kModelDelta = 4,       ///< serve/model_store.h changed-rows delta
+  kModelBase = 3,        ///< serve/model_store.h model checkpoint
   kDistMessage = 6,      ///< dist/transport.h socket protocol message
 };
 

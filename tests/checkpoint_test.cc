@@ -257,12 +257,12 @@ TEST(CheckpointFuzzTest, OversizedCountIsRejectedWithoutAllocation) {
 
 TEST(CheckpointFuzzTest, WrongFrameKindIsRejected) {
   // A frame of any other kind handed to the sweep loader must fail on the
-  // kind field, not mis-parse — including kinds 1 and 5, whose formats are
-  // retired, and a serving model chain's base.
+  // kind field, not mis-parse — including kinds 1, 4 and 5, whose formats
+  // are retired, and a serving model checkpoint.
   std::vector<uint8_t> payload;
   EncodeSweepCheckpointPayload(ValidSweepCheckpoint(4, {0, 1}), &payload);
   const std::string path = TempPath("ckpt_kind.bin");
-  for (const uint32_t kind : {1u, 3u, 5u}) {
+  for (const uint32_t kind : {1u, 3u, 4u, 5u}) {
     std::string error;
     ASSERT_TRUE(
         WriteFrame(path, static_cast<FrameKind>(kind), payload, &error))
@@ -630,117 +630,119 @@ TEST(CheckpointKillAndResumeTest, SigkillMidSweepResumesBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Delta-aware serving checkpoints: a base + delta chain on disk restores to
-// exactly the model a full publish would serve.
+// Serving checkpoints: one file, dir/model.ckpt, that restores to exactly the
+// model a direct publish would serve.
 
-TEST(ModelStoreCheckpointTest, DeltaChainRestoreEqualsFullPublishRestore) {
+TEST(ModelStoreCheckpointTest, RestoreEqualsFullPublish) {
   Corpus corpus = MakeCorpus();
   LdaConfig config = LdaConfig::PaperDefaults(8);
   WarpLdaSampler sampler;
   sampler.Init(corpus, config);
 
-  serve::ModelStoreOptions store_options;
-  store_options.max_delta_fraction = 1.0;  // keep deltas deltas for the test
-  serve::ModelStore store(store_options);
-  const std::string dir = TempPath("model_chain");
+  serve::ModelStore store;
+  const std::string dir = TempPath("model_ckpt");
   std::filesystem::remove_all(dir);
+  const std::string file = dir + "/model.ckpt";
   std::string error;
 
-  std::vector<WordId> changed;
   std::shared_ptr<const TopicModel> latest;
   for (int leg = 0; leg < 3; ++leg) {
     for (int i = 0; i < 2; ++i) sampler.Iterate();
-    latest = sampler.ExportSharedModel(&changed);
-    store.PublishDelta(latest, changed);
+    latest = sampler.ExportSharedModel();
+    store.Publish(latest);
     ASSERT_TRUE(store.CheckpointTo(dir, &error)) << error;
   }
-  // One base + two deltas on disk.
-  size_t bases = 0;
-  size_t deltas = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    bases += name.ends_with(".base");
-    deltas += name.ends_with(".delta");
-  }
-  EXPECT_EQ(bases, 1u);
-  EXPECT_EQ(deltas, 2u);
+  // Each CheckpointTo rewrote the one file; nothing else is on disk.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            1);
 
-  serve::ModelStore restored(store_options);
+  serve::ModelStore restored;
   ASSERT_TRUE(restored.RestoreFrom(dir, &error)) << error;
   ASSERT_NE(restored.Current(), nullptr);
-  // The replayed chain reconstructs the last published model exactly, and
-  // the version continues where the checkpointing process stopped.
+  // The file holds the last published model, and the version continues
+  // where the checkpointing store stopped.
   EXPECT_TRUE(restored.Current()->model() == *latest);
   EXPECT_EQ(restored.version(), store.version());
+  EXPECT_EQ(restored.Current()->version(), 3u);
 
-  // Serving reads agree with a direct full publish of the same model.
-  serve::ModelStore direct(store_options);
+  // Serving reads are bit-identical to a direct publish of the same model.
+  serve::ModelStore direct;
   auto direct_snapshot = direct.Publish(latest);
   auto restored_snapshot = restored.Current();
-  for (WordId w = 0; w < latest->num_words(); w += 7) {
+  for (WordId w = 0; w < latest->num_words(); ++w) {
     for (uint32_t k = 0; k < latest->num_topics(); ++k) {
       EXPECT_EQ(restored_snapshot->Phi(w, k), direct_snapshot->Phi(w, k));
     }
   }
 
-  // A restored store continues the chain: the next checkpoint of a new
-  // publish is a delta, not a fresh base.
-  for (int i = 0; i < 2; ++i) sampler.Iterate();
-  latest = sampler.ExportSharedModel(&changed);
-  restored.PublishDelta(latest, changed);
+  // A call at a version no newer than the one last written is a no-op: the
+  // marker survives it, from the writing store and from the restored one.
+  const std::vector<uint8_t> marker = {'s', 't', 'a', 'l', 'e'};
+  WriteAll(file, marker);
+  ASSERT_TRUE(store.CheckpointTo(dir, &error)) << error;
   ASSERT_TRUE(restored.CheckpointTo(dir, &error)) << error;
-  deltas = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    deltas += entry.path().filename().string().ends_with(".delta");
-  }
-  EXPECT_EQ(deltas, 3u);
+  EXPECT_EQ(ReadAll(file), marker);
 
-  // And the extended chain still restores, matching the newest model.
-  serve::ModelStore again(store_options);
+  // The restored store's next publish overwrites the file, and the newer
+  // model restores.
+  for (int i = 0; i < 2; ++i) sampler.Iterate();
+  latest = sampler.ExportSharedModel();
+  restored.Publish(latest);
+  ASSERT_TRUE(restored.CheckpointTo(dir, &error)) << error;
+  serve::ModelStore again;
   ASSERT_TRUE(again.RestoreFrom(dir, &error)) << error;
   EXPECT_TRUE(again.Current()->model() == *latest);
+  EXPECT_EQ(again.version(), 4u);
 }
 
-TEST(ModelStoreCheckpointTest, RestoreRejectsBrokenChains) {
+TEST(ModelStoreCheckpointTest, RestoreRejectsBadFiles) {
   serve::ModelStore empty_store;
   std::string error;
-  const std::string missing = TempPath("no_such_chain");
+  const std::string missing = TempPath("no_such_model_dir");
   std::filesystem::remove_all(missing);
   EXPECT_FALSE(empty_store.RestoreFrom(missing, &error));
-  EXPECT_FALSE(error.empty());
+  EXPECT_NE(error.find("model.ckpt"), std::string::npos) << error;
 
   EXPECT_FALSE(empty_store.CheckpointTo(missing, &error));  // nothing published
 
-  // Corrupt one delta in an otherwise valid chain.
+  // A bit flip anywhere in the file fails the restore and leaves the store
+  // unchanged.
   Corpus corpus = MakeCorpus();
   LdaConfig config = LdaConfig::PaperDefaults(8);
   WarpLdaSampler sampler;
   sampler.Init(corpus, config);
-  serve::ModelStoreOptions store_options;
-  store_options.max_delta_fraction = 1.0;
-  serve::ModelStore store(store_options);
-  const std::string dir = TempPath("model_chain_broken");
+  sampler.Iterate();
+  serve::ModelStore store;
+  store.Publish(sampler.ExportSharedModel());
+  const std::string dir = TempPath("model_ckpt_flipped");
   std::filesystem::remove_all(dir);
-  std::vector<WordId> changed;
-  for (int leg = 0; leg < 2; ++leg) {
-    sampler.Iterate();
-    // Two statements: the export resizes `changed`, so the span handed to
-    // PublishDelta must be formed only afterwards.
-    auto model = sampler.ExportSharedModel(&changed);
-    store.PublishDelta(model, changed);
-    ASSERT_TRUE(store.CheckpointTo(dir, &error)) << error;
-  }
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().filename().string().ends_with(".delta")) {
-      std::vector<uint8_t> bytes = ReadAll(entry.path().string());
-      bytes[bytes.size() / 2] ^= 0x10;
-      WriteAll(entry.path().string(), bytes);
-    }
-  }
-  serve::ModelStore restored(store_options);
+  ASSERT_TRUE(store.CheckpointTo(dir, &error)) << error;
+  const std::string file = dir + "/model.ckpt";
+  std::vector<uint8_t> bytes = ReadAll(file);
+  bytes[bytes.size() / 2] ^= 0x10;
+  WriteAll(file, bytes);
+  serve::ModelStore restored;
   EXPECT_FALSE(restored.RestoreFrom(dir, &error));
   EXPECT_FALSE(error.empty());
-  EXPECT_EQ(restored.Current(), nullptr);  // left unchanged on failure
+  EXPECT_EQ(restored.Current(), nullptr);
+  EXPECT_EQ(restored.version(), 0u);
+
+  // A directory holding only the retired base + delta chain files is not
+  // read: the error names the file that is.
+  const std::string old_dir = TempPath("model_chain_retired");
+  std::filesystem::remove_all(old_dir);
+  std::filesystem::create_directories(old_dir);
+  const std::vector<uint8_t> payload = {1, 2, 3, 4};
+  ASSERT_TRUE(WriteFrame(old_dir + "/model-00000000000000000001.base",
+                         FrameKind::kModelBase, payload, &error))
+      << error;
+  ASSERT_TRUE(WriteFrame(old_dir + "/model-00000000000000000002.delta",
+                         static_cast<FrameKind>(4), payload, &error))
+      << error;
+  EXPECT_FALSE(restored.RestoreFrom(old_dir, &error));
+  EXPECT_NE(error.find("model.ckpt"), std::string::npos) << error;
+  EXPECT_EQ(restored.Current(), nullptr);
 }
 
 // ---------------------------------------------------------------------------

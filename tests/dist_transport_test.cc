@@ -522,8 +522,8 @@ TEST(DistExecutorTest, ExternalSigkillMidSweepRecovers) {
       ReferenceAssignments(corpus, iterations);
 
   // The kill races the sweep, so try progressively earlier kills; delay 0
-  // lands right after the handshake and cannot miss. Whenever it lands, the
-  // result must not change.
+  // kills inside the spawn callback, before the first assignment is sent,
+  // so it cannot miss. Whenever it lands, the result must not change.
   bool recovered = false;
   for (const int delay_ms : {10, 4, 0}) {
     DistConfig config;
@@ -533,10 +533,13 @@ TEST(DistExecutorTest, ExternalSigkillMidSweepRecovers) {
     config.on_workers_spawned = [&](const std::vector<int>& pids) {
       ASSERT_EQ(pids.size(), 2u);
       const int victim = pids[1];
+      if (delay_ms == 0) {
+        // A killer thread could be scheduled only after the run has ended.
+        ::kill(victim, SIGKILL);
+        return;
+      }
       killer = std::thread([victim, delay_ms] {
-        if (delay_ms > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
         ::kill(victim, SIGKILL);
       });
     };

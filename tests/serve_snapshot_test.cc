@@ -1,5 +1,5 @@
 // Tiered sparse serving snapshots vs the dense reference layout, and the
-// incremental (delta) publish path.
+// trainer's changed-word report.
 //
 // The contract under test is *bit*-identity: the sparse layout resolves
 // φ̂/q_word through a shared β-floor plus per-word correction spans, but it
@@ -8,7 +8,6 @@
 // dense snapshot exactly. EXPECT_EQ on doubles below is deliberate.
 #include "serve/model_store.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <numeric>
@@ -28,8 +27,6 @@ namespace warplda {
 namespace {
 
 using serve::ModelSnapshot;
-using serve::ModelStore;
-using serve::ModelStoreOptions;
 using serve::SharedInferenceEngine;
 using serve::SnapshotLayout;
 
@@ -74,16 +71,6 @@ Fixture MakeFixture(uint64_t seed) {
         fixture.corpus.token_word(t) == 0 ? 1 : rng.NextInt(kTopics);
   }
   return fixture;
-}
-
-// Randomly reassigns the topics of `fraction` of the tokens.
-void Mutate(Fixture& fixture, double fraction, uint64_t seed) {
-  Rng rng(seed);
-  for (TokenIdx t = 0; t < fixture.corpus.num_tokens(); ++t) {
-    if (rng.NextDouble() < fraction) {
-      fixture.assignments[t] = rng.NextInt(kTopics);
-    }
-  }
 }
 
 void ExpectSnapshotsBitIdentical(const ModelSnapshot& a,
@@ -167,143 +154,6 @@ TEST(SparseSnapshotTest, FootprintIsSparse) {
   EXPECT_GT(dense.ApproxBytes(), 5 * sparse.ApproxBytes());
 }
 
-TEST(DeltaPublishTest, MatchesFullPublishAfterRandomizedUpdates) {
-  Fixture fixture = MakeFixture(11);
-  // The randomized mutations below can touch well over max_delta_fraction
-  // of this tiny vocabulary; disable the oversized-delta fallback so every
-  // round exercises the actual delta-build machinery.
-  ModelStoreOptions options;
-  options.max_delta_fraction = 1.0;
-  ModelStore store(options);
-  auto previous_model = fixture.SharedModel();
-  store.Publish(previous_model);
-  ASSERT_EQ(store.Current()->arena_chain(), 1u);
-
-  for (int round = 1; round <= 5; ++round) {
-    SCOPED_TRACE(round);
-    Mutate(fixture, /*fraction=*/0.08, /*seed=*/100 + round);
-    auto model = fixture.SharedModel();
-    const std::vector<WordId> changed = model->ChangedWords(*previous_model);
-    auto delta_snapshot = store.PublishDelta(model, changed);
-    EXPECT_EQ(delta_snapshot, store.Current());
-    EXPECT_EQ(delta_snapshot->version(), 1u + round);
-    EXPECT_EQ(delta_snapshot->arena_chain(), 1u + round);
-
-    ModelSnapshot full(model, delta_snapshot->version());
-    ExpectSnapshotsBitIdentical(full, *delta_snapshot);
-
-    // End-to-end: the engine over the delta snapshot samples bit-identically
-    // to a fresh full snapshot of the same model.
-    SharedInferenceEngine delta_engine(delta_snapshot);
-    SharedInferenceEngine full_engine(
-        std::make_shared<const ModelSnapshot>(model, 1));
-    const std::vector<WordId> doc = {0, 3, 9, 3, 17, 25, 1, 0, 44};
-    const auto a = delta_engine.InferTheta(doc, 1234 + round);
-    const auto b = full_engine.InferTheta(doc, 1234 + round);
-    for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-    previous_model = model;
-  }
-}
-
-TEST(DeltaPublishTest, EmptyDeltaSharesEverything) {
-  Fixture fixture = MakeFixture(21);
-  ModelStore store;
-  auto model = fixture.SharedModel();
-  store.Publish(model);
-  auto snapshot = store.PublishDelta(model, std::vector<WordId>{});
-  EXPECT_EQ(snapshot->version(), 2u);
-  EXPECT_EQ(snapshot->arena_chain(), 1u);  // no arena appended
-  ExpectSnapshotsBitIdentical(*store.Current(), ModelSnapshot(model, 2));
-}
-
-TEST(DeltaPublishTest, ChainCompactsAtMaxArenaChain) {
-  Fixture fixture = MakeFixture(31);
-  ModelStoreOptions options;
-  options.max_arena_chain = 3;
-  options.max_delta_fraction = 1.0;  // only the chain cap should compact here
-  ModelStore store(options);
-  auto previous_model = fixture.SharedModel();
-  store.Publish(previous_model);
-
-  std::vector<size_t> chains;
-  for (int round = 0; round < 5; ++round) {
-    Mutate(fixture, 0.05, 200 + round);
-    auto model = fixture.SharedModel();
-    auto snapshot =
-        store.PublishDelta(model, model->ChangedWords(*previous_model));
-    chains.push_back(snapshot->arena_chain());
-    ExpectSnapshotsBitIdentical(*snapshot, ModelSnapshot(model, 1));
-    previous_model = model;
-  }
-  // 1 → 2 → 3 (cap) → compacted full rebuild at 1 → 2.
-  EXPECT_EQ(chains, (std::vector<size_t>{2, 3, 1, 2, 3}));
-}
-
-TEST(DeltaPublishTest, FallsBackToFullPublishWhenNotApplicable) {
-  Fixture fixture = MakeFixture(41);
-  auto model = fixture.SharedModel();
-  const std::vector<WordId> all(1, 0);
-
-  // No current snapshot yet → full publish.
-  ModelStore empty_store;
-  auto first = empty_store.PublishDelta(model, all);
-  EXPECT_EQ(first->version(), 1u);
-  EXPECT_EQ(first->arena_chain(), 1u);
-
-  // Dense store → delta degrades to a dense full publish.
-  ModelStoreOptions dense_opts;
-  dense_opts.layout = SnapshotLayout::kDense;
-  ModelStore dense_store(dense_opts);
-  dense_store.Publish(model);
-  auto dense_snapshot = dense_store.PublishDelta(model, all);
-  EXPECT_EQ(dense_snapshot->version(), 2u);
-  EXPECT_EQ(dense_snapshot->layout(), SnapshotLayout::kDense);
-
-  // Vocabulary mismatch → full publish (and correct serving state).
-  ModelStore store;
-  store.Publish(model);
-  CorpusBuilder builder;
-  builder.set_num_words(kVocab + 5);
-  builder.AddDocument(std::vector<WordId>{0, 1, kVocab + 4});
-  Corpus grown = builder.Build();
-  auto grown_model = std::make_shared<const TopicModel>(
-      TopicModel(grown, {0, 1, 2}, kTopics, 0.2, 0.05));
-  auto snapshot = store.PublishDelta(grown_model, all);
-  EXPECT_EQ(snapshot->num_words(), kVocab + 5);
-  EXPECT_EQ(snapshot->arena_chain(), 1u);
-  ExpectSnapshotsBitIdentical(*snapshot, ModelSnapshot(grown_model, 1));
-}
-
-TEST(DeltaPublishTest, OversizedDeltaCompactsInsteadOfChaining) {
-  Fixture fixture = MakeFixture(71);
-  ModelStore store;  // default max_delta_fraction = 0.25
-  auto model = fixture.SharedModel();
-  store.Publish(model);
-
-  // A small delta (1 word ≪ 25% of V) chains.
-  auto chained = store.PublishDelta(model, std::vector<WordId>{3});
-  EXPECT_EQ(chained->arena_chain(), 2u);
-
-  // A delta listing half the vocabulary would strand a near-model-sized
-  // generation of superseded rows; it must compact via a full rebuild.
-  std::vector<WordId> half(kVocab / 2);
-  std::iota(half.begin(), half.end(), 0);
-  auto compacted = store.PublishDelta(model, half);
-  EXPECT_EQ(compacted->arena_chain(), 1u);
-  EXPECT_EQ(compacted->version(), 3u);
-  ExpectSnapshotsBitIdentical(*compacted, ModelSnapshot(model, 1));
-}
-
-TEST(DeltaPublishTest, OutOfRangeAndDuplicateChangedWordsAreTolerated) {
-  Fixture fixture = MakeFixture(51);
-  ModelStore store;
-  auto model = fixture.SharedModel();
-  store.Publish(model);
-  const std::vector<WordId> messy = {3, 3, 0, kVocab + 100, 3, kVocab, 7, 0};
-  auto snapshot = store.PublishDelta(model, messy);
-  ExpectSnapshotsBitIdentical(*snapshot, ModelSnapshot(model, 1));
-}
-
 // The regression gate from the issue: inference output (sampled topics →
 // θ̂) under fixed seeds is bit-identical between dense and sparse
 // snapshots, through the public engine.
@@ -368,10 +218,10 @@ TEST(EngineBitIdentityTest, InferencerMatchesSparseEngineOnFirstDraw) {
   }
 }
 
-// The trainer→server incremental publish loop, end to end: the sampler
-// reports its changed-word set, PublishDelta consumes it, and serving
-// output matches a from-scratch full publish exactly.
-TEST(TrainerDeltaExportTest, WarpLdaSamplerChangedWordsDriveDeltaPublish) {
+// WarpLdaSampler::ExportSharedModel(&changed) lists every word on the first
+// export and, after that, exactly the words whose rows moved since the
+// previous export.
+TEST(TrainerDeltaExportTest, WarpLdaSamplerReportsChangedWords) {
   SyntheticConfig synth;
   synth.num_docs = 150;
   synth.vocab_size = 250;
@@ -384,12 +234,11 @@ TEST(TrainerDeltaExportTest, WarpLdaSamplerChangedWordsDriveDeltaPublish) {
   WarpLdaSampler sampler;
   sampler.Init(data.corpus, config);
 
-  ModelStore store;
   std::vector<WordId> changed;
   auto model = sampler.ExportSharedModel(&changed);
-  // First export: everything is new.
-  EXPECT_EQ(changed.size(), model->num_words());
-  store.PublishDelta(model, changed);
+  std::vector<WordId> all(model->num_words());
+  std::iota(all.begin(), all.end(), 0);
+  EXPECT_EQ(changed, all);
 
   for (int round = 0; round < 3; ++round) {
     SCOPED_TRACE(round);
@@ -397,8 +246,6 @@ TEST(TrainerDeltaExportTest, WarpLdaSamplerChangedWordsDriveDeltaPublish) {
     auto previous = model;
     model = sampler.ExportSharedModel(&changed);
     EXPECT_EQ(changed, model->ChangedWords(*previous));
-    auto snapshot = store.PublishDelta(model, changed);
-    ExpectSnapshotsBitIdentical(*snapshot, ModelSnapshot(model, 1));
   }
 }
 

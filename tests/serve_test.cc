@@ -25,6 +25,7 @@ using serve::ModelSnapshot;
 using serve::ModelStore;
 using serve::ServerOptions;
 using serve::SharedInferenceEngine;
+using serve::SnapshotLayout;
 
 // Hand-built model with two disjoint topics: topic 0 owns words 0-4,
 // topic 1 owns words 5-9 (same fixture as inference_test.cc).
@@ -115,6 +116,11 @@ TEST(ModelStoreTest, PublishBumpsVersionAndSwapsSnapshot) {
   // The old snapshot stays fully usable for readers that still hold it.
   EXPECT_GT(first->Phi(0, 0), first->Phi(0, 1));
   EXPECT_GT(second->Phi(0, 1), second->Phi(0, 0));
+  // The store's one option picks the layout of every snapshot it builds.
+  EXPECT_EQ(first->layout(), SnapshotLayout::kSparseTiered);
+  ModelStore dense_store({.layout = SnapshotLayout::kDense});
+  EXPECT_EQ(dense_store.Publish(DisjointModel())->layout(),
+            SnapshotLayout::kDense);
 }
 
 // Racing publishers: versions are assigned at swap time, so the final state
