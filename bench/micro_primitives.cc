@@ -1,5 +1,6 @@
 // Microbenchmarks of the sampling primitives behind the O(1) claims, plus
-// the ablation comparisons DESIGN.md calls out: hash vs dense counts and
+// the ablation comparisons DESIGN.md calls out: hash vs dense counts (built
+// per item, and read twice per token as an MH chain reads them) and
 // alias sampling vs random positioning for the doc proposal, and two grid
 // hot-path primitives: per-token RNG stream derivation and the per-item
 // count snapshot a block builds on the fly, plus the CRC-32 every checkpoint
@@ -7,6 +8,8 @@
 // BENCH_micro_primitives.json in the repo's bench JSON format.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -113,6 +116,61 @@ void BM_CountsDense(benchmark::State& state) {
 }
 BENCHMARK(BM_CountsDense)->Arg(1024)->Arg(1 << 17);
 
+// Lookup-heavy counterpart: an MH acceptance chain reads its count vector
+// twice per token (the current topic and the proposal). One item of 2048
+// tokens is counted once; each iteration then does those two Gets for
+// every token, through the HashCount of capacity min(K, 2L) or through a
+// K-entry int32_t array. At both K the dense-or-hash rule
+// (HashCount::DenseIsNoLarger) picks the array for this length.
+constexpr uint32_t kLookupLen = 2048;
+
+struct LookupItem {
+  std::vector<uint32_t> current;
+  std::vector<uint32_t> proposed;
+};
+
+LookupItem MakeLookupItem(uint32_t k) {
+  Rng rng(12);
+  LookupItem item;
+  item.current.resize(kLookupLen);
+  item.proposed.resize(kLookupLen);
+  for (auto& t : item.current) t = rng.NextInt(k);
+  for (auto& t : item.proposed) t = rng.NextInt(k);
+  return item;
+}
+
+void BM_CountsGetHash(benchmark::State& state) {
+  const uint32_t k = static_cast<uint32_t>(state.range(0));
+  const LookupItem item = MakeLookupItem(k);
+  HashCount counts(std::min(k, 2 * kLookupLen));
+  for (uint32_t t : item.current) counts.Inc(t);
+  for (auto _ : state) {
+    int64_t sum = 0;
+    for (uint32_t i = 0; i < kLookupLen; ++i) {
+      sum += counts.Get(item.current[i]) + counts.Get(item.proposed[i]);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kLookupLen);
+}
+BENCHMARK(BM_CountsGetHash)->Arg(1024)->Arg(10000);
+
+void BM_CountsGetDense(benchmark::State& state) {
+  const uint32_t k = static_cast<uint32_t>(state.range(0));
+  const LookupItem item = MakeLookupItem(k);
+  std::vector<int32_t, CacheLineAllocator<int32_t>> counts(k, 0);
+  for (uint32_t t : item.current) ++counts[t];
+  for (auto _ : state) {
+    int64_t sum = 0;
+    for (uint32_t i = 0; i < kLookupLen; ++i) {
+      sum += counts[item.current[i]] + counts[item.proposed[i]];
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kLookupLen);
+}
+BENCHMARK(BM_CountsGetDense)->Arg(1024)->Arg(10000);
+
 // Ablation: the two O(1) ways to draw from q_doc ∝ C_dk (paper §4.3):
 // alias table over c_d vs random positioning into z_d.
 void BM_DocProposalAlias(benchmark::State& state) {
@@ -210,43 +268,95 @@ BENCHMARK(BM_Crc32)->Arg(153600);
 
 // Console output plus the repo's bench JSON format (same header fields as
 // the fig benches: cpu model, SIMD tier, thread count) so the primitive
-// numbers are tracked across commits next to BENCH_fig9.json.
+// numbers are tracked across commits next to BENCH_fig9.json. One row per
+// benchmark: the median of its repetitions' times and rates, with the
+// fastest and slowest repetition as the spread.
 class JsonCollectingReporter : public benchmark::ConsoleReporter {
  public:
-  explicit JsonCollectingReporter(bench::BenchJson* json) : json_(json) {}
-
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
-      if (run.error_occurred) continue;
-      auto& row = json_->AddRow();
-      row.Str("name", run.benchmark_name());
-      row.Int("iterations", static_cast<int64_t>(run.iterations));
-      row.Num("real_time_ns", run.GetAdjustedRealTime());
+      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
+      const std::string name = run.benchmark_name();
+      auto it = std::find_if(reps_.begin(), reps_.end(),
+                             [&](const Reps& r) { return r.name == name; });
+      if (it == reps_.end()) {
+        it = reps_.insert(reps_.end(), Reps());
+        it->name = name;
+      }
+      it->iterations.push_back(static_cast<double>(run.iterations));
+      it->real_time_ns.push_back(run.GetAdjustedRealTime());
       auto items = run.counters.find("items_per_second");
       if (items != run.counters.end()) {
-        row.Num("items_per_second", items->second);
+        it->items_per_second.push_back(items->second);
       }
       auto bytes = run.counters.find("bytes_per_second");
       if (bytes != run.counters.end()) {
-        row.Num("bytes_per_second", bytes->second);
+        it->bytes_per_second.push_back(bytes->second);
       }
     }
     benchmark::ConsoleReporter::ReportRuns(runs);
   }
 
+  void WriteRows(bench::BenchJson& json) const {
+    for (const Reps& r : reps_) {
+      auto& row = json.AddRow();
+      row.Str("name", r.name);
+      row.Int("repetitions", static_cast<int64_t>(r.real_time_ns.size()));
+      row.Int("iterations", static_cast<int64_t>(Median(r.iterations)));
+      row.Num("real_time_ns", Median(r.real_time_ns));
+      row.Num("real_time_ns_min", Min(r.real_time_ns));
+      row.Num("real_time_ns_max", Max(r.real_time_ns));
+      if (!r.items_per_second.empty()) {
+        row.Num("items_per_second", Median(r.items_per_second));
+      }
+      if (!r.bytes_per_second.empty()) {
+        row.Num("bytes_per_second", Median(r.bytes_per_second));
+      }
+    }
+  }
+
  private:
-  bench::BenchJson* json_;
+  struct Reps {
+    std::string name;
+    std::vector<double> iterations;
+    std::vector<double> real_time_ns;
+    std::vector<double> items_per_second;
+    std::vector<double> bytes_per_second;
+  };
+
+  static double Median(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+  }
+  static double Min(const std::vector<double>& v) {
+    return *std::min_element(v.begin(), v.end());
+  }
+  static double Max(const std::vector<double>& v) {
+    return *std::max_element(v.begin(), v.end());
+  }
+
+  std::vector<Reps> reps_;
 };
 
 }  // namespace
 }  // namespace warplda
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // Three repetitions unless the command line asks otherwise (a later
+  // --benchmark_repetitions wins), so every row carries a spread.
+  std::vector<char*> args(argv, argv + argc);
+  char default_reps[] = "--benchmark_repetitions=3";
+  args.insert(args.begin() + 1, default_reps);
+  int args_count = static_cast<int>(args.size());
+  benchmark::Initialize(&args_count, args.data());
+  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
+    return 1;
+  }
   warplda::bench::BenchJson json("micro_primitives", "synthetic primitives");
-  warplda::JsonCollectingReporter reporter(&json);
+  warplda::JsonCollectingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
+  reporter.WriteRows(json);
   json.Write("BENCH_micro_primitives.json");
   return 0;
 }

@@ -229,9 +229,11 @@ TrainResult Train(Sampler& sampler, const Corpus& corpus,
     sampling_seconds += elapsed;
     block_seconds += elapsed;
     ++block_iterations;
+    // On the absolute iteration, the run's last one included: a run split
+    // by a checkpoint then optimizes after the same sweeps as the unsplit
+    // run, whichever iteration the first leg ended on.
     if (options.optimize_hyper_every != 0 &&
-        iter % options.optimize_hyper_every == 0 &&
-        iter != options.iterations) {
+        iter % options.optimize_hyper_every == 0) {
       auto assignments = sampler.Assignments();
       alpha = EstimateSymmetricAlpha(corpus, assignments, config.num_topics,
                                      alpha);

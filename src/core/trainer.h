@@ -20,8 +20,11 @@ struct TrainOptions {
   /// the reported sampling time, matching the paper's methodology.
   uint32_t eval_every = 5;
   /// Re-estimate the symmetric α and β priors with Minka's fixed point
-  /// every this many iterations (0 disables). MALLET-style hyper-parameter
-  /// optimization; typically improves held-out quality over fixed 50/K.
+  /// after every iteration whose absolute number is a multiple of this (0
+  /// disables), the run's last iteration included, so a resumed run
+  /// optimizes after the same sweeps as an uninterrupted one. MALLET-style
+  /// hyper-parameter optimization; typically improves held-out quality over
+  /// fixed 50/K.
   uint32_t optimize_hyper_every = 0;
   bool verbose = false;  ///< print one line per evaluation to stdout
   /// Sweep execution. A sampler implementing GridSampler (WarpLDA) runs

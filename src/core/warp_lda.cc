@@ -66,6 +66,14 @@ void WarpLdaSampler::Init(const Corpus& corpus, const LdaConfig& config) {
   matrix_.Finalize();
   proposals_.assign(matrix_.num_entries() * m, 0);
 
+  uint32_t longest = 0;
+  for (WordId w = 0; w < corpus.num_words(); ++w) {
+    longest = std::max(longest, matrix_.col_size(w));
+  }
+  for (DocId d = 0; d < corpus.num_docs(); ++d) {
+    longest = std::max(longest, matrix_.row(d).size());
+  }
+  dense_size_ = DenseCountsFit(longest) ? k : 0;
   scratch_.assign(1, ThreadScratch());
   scratch_[0].ck_delta.assign(k, 0);
   phase_epoch_ = 0;
@@ -139,20 +147,26 @@ std::vector<TopicId> WarpLdaSampler::Assignments() const {
   return out;
 }
 
-void WarpLdaSampler::BuildCounts(HashCount& counts,
-                                 std::span<const TopicId> z) const {
-  counts.Init(
-      std::min<uint32_t>(config_.num_topics, 2 * static_cast<uint32_t>(z.size())));
-  for (TopicId topic : z) counts.Inc(topic);
+template <typename Topics>
+void WarpLdaSampler::BuildCounts(HashCount& counts, const Topics& z) const {
+  const uint32_t len = static_cast<uint32_t>(z.size());
+  counts.Init(std::min(config_.num_topics, 2 * len));
+  for (uint32_t i = 0; i < len; ++i) counts.Inc(z[i]);
+  Trace(reinterpret_cast<const void*>(counts.slots().data()),
+        counts.capacity() * static_cast<uint32_t>(sizeof(HashCount::Entry)),
+        /*random=*/true, /*write=*/true);
 }
 
-void WarpLdaSampler::BuildCounts(HashCount& counts,
-                                 SparseMatrix<TopicId>::RowView row) const {
-  counts.Init(std::min<uint32_t>(config_.num_topics, 2 * row.size()));
-  for (uint32_t i = 0; i < row.size(); ++i) counts.Inc(row[i]);
+template <typename Topics>
+void WarpLdaSampler::BuildCounts(int32_t* dense, const Topics& z) const {
+  const uint32_t len = static_cast<uint32_t>(z.size());
+  for (uint32_t i = 0; i < len; ++i) ++dense[z[i]];
+  Trace(dense, dense_size_ * static_cast<uint32_t>(sizeof(int32_t)),
+        /*random=*/true, /*write=*/true);
 }
 
-TopicId WarpLdaSampler::AcceptChain(ThreadScratch& s, const HashCount& counts,
+template <typename Counts>
+TopicId WarpLdaSampler::AcceptChain(ThreadScratch& s, const Counts& counts,
                                     TopicId current, const TopicId* props,
                                     uint32_t m,
                                     const std::vector<double>* prior_vec,
@@ -162,18 +176,22 @@ TopicId WarpLdaSampler::AcceptChain(ThreadScratch& s, const HashCount& counts,
   ++s.obs_tokens;
   Rng rng;
   bool seeded = false;
+  // The current topic's two factors, read once and carried across moves:
+  // the delayed snapshots do not change within a chain.
+  double cur_count =
+      counts.Get(current) + (prior_vec ? (*prior_vec)[current] : prior);
+  double cur_ck = ck_fixed_[current] + beta_bar_;
   for (uint32_t j = 0; j < m; ++j) {
     TopicId t = props[j];
     if (t == current) continue;
     ++s.obs_proposals;
     Trace(reinterpret_cast<const void*>(counts.SlotAddr(t)),
-          sizeof(HashCount::Entry), /*random=*/true, /*write=*/false);
-    const double prior_t = prior_vec ? (*prior_vec)[t] : prior;
-    const double prior_s = prior_vec ? (*prior_vec)[current] : prior;
+          sizeof(typename Counts::Entry), /*random=*/true, /*write=*/false);
+    const double t_count =
+        counts.Get(t) + (prior_vec ? (*prior_vec)[t] : prior);
+    const double t_ck = ck_fixed_[t] + beta_bar_;
     // Eq. 7: delayed c_w/c_d and c_k snapshots on both sides.
-    double accept =
-        (counts.Get(t) + prior_t) * (ck_fixed_[current] + beta_bar_) /
-        ((counts.Get(current) + prior_s) * (ck_fixed_[t] + beta_bar_));
+    double accept = t_count * cur_ck / (cur_count * t_ck);
     bool take = accept >= 1.0;
     if (!take) {
       if (!seeded) {
@@ -187,6 +205,8 @@ TopicId WarpLdaSampler::AcceptChain(ThreadScratch& s, const HashCount& counts,
       --ck_delta[current];
       ++ck_delta[t];
       current = t;
+      cur_count = t_count;
+      cur_ck = t_ck;
     }
   }
   return current;
@@ -213,22 +233,34 @@ void WarpLdaSampler::FlushScratchMetrics() {
 }
 
 void WarpLdaSampler::BuildAliasInto(ThreadScratch& scratch,
-                                    const HashCount& counts,
-                                    AliasTable& alias) {
+                                    const HashCount& counts) {
   // Alg. 2 builds the alias table over the post-acceptance C_wk: q_word ∝
   // C_wk + β as a mixture of this count-weighted table and the uniform β
-  // branch. Entries are sorted by topic so the bin layout is a pure function
-  // of the count values: the word pass (which patches its acceptance-time
-  // snapshot with the column's moves) and a restored word-propose span
-  // (which counts the committed column afresh) fill the table in different
-  // orders yet load identical tables.
+  // branch. The bin layout decides which topic each alias draw returns, so
+  // it is part of the sample: entries are sorted by topic, making the
+  // layout a function of the count values alone, not of the slot order
+  // the hash table's probing left them in (GoldenTrajectories pins it).
   ++scratch.obs_alias_builds;
   scratch.alias_entries.clear();
   counts.ForEachNonZero([&](uint32_t k, int32_t c) {
     scratch.alias_entries.emplace_back(k, static_cast<double>(c));
   });
   std::sort(scratch.alias_entries.begin(), scratch.alias_entries.end());
-  alias.BuildSparse(scratch.alias_entries, scratch.alias_ws);
+  scratch.alias.BuildSparse(scratch.alias_entries, scratch.alias_ws);
+}
+
+void WarpLdaSampler::BuildAliasFromDense(ThreadScratch& scratch) {
+  // BuildAliasInto's entries, already in topic order.
+  ++scratch.obs_alias_builds;
+  scratch.alias_entries.clear();
+  int32_t* counts = scratch.dense.data();
+  for (uint32_t k = 0; k < dense_size_; ++k) {
+    if (counts[k] != 0) {
+      scratch.alias_entries.emplace_back(k, static_cast<double>(counts[k]));
+      counts[k] = 0;
+    }
+  }
+  scratch.alias.BuildSparse(scratch.alias_entries, scratch.alias_ws);
 }
 
 void WarpLdaSampler::DrawWordProposals(const TokenPositions& positions,
@@ -450,6 +482,12 @@ void WarpLdaSampler::RunBlockInto(uint32_t doc_block, uint32_t word_block,
   }
   ran = 1;
   ThreadScratch& scratch = scratch_[worker];
+  // Allocated on the worker's first block, as its HashCount's slots are.
+  // Allocated in Init, the aligned block fragmented the heap for the next
+  // sampler a process builds (+3 MiB peak RSS on warpbench k10k-t4).
+  if (scratch.dense.size() != dense_size_) {
+    scratch.dense.assign(dense_size_, 0);
+  }
   if (grid_.stage == SweepStage::kWordAccept) {
     RunWordPart(block, scratch, committed);
   } else {
@@ -457,7 +495,8 @@ void WarpLdaSampler::RunBlockInto(uint32_t doc_block, uint32_t word_block,
   }
 }
 
-void WarpLdaSampler::AcceptItem(ThreadScratch& s,
+template <typename Counts>
+void WarpLdaSampler::AcceptItem(ThreadScratch& s, const Counts& counts,
                                 const TokenPositions& positions,
                                 const std::vector<double>* prior_vec,
                                 double prior, uint64_t stream_base,
@@ -468,7 +507,7 @@ void WarpLdaSampler::AcceptItem(ThreadScratch& s,
     const uint64_t pos = positions[i];
     const TopicId before = matrix_.entry_data(pos);
     const TopicId after =
-        AcceptChain(s, s.counts, before, &proposals_[pos * m], m, prior_vec,
+        AcceptChain(s, counts, before, &proposals_[pos * m], m, prior_vec,
                     prior, stream_base, pos);
     if (after != before) s.item_moves.push_back({pos, item, before, after});
   }
@@ -478,7 +517,9 @@ void WarpLdaSampler::RunWordPart(size_t block, ThreadScratch& s,
                                  std::vector<StagedMove>* committed) {
   // One scope per column, as §4.4 has it: count it on the fly, accept,
   // commit the moves to z in place while patching the count snapshot with
-  // them, then build the column's alias table and draw.
+  // them, then build the column's alias table and draw. The counts live in
+  // the worker's dense array or its HashCount, whichever DenseCountsFit()
+  // picks; both paths build the same alias table.
   const uint32_t k_topics = config_.num_topics;
   const double beta = config_.beta;
   const auto [lo, hi] = BlockItems(block, /*word_axis=*/true);
@@ -486,21 +527,31 @@ void WarpLdaSampler::RunWordPart(size_t block, ThreadScratch& s,
     const std::span<TopicId> z = matrix_.col_data(w);
     if (z.empty()) continue;
     const TokenPositions positions = ItemPositions(w, /*word_axis=*/true);
-    BuildCounts(s.counts, z);
-    Trace(reinterpret_cast<const void*>(s.counts.slots().data()),
-          s.counts.capacity() * static_cast<uint32_t>(sizeof(HashCount::Entry)),
-          /*random=*/true, /*write=*/true);
-    AcceptItem(s, positions, nullptr, beta, grid_.base_word, w);
-    for (const StagedMove& mv : s.item_moves) {
-      z[mv.pos - positions.first] = mv.to;
-      s.counts.Dec(mv.from);
-      s.counts.Inc(mv.to);
+    if (DenseCountsFit(static_cast<uint32_t>(z.size()))) {
+      int32_t* counts = s.dense.data();
+      BuildCounts(counts, z);
+      AcceptItem(s, DenseCounts{counts}, positions, nullptr, beta,
+                 grid_.base_word, w);
+      for (const StagedMove& mv : s.item_moves) {
+        z[mv.pos - positions.first] = mv.to;
+        --counts[mv.from];
+        ++counts[mv.to];
+      }
+      BuildAliasFromDense(s);
+    } else {
+      BuildCounts(s.counts, z);
+      AcceptItem(s, s.counts, positions, nullptr, beta, grid_.base_word, w);
+      for (const StagedMove& mv : s.item_moves) {
+        z[mv.pos - positions.first] = mv.to;
+        s.counts.Dec(mv.from);
+        s.counts.Inc(mv.to);
+      }
+      BuildAliasInto(s, s.counts);
     }
     if (committed != nullptr) {
       committed->insert(committed->end(), s.item_moves.begin(),
                         s.item_moves.end());
     }
-    BuildAliasInto(s, s.counts, s.alias);
     const double lw = static_cast<double>(z.size());
     DrawWordProposals(positions, s.alias, lw / (lw + beta * k_topics));
     TraceScopeEnd();
@@ -511,18 +562,35 @@ void WarpLdaSampler::RunDocPart(size_t block, ThreadScratch& s,
                                 std::vector<StagedMove>* committed) {
   // RunWordPart's scheme per row: count on the fly, accept, commit in
   // place, then position the row's proposals into its committed topics.
+  const uint32_t m = std::max(1u, config_.mh_steps);
   const std::vector<double>* alpha_vec =
       config_.alpha_vector.empty() ? nullptr : &config_.alpha_vector;
   const auto [lo, hi] = BlockItems(block, /*word_axis=*/false);
   for (DocId d = lo; d < hi; ++d) {
+    // A row's z entries and proposal slots are scattered over the CSC
+    // arrays; start fetching the next row's while this one runs.
+    if (d + 1 < hi) {
+      for (uint64_t pos : matrix_.row_positions(d + 1)) {
+        __builtin_prefetch(&matrix_.entry_data(pos));
+        __builtin_prefetch(&proposals_[pos * m]);
+      }
+    }
     const SparseMatrix<TopicId>::RowView row = matrix_.row(d);
     if (row.size() == 0) continue;
     const TokenPositions positions = ItemPositions(d, /*word_axis=*/false);
-    BuildCounts(s.counts, row);
-    Trace(reinterpret_cast<const void*>(s.counts.slots().data()),
-          s.counts.capacity() * static_cast<uint32_t>(sizeof(HashCount::Entry)),
-          /*random=*/true, /*write=*/true);
-    AcceptItem(s, positions, alpha_vec, config_.alpha, grid_.base_doc, d);
+    if (DenseCountsFit(row.size())) {
+      int32_t* counts = s.dense.data();
+      BuildCounts(counts, row);
+      AcceptItem(s, DenseCounts{counts}, positions, alpha_vec, config_.alpha,
+                 grid_.base_doc, d);
+      // Zero the array through the topics it counted (z is not committed
+      // yet), in O(L) rather than O(K).
+      for (uint32_t i = 0; i < row.size(); ++i) counts[row[i]] = 0;
+    } else {
+      BuildCounts(s.counts, row);
+      AcceptItem(s, s.counts, positions, alpha_vec, config_.alpha,
+                 grid_.base_doc, d);
+    }
     for (const StagedMove& mv : s.item_moves) {
       matrix_.entry_data(mv.pos) = mv.to;
     }

@@ -1,6 +1,7 @@
 #ifndef WARPLDA_CORE_WARP_LDA_H_
 #define WARPLDA_CORE_WARP_LDA_H_
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
@@ -36,7 +37,10 @@ namespace warplda {
 /// Counts are delayed (MCEM, §4.2): acceptance uses the per-pass snapshot
 /// of the global counts c_k and the per-scope snapshot of c_d/c_w, which is
 /// what decouples the two count matrices and shrinks the random-access
-/// footprint to one cache-resident vector (§3.3, Table 2's last row).
+/// footprint to one cache-resident vector (§3.3, Table 2's last row). That
+/// vector is, per item, a HashCount of capacity min(K, 2L), or a dense
+/// K-entry array of 4-byte counts wherever that is no larger (§5.4; the
+/// rule is HashCount::DenseIsNoLarger). Both give the same samples.
 ///
 /// There is one sweep implementation, the grid sweep (GridSampler), run
 /// block by block over a SweepPlan's D×W blocks. Each pass is split into
@@ -162,6 +166,10 @@ class WarpLdaSampler : public Sampler, public GridSampler {
 
   struct alignas(64) WARP_WORKER_LOCAL ThreadScratch {
     HashCount counts;
+    /// Direct-indexed c_w / c_d for the items DenseCountsFit() sends here
+    /// instead of `counts`: dense_size_ entries once the worker has run a
+    /// block, all zero between items.
+    std::vector<int32_t, CacheLineAllocator<int32_t>> dense;
     AliasTable alias;
     AliasTable::Workspace alias_ws;
     /// This worker's partition of the c_k updates; folded into ck_live_ at
@@ -271,19 +279,44 @@ class WarpLdaSampler : public Sampler, public GridSampler {
         SplitMix64(stream_base ^ (static_cast<uint64_t>(tag) << 56) ^ token));
   }
 
-  /// Builds `counts` from the topic values in `z` (capacity min(K, 2|z|)).
-  void BuildCounts(HashCount& counts, std::span<const TopicId> z) const;
-  void BuildCounts(HashCount& counts,
-                   SparseMatrix<TopicId>::RowView row) const;
+  /// Read view of a ThreadScratch::dense array, with the Get / SlotAddr /
+  /// Entry surface AcceptChain reads a HashCount through.
+  struct DenseCounts {
+    using Entry = int32_t;
+    const int32_t* counts;
+    int32_t Get(uint32_t topic) const { return counts[topic]; }
+    uintptr_t SlotAddr(uint32_t topic) const {
+      return reinterpret_cast<uintptr_t>(counts + topic);
+    }
+  };
+
+  /// The dense-or-hash rule for an item of `length` tokens: true when K
+  /// 4-byte counts are no larger than the HashCount of capacity hint
+  /// min(K, 2·length) it would otherwise get (HashCount::DenseIsNoLarger).
+  bool DenseCountsFit(uint32_t length) const {
+    return HashCount::DenseIsNoLarger(
+        config_.num_topics, std::min(config_.num_topics, 2 * length));
+  }
+
+  /// Counts the topic values of `z` (a column's span or a row's view) into
+  /// `counts`, of capacity min(K, 2|z|), or into the all-zero dense array
+  /// `dense`, and traces the table as one write.
+  template <typename Topics>
+  void BuildCounts(HashCount& counts, const Topics& z) const;
+  template <typename Topics>
+  void BuildCounts(int32_t* dense, const Topics& z) const;
 
   /// Runs one token's MH acceptance chain against the delayed snapshots
   /// (Eq. 7) and returns the final topic, reading the delayed counts from
-  /// `counts` and folding topic moves into `s.ck_delta`. The word pass
-  /// gives (prior_vec=nullptr, prior=β); the doc pass gives the α_k vector
-  /// (or nullptr) and the symmetric α. The RNG stream is seeded
-  /// lazily — chains whose proposals all equal the current topic, or always
+  /// `counts` (a HashCount or a DenseCounts) and folding topic moves into
+  /// `s.ck_delta`. The current topic's count and c_k are read once per
+  /// chain and carried across accepted moves. The word pass gives
+  /// (prior_vec=nullptr, prior=β); the doc pass gives the α_k vector (or
+  /// nullptr) and the symmetric α. The RNG stream is seeded lazily —
+  /// chains whose proposals all equal the current topic, or always
   /// accept, draw nothing.
-  TopicId AcceptChain(ThreadScratch& s, const HashCount& counts,
+  template <typename Counts>
+  TopicId AcceptChain(ThreadScratch& s, const Counts& counts,
                       TopicId current, const TopicId* props, uint32_t m,
                       const std::vector<double>* prior_vec, double prior,
                       uint64_t stream_base, uint64_t token);
@@ -291,7 +324,9 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// Runs AcceptChain over one item's tokens and appends a StagedMove per
   /// moved token (tagged `item`) to `s.item_moves`, in position order; z is
   /// not written.
-  void AcceptItem(ThreadScratch& s, const TokenPositions& positions,
+  template <typename Counts>
+  void AcceptItem(ThreadScratch& s, const Counts& counts,
+                  const TokenPositions& positions,
                   const std::vector<double>* prior_vec, double prior,
                   uint64_t stream_base, uint32_t item);
 
@@ -300,13 +335,15 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// way). Called at stage barriers, where workers are quiescent.
   void FlushScratchMetrics();
 
-  /// Loads the word-proposal alias table over q_word ∝ C_wk (the count
-  /// branch of the mixture) from `counts`, which must hold the
-  /// post-acceptance c_w. Entries are emitted in ascending-topic order, so
-  /// the table depends only on the count *values*, not on the order the
+  /// Loads the word-proposal alias table `scratch.alias` over q_word ∝
+  /// C_wk (the count branch of the mixture) from `counts`, which must hold
+  /// the post-acceptance c_w. Entries are emitted in ascending-topic order,
+  /// so the table depends only on the count *values*, not on the order the
   /// table was filled in.
-  void BuildAliasInto(ThreadScratch& scratch, const HashCount& counts,
-                      AliasTable& alias);
+  void BuildAliasInto(ThreadScratch& scratch, const HashCount& counts);
+  /// As above from `scratch.dense`, walked in topic order (so no sort), and
+  /// zeroes the array on the way.
+  void BuildAliasFromDense(ThreadScratch& scratch);
 
   /// Draws M word proposals for each of `positions` from the count/β
   /// mixture over `alias`, each token from its own stream.
@@ -379,6 +416,10 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   LdaConfig config_;
   double alpha_bar_ = 0.0;
   double beta_bar_ = 0.0;
+  /// Entries of each worker's ThreadScratch::dense: K when the longest
+  /// word or document passes DenseCountsFit(), else 0 (no item can use it,
+  /// so at large K the array is never allocated).
+  WARP_IMMUTABLE_AFTER(Init) uint32_t dense_size_ = 0;
 
   /// Model returned by the last ExportSharedModel(changed_words) call; the
   /// diff base for the changed-word report.

@@ -9,10 +9,11 @@
 
 namespace warplda {
 
-/// 64-byte aligned storage for HashCount's slots: a table of 2^n 8-byte
-/// slots then covers exactly its own cache lines wherever the heap puts it,
-/// so its footprint (and a cache tracer's count of it) depends on its size
-/// only, never on allocator state.
+/// 64-byte aligned storage for HashCount's slots (and for the dense count
+/// arrays that stand in for it): a table of 2^n 8-byte slots then covers
+/// exactly its own cache lines wherever the heap puts it, so its footprint
+/// (and a cache tracer's count of it) depends on its size only, never on
+/// allocator state.
 template <typename T>
 struct CacheLineAllocator {
   using value_type = T;
@@ -36,6 +37,10 @@ struct CacheLineAllocator {
 /// probing, power-of-two capacity, hash is a multiplicative mix. Capacity is
 /// chosen as the smallest power of two larger than min(K, 2L) as in the paper,
 /// so the table stays small enough to live in cache even when K is large.
+/// Where a direct-indexed K-vector of 4-byte counts would be no larger than
+/// that table, the paper uses the vector instead; DenseIsNoLarger() is that
+/// rule, computed from the same CapacityFor() that Init() sizes by, and
+/// WarpLdaSampler counts such items in a dense array rather than here.
 ///
 /// Entries are never physically removed: a decremented-to-zero slot keeps its
 /// key so probe chains stay intact. The table is intended to be built, used
@@ -55,10 +60,25 @@ class HashCount {
   /// Initializes with capacity = smallest power of two > max(2, capacity_hint).
   explicit HashCount(uint32_t capacity_hint) { Init(capacity_hint); }
 
-  /// (Re-)initializes the table; all counts become zero.
-  void Init(uint32_t capacity_hint) {
+  /// Slot capacity Init(capacity_hint) picks: the smallest power of two
+  /// larger than capacity_hint, and at least 4.
+  static uint32_t CapacityFor(uint32_t capacity_hint) {
     uint32_t cap = 4;
     while (cap <= capacity_hint) cap <<= 1;
+    return cap;
+  }
+
+  /// The dense-or-hash rule: true when a direct-indexed array of
+  /// `num_keys` int32_t counts takes no more bytes than the table
+  /// Init(capacity_hint) would allocate.
+  static bool DenseIsNoLarger(uint32_t num_keys, uint32_t capacity_hint) {
+    return uint64_t{sizeof(int32_t)} * num_keys <=
+           uint64_t{sizeof(Entry)} * CapacityFor(capacity_hint);
+  }
+
+  /// (Re-)initializes the table; all counts become zero.
+  void Init(uint32_t capacity_hint) {
+    const uint32_t cap = CapacityFor(capacity_hint);
     mask_ = cap - 1;
     slots_.assign(cap, Entry{kEmptyKey, 0});
     size_ = 0;

@@ -554,6 +554,45 @@ TEST(TrainerDurabilityTest, GridResumeFromIterationCheckpointIsBitIdentical) {
   }
 }
 
+TEST(TrainerDurabilityTest, ResumeWithHyperOptimizationIsBitIdentical) {
+  // Priors are re-estimated on the absolute iteration, so a run split by a
+  // checkpoint optimizes after the same sweeps as the unsplit run — the
+  // first leg's last sweep included when it falls on the stride (the 3 + 1
+  // split) — and ends with the same assignments and the same priors.
+  Corpus corpus = MakeCorpus();
+  const LdaConfig config = LdaConfig::PaperDefaults(8);
+  TrainOptions options;
+  options.iterations = 4;
+  options.eval_every = 0;
+  options.optimize_hyper_every = 3;
+  WarpLdaSampler uninterrupted;
+  const TrainResult reference = Train(uninterrupted, corpus, config, options);
+  ASSERT_NE(reference.final_alpha, config.alpha);
+  ASSERT_NE(reference.final_beta, config.beta);
+
+  for (uint32_t first : {2u, 3u}) {
+    const std::string dir =
+        TempPath("train_hyper_resume_" + std::to_string(first));
+    std::filesystem::remove_all(dir);
+    TrainOptions first_leg = options;
+    first_leg.iterations = first;
+    first_leg.checkpoint_dir = dir;
+    WarpLdaSampler killed;
+    Train(killed, corpus, config, first_leg);
+
+    TrainOptions second_leg = options;
+    second_leg.checkpoint_dir = dir;
+    second_leg.resume = true;
+    WarpLdaSampler resumed;
+    const TrainResult continued = Train(resumed, corpus, config, second_leg);
+    EXPECT_EQ(continued.assignments, reference.assignments) << first;
+    EXPECT_EQ(continued.final_alpha, reference.final_alpha) << first;
+    EXPECT_EQ(continued.final_beta, reference.final_beta) << first;
+    EXPECT_EQ(continued.final_log_likelihood, reference.final_log_likelihood)
+        << first;
+  }
+}
+
 TEST(TrainerDurabilityTest, ResumeWithCorruptCheckpointThrows) {
   Corpus corpus = MakeCorpus();
   LdaConfig config = LdaConfig::PaperDefaults(8);

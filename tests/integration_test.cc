@@ -202,11 +202,17 @@ TEST(IntegrationTest, TracedWarpLdaFootprintSmallerThanLightLda) {
   EXPECT_EQ(warp_stats.scopes(), 1988u);
   // Bytes per scope count distinct 64-byte lines. Count tables are
   // cache-line aligned, so the figure depends on table sizes only, not on
-  // where the heap puts them: the largest table (128 slots) spans exactly
-  // 16 lines, and the 1988 scopes span 6776 lines in all. A scope traced
-  // twice or a table traced at the wrong size moves either figure.
-  EXPECT_EQ(warp_stats.mean_random_bytes_per_scope(), 64.0 * 6776 / 1988);
-  EXPECT_EQ(warp_stats.max_random_bytes_per_scope(), 1024u);
+  // where the heap puts them. At K=64 an item whose HashCount would have
+  // 32 or more slots (256 B or more) is counted in a 64-entry int32_t
+  // array instead (256 B, 4 lines), the dense-or-hash rule. The 1988
+  // scopes (1838 words, 150 docs) split as 1488 hash tables of 4, 8 or 16
+  // slots (279, 649 and 560 words: 1, 1 and 2 lines, 2048 lines) and 500
+  // dense arrays (350 words and every doc: 2000 lines), 4048 lines in all;
+  // all-hash, the 500 would have spanned 218·4 + 82·8 + 200·16 = 4728 lines
+  // (6776 in all, max 16 lines). A scope traced twice or a table traced at
+  // the wrong size moves either figure.
+  EXPECT_EQ(warp_stats.mean_random_bytes_per_scope(), 64.0 * 4048 / 1988);
+  EXPECT_EQ(warp_stats.max_random_bytes_per_scope(), 256u);
 
   AccessStats light_stats;
   LightLdaSampler light;

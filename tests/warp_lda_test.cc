@@ -159,6 +159,41 @@ Corpus SparseTestCorpus() {
   return builder.Build();
 }
 
+// Items on both sides of the dense-or-hash count rule (HashCount::
+// CapacityFor) in both passes at K=64 and at K=10⁴: 120 short documents
+// (mean length 8) interleaved with 24 long ones (mean 2048) over a steep
+// Zipf vocabulary. At K=64 the rule's cut is L ≥ 8 (89 dense docs of 144,
+// 710 dense words of 1479); at K=10⁴ it is L ≥ 2048 (13 dense docs, 3
+// dense words).
+Corpus MixedLengthCorpus() {
+  SyntheticConfig short_docs;
+  short_docs.num_docs = 120;
+  short_docs.vocab_size = 1500;
+  short_docs.num_topics = 3;
+  short_docs.word_zipf_skew = 1.2;
+  short_docs.mean_doc_length = 8;
+  short_docs.alpha = 0.1;
+  short_docs.seed = 41;
+  SyntheticConfig long_docs = short_docs;
+  long_docs.num_docs = 24;
+  long_docs.mean_doc_length = 2048;
+  long_docs.seed = 43;
+  const Corpus a = GenerateLdaCorpus(short_docs).corpus;
+  const Corpus b = GenerateLdaCorpus(long_docs).corpus;
+  CorpusBuilder builder;
+  builder.set_num_words(short_docs.vocab_size);
+  for (DocId d = 0; d < b.num_docs(); ++d) {
+    const auto long_doc = b.doc_tokens(d);
+    builder.AddDocument(std::vector<WordId>(long_doc.begin(), long_doc.end()));
+    for (DocId e = 5 * d; e < 5 * d + 5; ++e) {
+      const auto short_doc = a.doc_tokens(e);
+      builder.AddDocument(
+          std::vector<WordId>(short_doc.begin(), short_doc.end()));
+    }
+  }
+  return builder.Build();
+}
+
 struct GoldenCase {
   const char* name;
   uint32_t topics;
@@ -167,6 +202,7 @@ struct GoldenCase {
   bool sparse_corpus;
   bool reassign;  // SetAssignments() between sweeps 2 and 3
   uint64_t after[3];  // hashes after sweeps 1, 3 and 10
+  bool mixed_lengths = false;  // MixedLengthCorpus() (overrides sparse_corpus)
 };
 
 constexpr GoldenCase kGolden[] = {
@@ -188,11 +224,19 @@ constexpr GoldenCase kGolden[] = {
      {0x5040c874a2dba781ULL, 0x750a84106d4ec401ULL, 0x5563f42928437f80ULL}},
     {"set_assignments", 16, 2, false, false, true,
      {0x92d62c2bffffb9e3ULL, 0x56b91c75231b6f0fULL, 0xa44040baca07c038ULL}},
+    {"mixed_lengths_k64_m2", 64, 2, false, false, false,
+     {0xf57ad59b0a37fa55ULL, 0xc9e15a365c261352ULL, 0xb4ae0c4faa482c5dULL},
+     true},
+    {"mixed_lengths_k10000_m2", 10000, 2, false, false, false,
+     {0x1a5c57a095e505a7ULL, 0xeacc1d2f3acce80dULL, 0x4a1bf18e0cb30881ULL},
+     true},
 };
 
 TEST(WarpLdaTest, GoldenTrajectories) {
   for (const GoldenCase& c : kGolden) {
-    const Corpus corpus = c.sparse_corpus ? SparseTestCorpus() : TestCorpus();
+    const Corpus corpus = c.mixed_lengths   ? MixedLengthCorpus()
+                          : c.sparse_corpus ? SparseTestCorpus()
+                                            : TestCorpus();
     LdaConfig config = LdaConfig::PaperDefaults(c.topics);
     config.mh_steps = c.mh_steps;
     config.seed = 2024;
